@@ -23,10 +23,10 @@ open Nvmpi_experiments
 
 let usage_text =
   "usage: main.exe [--scale F] [--seed N] [--full-wordcount] [--json FILE] \
-   [--jobs N] [--wall] [--engine staged|dispatch] [--durability \
+   [--jobs N] [--wall] [--durability \
    eager|traverse|snapshot|snapshot-page] [experiment ...]\n\
-  \       main.exe check BASELINE.json [--tolerance F] [--jobs N] [--engine \
-   staged|dispatch] [--durability eager|traverse|snapshot|snapshot-page]\n\
+  \       main.exe check BASELINE.json [--tolerance F] [--jobs N] \
+   [--durability eager|traverse|snapshot|snapshot-page]\n\
   \       main.exe perf [--ops N]\n\
    experiments: fig12 payload table1 fig13 fig14 regions fig15 breakdown \
    ablations churn durset snapshot bechamel faultsim conform server all\n\
@@ -38,8 +38,6 @@ let usage_text =
    wall-clock only);\n\
    --wall adds a host wall-clock section (with per-representation deref \
    ns) to the JSON snapshot;\n\
-   --engine selects the staged (pre-instantiated, default) or dispatch \
-   (first-class-module) call graph;\n\
    --durability selects the persistence discipline: eager (legacy, \
    default), traverse (link-and-persist, docs/DURABLE.md) or \
    snapshot/snapshot-page (failure-atomic sync epochs, docs/SNAPSHOT.md);\n\
@@ -99,38 +97,26 @@ let bechamel_suite () =
      bytes through the resulting absolute address. Unlike pointer-load
      this includes the data access the translation exists to serve, so
      it is the host-side cost of the simulator's per-deref fast path
-     (TLB'd page lookup + single-observer dispatch + L1 hit). Measured
-     under both engines for every representation: [staged] runs the
-     fused [Core.Engine.deref] (per-kind direct dispatch into the
-     specialized path); [dispatch] unpacks the first-class module and
-     chains the generic [Memsim.load64] — the historical call graph. *)
-  let deref_test ~staged kind =
+     (TLB'd page lookup + fused timing access + L1 hit). *)
+  let deref_test kind =
     let store = Core.Store.create () in
     let m = Machine.create ~seed:1 ~store () in
     let r = Machine.open_region m (Machine.create_region m ~size:(1 lsl 20)) in
     if kind = Core.Repr.Based then Machine.set_based_region m (Region.rid r);
-    let holder = Region.alloc r (Core.Repr.slot_size kind) in
+    let (module P) = Core.Repr.m kind in
+    let holder = Region.alloc r P.slot_size in
     let target = Region.alloc r 64 in
-    Core.Engine.store kind m ~holder target;
-    let name = Core.Repr.to_string kind in
-    if staged then
-      Test.make ~name
-        (Staged.stage (fun () -> ignore (Core.Engine.deref kind m ~holder)))
-    else
-      let (module P) = Core.Repr.m kind in
-      let mem = m.Machine.mem in
-      Test.make ~name
-        (Staged.stage (fun () ->
-             ignore (Nvmpi_memsim.Memsim.load64 mem (P.load m ~holder))))
+    P.store m ~holder target;
+    Test.make ~name:(Core.Repr.to_string kind)
+      (Staged.stage (fun () ->
+           ignore (Machine.load64_fast m (P.load m ~holder))))
   in
   let tests =
     [
       Test.make_grouped ~name:"pointer-load" ~fmt:"%s/%s"
         (List.map load_test Core.Repr.all);
-      Test.make_grouped ~name:"single-deref-staged" ~fmt:"%s/%s"
-        (List.map (deref_test ~staged:true) Core.Repr.all);
-      Test.make_grouped ~name:"single-deref-dispatch" ~fmt:"%s/%s"
-        (List.map (deref_test ~staged:false) Core.Repr.all);
+      Test.make_grouped ~name:"single-deref" ~fmt:"%s/%s"
+        (List.map deref_test Core.Repr.all);
       Test.make_grouped ~name:"riv-traversal" ~fmt:"%s/%s"
         (List.map traverse_test Instance.structures);
     ]
@@ -309,13 +295,13 @@ let perf_main args =
      comparing across --ops values)\n"
 
 (* Per-representation single-dereference cost in host nanoseconds,
-   measured with plain deterministic loops under the active engine.
+   measured with plain deterministic loops.
    This backs the ["deref_ns_per_op"] object of the --wall JSON section:
    unlike the bechamel estimates (sampling-based, and implausibly
    inflated on some virtualized hosts), a fixed-count loop over the
    fused path divides two monotonic-clock readings — crude, but honest
-   and reproducible enough to track the staged engine's regression
-   budget per representation. *)
+   and reproducible enough to track the deref path's regression budget
+   per representation. *)
 let deref_ns_per_op () =
   let module Machine = Core.Machine in
   let module Region = Core.Region in
@@ -330,12 +316,13 @@ let deref_ns_per_op () =
       in
       if kind = Core.Repr.Based then
         Machine.set_based_region m (Region.rid r);
-      let holder = Region.alloc r (Core.Repr.slot_size kind) in
+      let (module P) = Core.Repr.m kind in
+      let holder = Region.alloc r P.slot_size in
       let target = Region.alloc r 64 in
-      Core.Engine.store kind m ~holder target;
+      P.store m ~holder target;
       let loop k =
         for _ = 1 to k do
-          ignore (Core.Engine.deref kind m ~holder)
+          ignore (Machine.load64_fast m (P.load m ~holder))
         done
       in
       loop (ops / 10);
@@ -518,20 +505,12 @@ let check_main args =
   end
 
 let () =
-  (* --engine is process-global: it selects the instance-construction
-     call graph for the whole run (set here, before any domain spawns),
+  (* --durability is process-global: it selects the persistence
+     discipline for the whole run (set here, before any domain spawns),
      so it is stripped ahead of mode dispatch and is accepted by run and
-     check alike. Recorded parameters and snapshot schemas do not
-     mention it — staged and dispatch runs stay byte-comparable. *)
-  let rec strip_engine acc = function
+     check alike. *)
+  let rec strip_durability acc = function
     | [] -> List.rev acc
-    | "--engine" :: v :: rest ->
-        (match Core.Engine.mode_of_string v with
-        | Some m ->
-            Core.Engine.set_default_mode m;
-            strip_engine acc rest
-        | None -> fail "--engine needs staged or dispatch, got %S" v)
-    | [ "--engine" ] -> fail "option --engine needs a value"
     | "--durability" :: v :: rest -> (
         match v with
         | "snapshot" | "snapshot-page" ->
@@ -543,22 +522,22 @@ let () =
               (Some
                  (if v = "snapshot" then Nvmpi_snapshot.Snapshot.Line
                   else Nvmpi_snapshot.Snapshot.Page));
-            strip_engine acc rest
+            strip_durability acc rest
         | _ -> (
             match Nvmpi_structures.Durable.mode_of_string v with
             | Some m ->
                 Nvmpi_structures.Durable.set_default_mode m;
                 Nvmpi_snapshot.Snapshot.set_default None;
-                strip_engine acc rest
+                strip_durability acc rest
             | None ->
                 fail
                   "--durability needs eager, traverse, snapshot or \
                    snapshot-page, got %S"
                   v))
     | [ "--durability" ] -> fail "option --durability needs a value"
-    | a :: rest -> strip_engine (a :: acc) rest
+    | a :: rest -> strip_durability (a :: acc) rest
   in
-  match strip_engine [] (List.tl (Array.to_list Sys.argv)) with
+  match strip_durability [] (List.tl (Array.to_list Sys.argv)) with
   | "check" :: rest -> check_main rest
   | "perf" :: rest -> perf_main rest
   | args -> run_main args

@@ -17,31 +17,12 @@ open Cmdliner
 
 let experiments = Nvmpi_experiments.Suite.names @ [ "all" ]
 
-(* --engine: which instance-construction call graph the process uses —
-   staged (pre-instantiated per-representation modules, the default) or
-   dispatch (the historical first-class-module path). Process-global,
-   set at command start before any domains spawn; the two are
-   observationally identical, so every JSON artifact is byte-identical
-   across engines and only host time differs. Shared by the subcommands
-   that construct representation-parameterized structures. *)
-let engine =
-  let engine_conv =
-    Arg.enum
-      [ ("staged", Core.Engine.Staged); ("dispatch", Core.Engine.Dispatch) ]
-  in
-  Arg.(value & opt engine_conv Core.Engine.Staged
-       & info [ "engine" ] ~docv:"ENGINE"
-           ~doc:"Execution engine: $(b,staged) (pre-instantiated \
-                 per-representation modules, the default) or \
-                 $(b,dispatch) (first-class-module dispatch). Results \
-                 are identical; only host time differs.")
-
 (* --durability: which persistence discipline the structures use —
    eager (the legacy behaviour: structure code issues no persistence
    actions, the default) or traverse (link-and-persist: flush-free
    traversals, clwb+fence confined to the modification window;
-   docs/DURABLE.md). Process-global like --engine, set at command start
-   before any domains spawn. Only hashset and bstree under 8-byte-slot
+   docs/DURABLE.md). Process-global, set at command start before any
+   domains spawn. Only hashset and bstree under 8-byte-slot
    representations change behaviour; the committed BENCH_seed.json is
    recorded (and checked) under the eager default. *)
 type durability_choice =
@@ -117,8 +98,7 @@ let bench_cmd =
                    snapshot) are identical to a serial run; only \
                    wall-clock changes.")
   in
-  let run engine durability names scale seed full json jobs =
-    Core.Engine.set_default_mode engine;
+  let run durability names scale seed full json jobs =
     set_durability durability;
     let open Nvmpi_experiments in
     let params = { Suite.scale; seed; wordcount_full = full } in
@@ -151,7 +131,7 @@ let bench_cmd =
   in
   Cmd.v
     (Cmd.info "bench" ~doc:"Regenerate the paper's evaluation tables/figures.")
-    Term.(const run $ engine $ durability $ names $ scale $ seed $ full
+    Term.(const run $ durability $ names $ scale $ seed $ full
           $ json $ jobs)
 
 (* check *)
@@ -167,8 +147,7 @@ let check_cmd =
          & info [ "tolerance" ]
              ~doc:"Allowed relative deviation per cycle count.")
   in
-  let run engine durability path tolerance =
-    Core.Engine.set_default_mode engine;
+  let run durability path tolerance =
     set_durability durability;
     let open Nvmpi_experiments in
     let ( let* ) r f =
@@ -197,7 +176,7 @@ let check_cmd =
     (Cmd.info "check"
        ~doc:"Re-run the experiments a benchmark snapshot records and fail \
              on cycle-count regressions beyond the tolerance.")
-    Term.(const run $ engine $ durability $ baseline $ tolerance)
+    Term.(const run $ durability $ baseline $ tolerance)
 
 (* run *)
 
@@ -318,9 +297,8 @@ let crash_cmd =
                    --only/--skip-selftest filtering), one per line, and \
                    exit without sweeping.")
   in
-  let run engine durability seed exhaustive sample json skip_selftest jobs
+  let run durability seed exhaustive sample json skip_selftest jobs
       wall_json only list_names =
-    Core.Engine.set_default_mode engine;
     set_durability durability;
     let open Nvmpi_faultsim in
     let mode =
@@ -375,7 +353,7 @@ let crash_cmd =
              the durable image at each point, reopen it at fresh segments \
              and verify recovery invariants for every pointer \
              representation.")
-    Term.(const run $ engine $ durability $ seed $ exhaustive $ sample
+    Term.(const run $ durability $ seed $ exhaustive $ sample
           $ json $ skip_selftest $ jobs $ wall_json $ only $ list_names)
 
 (* fuzz *)
@@ -412,8 +390,7 @@ let fuzz_cmd =
                    s-expression (as printed in a failure report) against \
                    every applicable representation.")
   in
-  let run engine durability seed traces json jobs replay =
-    Core.Engine.set_default_mode engine;
+  let run durability seed traces json jobs replay =
     set_durability durability;
     let open Nvmpi_conform in
     match replay with
@@ -469,7 +446,7 @@ let fuzz_cmd =
              simulated machine, cross-check the position-independent \
              representations pairwise after each remap, and shrink any \
              divergence to a replayable s-expression.")
-    Term.(const run $ engine $ durability $ seed $ traces $ json $ jobs
+    Term.(const run $ durability $ seed $ traces $ json $ jobs
           $ replay)
 
 (* serve *)
@@ -554,9 +531,8 @@ let serve_cmd =
                    domains. The report (and its JSON) is identical to a \
                    serial run; only wall-clock changes.")
   in
-  let run engine durability tenants theta mix churn ops seed shards resident
+  let run durability tenants theta mix churn ops seed shards resident
       keys value_bytes reprs json jobs =
-    Core.Engine.set_default_mode engine;
     set_durability durability;
     let fail msg =
       Printf.eprintf "serve: %s\n" msg;
@@ -598,7 +574,7 @@ let serve_cmd =
              deterministic request loop and drive a YCSB-style zipfian \
              workload across every pointer representation, with LRU \
              map/unmap residency churn.")
-    Term.(const run $ engine $ durability $ tenants $ theta $ mix $ churn
+    Term.(const run $ durability $ tenants $ theta $ mix $ churn
           $ ops $ seed $ shards
           $ resident $ keys $ value_bytes $ reprs $ json $ jobs)
 

@@ -4,7 +4,6 @@ module Memsim = Nvmpi_memsim.Memsim
 module Objstore = Nvmpi_tx.Objstore
 module Tx = Nvmpi_tx.Tx
 module Repr = Core.Repr
-module Engine = Core.Engine
 module Vaddr = Nvmpi_addr.Kinds.Vaddr
 module Bitops = Nvmpi_addr.Bitops
 
@@ -28,9 +27,13 @@ let machine t = Objstore.machine t.os
 let memory t = (machine t).Machine.mem
 let slot t = Repr.slot_size t.repr
 
-(* Slot operations go through the engine's per-kind direct dispatch:
-   one match on the kind, no first-class module unpacked per call. *)
-let load_slot t holder = Engine.load t.repr (machine t) ~holder
+let load_slot t holder =
+  let (module P : Core.Repr_sig.S) = Repr.m t.repr in
+  P.load (machine t) ~holder
+
+let store_slot_raw t holder target =
+  let (module P : Core.Repr_sig.S) = Repr.m t.repr in
+  P.store (machine t) ~holder target
 
 (* Index mutations are undo-logged before the representation writes the
    slot, so an interrupted transaction restores the previous encoding
@@ -39,10 +42,7 @@ let load_slot t holder = Engine.load t.repr (machine t) ~holder
    are made durable wholesale by [Snapshot.sync], not per mutation. *)
 let store_slot_tx t holder target =
   if t.write_path = `Tx then Tx.add_range t.tx ~addr:holder ~len:(slot t);
-  Engine.store t.repr (machine t) ~holder target
-
-let store_slot_raw t holder target =
-  Engine.store t.repr (machine t) ~holder target
+  store_slot_raw t holder target
 
 (* Objects allocated inside the current transaction are filled with
    plain stores; register their whole wrapped block so the commit

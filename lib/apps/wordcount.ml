@@ -1,5 +1,4 @@
 module Repr = Core.Repr
-module Engine = Core.Engine
 module Bstree = Nvmpi_structures.Bstree
 module Node = Nvmpi_structures.Node
 
@@ -38,81 +37,33 @@ let word_of_key k =
    length. *)
 let per_word_cost w = 40 + (30 * String.length w)
 
-(* The word-count body over one representation, written once. The
-   staged engine selects one of nine static applications below; the
-   dispatch engine applies it to [(val Repr.m kind)] at the call — the
-   historical per-call functor application. *)
-module Of (P : Core.Repr_sig.S) = struct
-  module B = Bstree.Make (P)
-
-  let count_words node ~name stream =
-    let machine = node.Node.machine in
-    let t =
-      match Nvmpi_nvregion.Region.root (Node.home_region node) name with
-      | None -> B.create node ~name
-      | Some _ -> B.attach node ~name
-    in
-    Array.iter
-      (fun w ->
-        Core.Machine.alu machine (per_word_cost w);
-        B.insert_count t ~key:(key_of_word w))
-      stream;
-    { distinct = B.size t; total = Array.length stream }
-
-  let lookup node ~name w =
-    let t = B.attach node ~name in
-    B.count t ~key:(key_of_word w)
-
-  let counts node ~name =
-    let t = B.attach node ~name in
-    let out = ref [] in
-    B.iter t (fun ~addr:_ ~key -> out := key :: !out);
-    List.rev_map (fun k -> (word_of_key k, B.count t ~key:k)) !out
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-end
-
-module type WC = sig
-  val count_words : Node.t -> name:string -> string array -> result
-  val lookup : Node.t -> name:string -> string -> int
-  val counts : Node.t -> name:string -> (string * int) list
-end
-
-module W_normal = Of (Core.Normal_ptr)
-module W_off_holder = Of (Core.Off_holder)
-module W_riv = Of (Core.Riv)
-module W_fat = Of (Core.Fat)
-module W_fat_cached = Of (Core.Fat_cached)
-module W_based = Of (Core.Based_ptr)
-module W_swizzle = Of (Core.Swizzle)
-module W_packed_fat = Of (Core.Packed_fat)
-module W_hw_oid = Of (Core.Hw_oid)
-
-let staged : Repr.kind -> (module WC) = function
-  | Repr.Normal -> (module W_normal)
-  | Repr.Off_holder -> (module W_off_holder)
-  | Repr.Riv -> (module W_riv)
-  | Repr.Fat -> (module W_fat)
-  | Repr.Fat_cached -> (module W_fat_cached)
-  | Repr.Based -> (module W_based)
-  | Repr.Swizzle -> (module W_swizzle)
-  | Repr.Packed_fat -> (module W_packed_fat)
-  | Repr.Hw_oid -> (module W_hw_oid)
-
-let wc repr : (module WC) =
-  match Engine.mode () with
-  | Engine.Staged -> staged repr
-  | Engine.Dispatch ->
-      let (module P : Core.Repr_sig.S) = Repr.m repr in
-      (module Of (P))
-
 let count_words node ~repr ~name stream =
-  let (module W) = wc repr in
-  W.count_words node ~name stream
+  let (module P : Core.Repr_sig.S) = Repr.m repr in
+  let module B = Bstree.Make (P) in
+  let machine = node.Node.machine in
+  let t =
+    match Nvmpi_nvregion.Region.root (Node.home_region node) name with
+    | None -> B.create node ~name
+    | Some _ -> B.attach node ~name
+  in
+  Array.iter
+    (fun w ->
+      Core.Machine.alu machine (per_word_cost w);
+      B.insert_count t ~key:(key_of_word w))
+    stream;
+  { distinct = B.size t; total = Array.length stream }
 
 let lookup node ~repr ~name w =
-  let (module W) = wc repr in
-  W.lookup node ~name w
+  let (module P : Core.Repr_sig.S) = Repr.m repr in
+  let module B = Bstree.Make (P) in
+  let t = B.attach node ~name in
+  B.count t ~key:(key_of_word w)
 
 let counts node ~repr ~name =
-  let (module W) = wc repr in
-  W.counts node ~name
+  let (module P : Core.Repr_sig.S) = Repr.m repr in
+  let module B = Bstree.Make (P) in
+  let t = B.attach node ~name in
+  let out = ref [] in
+  B.iter t (fun ~addr:_ ~key -> out := key :: !out);
+  List.rev_map (fun k -> (word_of_key k, B.count t ~key:k)) !out
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)

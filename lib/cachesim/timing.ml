@@ -167,7 +167,7 @@ let access_l1 t ~addr ~write =
     access_l2 t ~addr ~write:false
   end
 
-(* Fused single-line entry (staged engine): a naturally aligned
+(* Fused single-line entry: a naturally aligned
    power-of-two access of at most a line never crosses a line boundary,
    so the general [access] below always takes its [first = last] branch
    and charges [access_l1 ~addr:(addr land line_mask)]. This entry is

@@ -57,8 +57,8 @@ val access : t -> addr:int -> size:int -> write:bool -> unit
 val access_line : t -> addr:int -> write:bool -> unit
 (** Charge a single-line access: exactly what {!access} does for any
     naturally aligned power-of-two access of at most a cache line (such
-    an access never straddles a line). The staged engine's fused deref
-    path calls this directly after a [Memsim.*_fused] data access,
+    an access never straddles a line). The machine's fused deref path
+    calls this directly after a [Memsim.*_fused] data access,
     bypassing the observer closure; using it for an access that could
     span lines would undercharge. *)
 

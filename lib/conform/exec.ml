@@ -65,18 +65,13 @@ type shandle = {
 
 let struct_name st = "c-" ^ Trace.structure_name st
 
-(* The structure-handle constructor for one representation, applied
-   statically to all nine representations below (the staged engine's
-   pre-instantiated set) and dynamically to [(val Repr.m kind)] when
-   the dispatch engine is selected. *)
-module Shandle_of (P : Core.Repr_sig.S) = struct
-  module SP = Nvmpi_structures.Specialized.Spec (P)
-
-  let make node st ~create =
+(* The structure handle for one representation: apply only the
+   structure functor the trace names. *)
+let make_shandle (module P : Core.Repr_sig.S) node st ~create =
   let name = struct_name st in
   match (st : Trace.structure) with
   | Slist ->
-      let module L = SP.List in
+      let module L = Nvmpi_structures.Linked_list.Make (P) in
       let t = if create then L.create node ~name else L.attach node ~name in
       {
         s_ins = (fun k -> L.append t ~key:k; true);
@@ -87,7 +82,7 @@ module Shandle_of (P : Core.Repr_sig.S) = struct
         s_unswz = (fun () -> L.unswizzle t);
       }
   | Sbtree ->
-      let module B = SP.Btree in
+      let module B = Nvmpi_structures.Bstree.Make (P) in
       let t = if create then B.create node ~name else B.attach node ~name in
       {
         s_ins = (fun k -> B.insert t ~key:k);
@@ -98,7 +93,7 @@ module Shandle_of (P : Core.Repr_sig.S) = struct
         s_unswz = (fun () -> B.unswizzle t);
       }
   | Shash ->
-      let module H = SP.Hashset in
+      let module H = Nvmpi_structures.Hashset.Make (P) in
       let t =
         if create then H.create node ~name ~buckets else H.attach node ~name
       in
@@ -111,7 +106,7 @@ module Shandle_of (P : Core.Repr_sig.S) = struct
         s_unswz = (fun () -> H.unswizzle t);
       }
   | Strie ->
-      let module T = SP.Trie in
+      let module T = Nvmpi_structures.Trie.Make (P) in
       let t = if create then T.create node ~name else T.attach node ~name in
       {
         s_ins = (fun k -> T.insert t (Trace.word_of_key k));
@@ -121,55 +116,13 @@ module Shandle_of (P : Core.Repr_sig.S) = struct
         s_swz = (fun () -> T.swizzle t);
         s_unswz = (fun () -> T.unswizzle t);
       }
-end
-
-module H_normal = Shandle_of (Core.Normal_ptr)
-module H_off_holder = Shandle_of (Core.Off_holder)
-module H_riv = Shandle_of (Core.Riv)
-module H_fat = Shandle_of (Core.Fat)
-module H_fat_cached = Shandle_of (Core.Fat_cached)
-module H_based = Shandle_of (Core.Based_ptr)
-module H_swizzle = Shandle_of (Core.Swizzle)
-module H_packed_fat = Shandle_of (Core.Packed_fat)
-module H_hw_oid = Shandle_of (Core.Hw_oid)
-
-let make_shandle_staged kind node st ~create =
-  match (kind : Core.Repr.kind) with
-  | Normal -> H_normal.make node st ~create
-  | Off_holder -> H_off_holder.make node st ~create
-  | Riv -> H_riv.make node st ~create
-  | Fat -> H_fat.make node st ~create
-  | Fat_cached -> H_fat_cached.make node st ~create
-  | Based -> H_based.make node st ~create
-  | Swizzle -> H_swizzle.make node st ~create
-  | Packed_fat -> H_packed_fat.make node st ~create
-  | Hw_oid -> H_hw_oid.make node st ~create
 
 let run ?obs_metrics ?repr ~kind (tr : Trace.t) : result =
-  (* Engine selection, bound once per trace: the staged path goes
-     through the pre-instantiated handles and per-kind direct dispatch;
-     the dispatch path reproduces the historical behaviour — unpack a
-     first-class module once and apply the structure functors at
-     runtime. [?repr] forces the dispatch path with an arbitrary module
-     standing in for [kind] — the harness self-test injects a
-     deliberately buggy representation through it. *)
-  let dispatch (module P : Core.Repr_sig.S) =
-    let module H = Shandle_of (P) in
-    ( H.make,
-      (fun m ~holder v -> P.store m ~holder v),
-      fun m ~holder -> P.load m ~holder )
-  in
-  let make_shandle, pstore, pload =
-    match repr with
-    | Some p -> dispatch p
-    | None -> (
-        match Core.Engine.mode () with
-        | Core.Engine.Staged ->
-            ( make_shandle_staged kind,
-              (fun m ~holder v -> Core.Engine.store kind m ~holder v),
-              fun m ~holder -> Core.Engine.load kind m ~holder )
-        | Core.Engine.Dispatch -> dispatch (Core.Repr.m kind))
-  in
+  (* [?repr] runs an arbitrary module standing in for [kind] — the
+     harness self-test injects a deliberately buggy representation
+     through it. *)
+  let p = Option.value repr ~default:(Core.Repr.m kind) in
+  let (module P : Core.Repr_sig.S) = p in
   let nops = List.length tr.ops in
   let obs = Array.make nops Skipped in
   let snaps = ref [] in
@@ -215,8 +168,7 @@ let run ?obs_metrics ?repr ~kind (tr : Trace.t) : result =
     (* Pressure-relief valve: an epoch's log records must fit the WAL,
        so close the epoch early when the dirty set approaches capacity.
        Identical across representations in effect (sync has no
-       observable) and across engines (both issue bit-identical access
-       streams, hence identical dirty sets). *)
+       observable). *)
     let relieve s =
       if
         Snapshot.pending_log_bytes s + 12288 > Snapshot.log_capacity s
@@ -236,14 +188,14 @@ let run ?obs_metrics ?repr ~kind (tr : Trace.t) : result =
       else Region.addr_of_offset !r1 obj_off.(o)
     in
     for i = 0 to tr.slots - 1 do
-      pstore m ~holder:(slot_addr i) Vaddr.null
+      P.store m ~holder:(slot_addr i) Vaddr.null
     done;
     let fresh_node () = Node.make m ~mode:(Plain [| !r0 |]) ~payload in
     let structs = ref [] in
     let build ~create =
       let node = fresh_node () in
       structs :=
-        List.map (fun st -> (st, make_shandle node st ~create))
+        List.map (fun st -> (st, make_shandle p node st ~create))
           tr.structures
     in
     build ~create:true;
@@ -262,7 +214,7 @@ let run ?obs_metrics ?repr ~kind (tr : Trace.t) : result =
       let b = Buffer.create 64 in
       for i = 0 to tr.slots - 1 do
         Printf.bprintf b "slot%d=%s " i
-          (obs_to_string (decode (pload m ~holder:(slot_addr i))))
+          (obs_to_string (decode (P.load m ~holder:(slot_addr i))))
       done;
       List.iter
         (fun st ->
@@ -305,12 +257,12 @@ let run ?obs_metrics ?repr ~kind (tr : Trace.t) : result =
           snaps := (i, snapshot ()) :: !snaps;
           Good Model.Done
       | Pstore (sl, None) ->
-          pstore m ~holder:(slot_addr sl) Vaddr.null;
+          P.store m ~holder:(slot_addr sl) Vaddr.null;
           Good Model.Done
       | Pstore (sl, Some o) ->
-          pstore m ~holder:(slot_addr sl) (obj_addr o);
+          P.store m ~holder:(slot_addr sl) (obj_addr o);
           Good Model.Done
-      | Pload sl -> decode (pload m ~holder:(slot_addr sl))
+      | Pload sl -> decode (P.load m ~holder:(slot_addr sl))
       | Ins (st, k) -> Good (Model.Bool ((shandle st).s_ins k))
       | Del (st, k) -> Good (Model.Bool ((shandle st).s_del k))
       | Mem (st, k) -> Good (Model.Bool ((shandle st).s_mem k))

@@ -25,7 +25,6 @@ module Nvspace = Nvspace
 module Fat_table = Fat_table
 module Repr = Repr
 module Repr_sig = Repr_sig
-module Engine = Engine
 module Normal_ptr = Normal_ptr
 module Off_holder = Off_holder
 module Riv = Riv

@@ -129,7 +129,7 @@ let remove t ~rid:(rid : Rid.t) =
     t.list_len <- t.list_len - 1
   end
 
-(* Fused table load (staged engine): same contract as Nvspace's —
+(* Fused table load: same contract as Nvspace's —
    Fat_table is only constructed by [Machine.create], where [timing] is
    the memory's observer 0, so under [solo_observed] the fused load plus
    a direct single-line charge equals the generic observed load. Used

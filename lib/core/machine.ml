@@ -11,11 +11,12 @@ module Region = Nvmpi_nvregion.Region
 module Store = Nvmpi_nvregion.Store
 module Metrics = Nvmpi_obs.Metrics
 
-(* Per-machine counter cells for the staged engines: one slot per
-   hot-path counter, indexed by the constants below. Slots start as the
-   [Metrics.Handle.unresolved] sentinel and are resolved on first bump,
-   so a counter registers (and appears in snapshots) at exactly the
-   moment the string-keyed [count] path would have registered it. *)
+(* Per-machine counter cells for the representations' hot paths: one
+   slot per hot-path counter, indexed by the constants below. Slots
+   start as the [Metrics.Handle.unresolved] sentinel and are resolved
+   on first bump, so a counter registers (and appears in snapshots) at
+   exactly the moment the string-keyed [count] path would have
+   registered it. *)
 module Cell = struct
   let normal_stores = 0
   let normal_loads = 1

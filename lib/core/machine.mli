@@ -18,7 +18,7 @@
     regions models a new run in which every region lands at a different
     virtual address. *)
 
-(** Indices into the machine's staged counter-cell table; see {!cell}.
+(** Indices into the machine's counter-cell table; see {!cell}.
     One constant per hot-path counter name. *)
 module Cell : sig
   val normal_stores : int
@@ -182,10 +182,10 @@ val count : ?by:int -> t -> string -> unit
     the hook the pointer representations use to report events at the
     point of cost. *)
 
-(** {1 Staged fast paths}
+(** {1 Fast paths}
 
     The pre-resolved-counter and fused-access machinery behind the
-    staged per-representation engines ({!Engine}). Observational
+    pointer representations' store/load paths. Observational
     contract: every entry point here is bit-for-bit equivalent to its
     generic counterpart ([count] / [load64] / [store64]) — same
     counters registered at the same moments, same cycles charged in the
@@ -199,7 +199,7 @@ val cell : t -> int -> string -> Nvmpi_obs.Metrics.Handle.t
 
 val bump : t -> int -> string -> unit
 (** [bump t i name] increments the counter behind cell slot [i] —
-    the staged equivalent of [count t name]. *)
+    the pre-resolved equivalent of [count t name]. *)
 
 val load64_fast : t -> Nvmpi_addr.Kinds.Vaddr.t -> int
 val store64_fast : t -> Nvmpi_addr.Kinds.Vaddr.t -> int -> unit

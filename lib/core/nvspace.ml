@@ -66,7 +66,7 @@ let create ~layout ~mem ~timing ?metrics () =
 let layout t = t.layout
 let phases t = t.phases
 
-(* Fused table load (staged engine). Nvspace is only constructed by
+(* Fused table load. Nvspace is only constructed by
    [Machine.create], where [timing] is the memory's observer 0 — so
    whenever [solo_observed] holds, the sole observer is exactly
    [t.timing], and a fused data load plus a direct single-line charge

@@ -18,17 +18,6 @@ type kind =
 let all = [ Normal; Off_holder; Riv; Fat; Fat_cached; Based; Swizzle;
             Packed_fat; Hw_oid ]
 
-let to_string = function
-  | Normal -> "normal"
-  | Off_holder -> "off-holder"
-  | Riv -> "riv"
-  | Fat -> "fat"
-  | Fat_cached -> "fat-cached"
-  | Based -> "based"
-  | Swizzle -> "swizzle"
-  | Packed_fat -> "packed-fat"
-  | Hw_oid -> "hw-oid"
-
 let of_string = function
   | "normal" -> Some Normal
   | "off-holder" | "offholder" | "off_holder" -> Some Off_holder
@@ -41,8 +30,6 @@ let of_string = function
   | "hw-oid" | "hw_oid" -> Some Hw_oid
   | _ -> None
 
-let pp ppf k = Format.pp_print_string ppf (to_string k)
-
 let m : kind -> (module Repr_sig.S) = function
   | Normal -> (module Normal_ptr)
   | Off_holder -> (module Off_holder)
@@ -54,22 +41,25 @@ let m : kind -> (module Repr_sig.S) = function
   | Packed_fat -> (module Packed_fat)
   | Hw_oid -> (module Hw_oid)
 
-(* Per-kind attribute tables: direct matches compiling to constant
-   loads, so callers that size slots or filter kinds per element (the
-   experiment runner, the structures) never unpack a first-class module
-   just to read a constant. Values restate each module's constants and
-   are pinned to them by test_engine's registry check. *)
-let slot_size = function
-  | Fat | Fat_cached -> 16
-  | Normal | Off_holder | Riv | Based | Swizzle | Packed_fat | Hw_oid -> 8
+(* Per-kind attributes are the module's own constants: [m] is the one
+   table a representation is registered in. *)
+let to_string k =
+  let (module P : Repr_sig.S) = m k in
+  P.name
 
-let cross_region = function
-  | Off_holder | Based -> false
-  | Normal | Riv | Fat | Fat_cached | Swizzle | Packed_fat | Hw_oid -> true
+let slot_size k =
+  let (module P : Repr_sig.S) = m k in
+  P.slot_size
 
-let position_independent = function
-  | Normal | Swizzle -> false
-  | Off_holder | Riv | Fat | Fat_cached | Based | Packed_fat | Hw_oid -> true
+let cross_region k =
+  let (module P : Repr_sig.S) = m k in
+  P.cross_region
+
+let position_independent k =
+  let (module P : Repr_sig.S) = m k in
+  P.position_independent
+
+let pp ppf k = Format.pp_print_string ppf (to_string k)
 
 (** Representations whose persisted image survives remapping without any
     load-time pass. *)

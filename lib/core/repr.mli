@@ -22,7 +22,9 @@ val of_string : string -> kind option
 val pp : Format.formatter -> kind -> unit
 
 val m : kind -> (module Repr_sig.S)
-(** The representation as a first-class module. *)
+(** The representation as a first-class module. This is the one per-kind
+    table: {!to_string}, {!slot_size}, {!cross_region} and
+    {!position_independent} read the module's own constants. *)
 
 val slot_size : kind -> int
 val cross_region : kind -> bool

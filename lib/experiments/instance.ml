@@ -1,5 +1,4 @@
 module Repr = Core.Repr
-module Engine = Core.Engine
 module S = Nvmpi_structures
 
 type structure = List | Btree | Hashset | Trie | Dllist | Graph | Bplus
@@ -52,140 +51,99 @@ let trie_vocab =
 
 let trie_word key = (Lazy.force trie_vocab).(key land ((1 lsl 17) - 1))
 
-(* The instance constructor for one representation, written once and
-   applied two ways: statically to each of the nine representation
-   modules below (the staged engine's pre-instantiated structure × repr
-   set) and dynamically to [(val Repr.m kind)] (the dispatch engine,
-   the historical first-class-module path). *)
-module Of (P : Core.Repr_sig.S) = struct
-  module SP = S.Specialized.Spec (P)
-
-  let make structure node ~name ~fresh =
-    match structure with
-    | List ->
-        let module L = SP.List in
-        let t = if fresh then L.create node ~name else L.attach node ~name in
-        {
-          insert = (fun key -> L.append t ~key);
-          remove = (fun key -> L.remove t ~key);
-          traverse = (fun () -> L.traverse t);
-          search = (fun key -> L.find t ~key);
-          swizzle = (fun () -> L.swizzle t);
-          unswizzle = (fun () -> L.unswizzle t);
-        }
-    | Btree ->
-        let module B = SP.Btree in
-        let t = if fresh then B.create node ~name else B.attach node ~name in
-        {
-          insert = (fun key -> ignore (B.insert t ~key));
-          remove = (fun key -> B.remove t ~key);
-          traverse = (fun () -> B.traverse t);
-          search = (fun key -> B.search t ~key);
-          swizzle = (fun () -> B.swizzle t);
-          unswizzle = (fun () -> B.unswizzle t);
-        }
-    | Hashset ->
-        let module H = SP.Hashset in
-        let t =
-          if fresh then H.create node ~name ~buckets:default_buckets
-          else H.attach node ~name
-        in
-        {
-          insert = (fun key -> ignore (H.add t ~key));
-          remove = (fun key -> H.remove t ~key);
-          traverse = (fun () -> H.traverse t);
-          search = (fun key -> H.contains t ~key);
-          swizzle = (fun () -> H.swizzle t);
-          unswizzle = (fun () -> H.unswizzle t);
-        }
-    | Trie ->
-        let module T = SP.Trie in
-        let t = if fresh then T.create node ~name else T.attach node ~name in
-        {
-          insert = (fun key -> ignore (T.insert t (trie_word key)));
-          remove = (fun _ -> false);
-          traverse = (fun () -> T.traverse t);
-          search = (fun key -> T.contains t (trie_word key));
-          swizzle = (fun () -> T.swizzle t);
-          unswizzle = (fun () -> T.unswizzle t);
-        }
-    | Dllist ->
-        let module D = SP.Dllist in
-        let t = if fresh then D.create node ~name else D.attach node ~name in
-        {
-          insert = (fun key -> D.push_back t ~key);
-          remove = (fun key -> D.remove t ~key);
-          traverse = (fun () -> D.traverse t);
-          search = (fun key -> D.find t ~key);
-          swizzle = (fun () -> D.swizzle t);
-          unswizzle = (fun () -> D.unswizzle t);
-        }
-    | Graph ->
-        let module G = SP.Graph in
-        let t = if fresh then G.create node ~name else G.attach node ~name in
-        (* Each inserted key becomes a vertex chained to the previous one
-           (deterministic, so all representations build the same graph). *)
-        let prev = ref 0 in
-        {
-          insert =
-            (fun key ->
-              ignore (G.add_vertex t ~key);
-              if !prev <> 0 then G.add_edge t ~src:key ~dst:!prev;
-              prev := key);
-          remove = (fun _ -> false);
-          traverse = (fun () -> G.traverse t);
-          search = (fun key -> G.mem_vertex t ~key);
-          swizzle = (fun () -> G.swizzle t);
-          unswizzle = (fun () -> G.unswizzle t);
-        }
-    | Bplus ->
-        let module B = SP.Bplus in
-        let t =
-          if fresh then B.create node ~name () else B.attach node ~name
-        in
-        {
-          insert = (fun key -> B.insert t ~key ~value:(key * 3));
-          remove = (fun key -> B.delete t ~key);
-          traverse = (fun () -> B.traverse t);
-          search = (fun key -> B.lookup t ~key <> None);
-          swizzle = (fun () -> B.swizzle t);
-          unswizzle = (fun () -> B.unswizzle t);
-        }
-end
-
-(* The staged engine's pre-instantiated set: one [Of] application per
-   representation, performed once at module initialization. *)
-module I_normal = Of (Core.Normal_ptr)
-module I_off_holder = Of (Core.Off_holder)
-module I_riv = Of (Core.Riv)
-module I_fat = Of (Core.Fat)
-module I_fat_cached = Of (Core.Fat_cached)
-module I_based = Of (Core.Based_ptr)
-module I_swizzle = Of (Core.Swizzle)
-module I_packed_fat = Of (Core.Packed_fat)
-module I_hw_oid = Of (Core.Hw_oid)
-
-let make_staged structure kind node ~name ~fresh =
-  match kind with
-  | Repr.Normal -> I_normal.make structure node ~name ~fresh
-  | Repr.Off_holder -> I_off_holder.make structure node ~name ~fresh
-  | Repr.Riv -> I_riv.make structure node ~name ~fresh
-  | Repr.Fat -> I_fat.make structure node ~name ~fresh
-  | Repr.Fat_cached -> I_fat_cached.make structure node ~name ~fresh
-  | Repr.Based -> I_based.make structure node ~name ~fresh
-  | Repr.Swizzle -> I_swizzle.make structure node ~name ~fresh
-  | Repr.Packed_fat -> I_packed_fat.make structure node ~name ~fresh
-  | Repr.Hw_oid -> I_hw_oid.make structure node ~name ~fresh
-
-let make_dispatch structure kind node ~name ~fresh =
-  let (module P : Core.Repr_sig.S) = Repr.m kind in
-  let module I = Of (P) in
-  I.make structure node ~name ~fresh
-
+(* Applies only the structure functor the instance needs. A functor
+   body binds offset constants before its functions, so applying it per
+   instance is cheap. *)
 let make structure kind node ~name ~fresh =
-  match Engine.mode () with
-  | Engine.Staged -> make_staged structure kind node ~name ~fresh
-  | Engine.Dispatch -> make_dispatch structure kind node ~name ~fresh
+  let (module P : Core.Repr_sig.S) = Repr.m kind in
+  match structure with
+  | List ->
+      let module L = S.Linked_list.Make (P) in
+      let t = if fresh then L.create node ~name else L.attach node ~name in
+      {
+        insert = (fun key -> L.append t ~key);
+        remove = (fun key -> L.remove t ~key);
+        traverse = (fun () -> L.traverse t);
+        search = (fun key -> L.find t ~key);
+        swizzle = (fun () -> L.swizzle t);
+        unswizzle = (fun () -> L.unswizzle t);
+      }
+  | Btree ->
+      let module B = S.Bstree.Make (P) in
+      let t = if fresh then B.create node ~name else B.attach node ~name in
+      {
+        insert = (fun key -> ignore (B.insert t ~key));
+        remove = (fun key -> B.remove t ~key);
+        traverse = (fun () -> B.traverse t);
+        search = (fun key -> B.search t ~key);
+        swizzle = (fun () -> B.swizzle t);
+        unswizzle = (fun () -> B.unswizzle t);
+      }
+  | Hashset ->
+      let module H = S.Hashset.Make (P) in
+      let t =
+        if fresh then H.create node ~name ~buckets:default_buckets
+        else H.attach node ~name
+      in
+      {
+        insert = (fun key -> ignore (H.add t ~key));
+        remove = (fun key -> H.remove t ~key);
+        traverse = (fun () -> H.traverse t);
+        search = (fun key -> H.contains t ~key);
+        swizzle = (fun () -> H.swizzle t);
+        unswizzle = (fun () -> H.unswizzle t);
+      }
+  | Trie ->
+      let module T = S.Trie.Make (P) in
+      let t = if fresh then T.create node ~name else T.attach node ~name in
+      {
+        insert = (fun key -> ignore (T.insert t (trie_word key)));
+        remove = (fun _ -> false);
+        traverse = (fun () -> T.traverse t);
+        search = (fun key -> T.contains t (trie_word key));
+        swizzle = (fun () -> T.swizzle t);
+        unswizzle = (fun () -> T.unswizzle t);
+      }
+  | Dllist ->
+      let module D = S.Dllist.Make (P) in
+      let t = if fresh then D.create node ~name else D.attach node ~name in
+      {
+        insert = (fun key -> D.push_back t ~key);
+        remove = (fun key -> D.remove t ~key);
+        traverse = (fun () -> D.traverse t);
+        search = (fun key -> D.find t ~key);
+        swizzle = (fun () -> D.swizzle t);
+        unswizzle = (fun () -> D.unswizzle t);
+      }
+  | Graph ->
+      let module G = S.Graph.Make (P) in
+      let t = if fresh then G.create node ~name else G.attach node ~name in
+      (* Each inserted key becomes a vertex chained to the previous one
+         (deterministic, so all representations build the same graph). *)
+      let prev = ref 0 in
+      {
+        insert =
+          (fun key ->
+            ignore (G.add_vertex t ~key);
+            if !prev <> 0 then G.add_edge t ~src:key ~dst:!prev;
+            prev := key);
+        remove = (fun _ -> false);
+        traverse = (fun () -> G.traverse t);
+        search = (fun key -> G.mem_vertex t ~key);
+        swizzle = (fun () -> G.swizzle t);
+        unswizzle = (fun () -> G.unswizzle t);
+      }
+  | Bplus ->
+      let module B = S.Bplus.Make (P) in
+      let t = if fresh then B.create node ~name () else B.attach node ~name in
+      {
+        insert = (fun key -> B.insert t ~key ~value:(key * 3));
+        remove = (fun key -> B.delete t ~key);
+        traverse = (fun () -> B.traverse t);
+        search = (fun key -> B.lookup t ~key <> None);
+        swizzle = (fun () -> B.swizzle t);
+        unswizzle = (fun () -> B.unswizzle t);
+      }
 
 let create structure kind node ~name = make structure kind node ~name ~fresh:true
 

@@ -97,9 +97,6 @@ let snapshot_of ?(wall = false) ?(deref_ns = []) p results =
         ( "wall",
           Json.Obj
             ([
-               ( "engine",
-                 Json.String
-                   (Core.Engine.mode_to_string (Core.Engine.mode ())) );
                ( "total_ns",
                  Json.Int
                    (List.fold_left (fun a r -> a + r.wall_ns) 0 results) );

@@ -56,8 +56,8 @@ val snapshot_of :
   ?deref_ns:(string * float) list ->
   params -> result list -> Nvmpi_obs.Json.t
 (** The schema-versioned snapshot document for a set of results.
-    [~wall:true] (default false) appends a ["wall"] section with the
-    active engine name, per-experiment and total [wall_ns], and — when
+    [~wall:true] (default false) appends a ["wall"] section with
+    per-experiment and total [wall_ns], and — when
     [deref_ns] is non-empty — a ["deref_ns_per_op"] object mapping each
     representation to its measured host-nanosecond single-dereference
     cost. {!check} ignores the whole section, and determinism tests

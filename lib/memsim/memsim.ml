@@ -248,9 +248,9 @@ let store_sized t ~size a v =
   | 8 -> store64 t a v
   | _ -> invalid_arg "Memsim.store_sized"
 
-(* Fused entry points (staged engine): the full access pipeline minus
-   observer dispatch. A caller that *is* the sole observer — the staged
-   per-representation engines hold the machine's timing model directly —
+(* Fused entry points: the full access pipeline minus observer
+   dispatch. A caller that *is* the sole observer — the machine's fused
+   paths hold its timing model directly —
    performs the data access here and charges the cache model itself,
    skipping one closure indirection per access. [solo_observed] is the
    guard: it holds exactly when generic [load64] would have made a

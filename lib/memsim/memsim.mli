@@ -87,7 +87,7 @@ val load_sized : t -> size:int -> Nvmpi_addr.Kinds.Vaddr.t -> int
 
 val store_sized : t -> size:int -> Nvmpi_addr.Kinds.Vaddr.t -> int -> unit
 
-(** {1 Fused entry points (staged engine)}
+(** {1 Fused entry points}
 
     The full access pipeline — alignment check, page walk through the
     single-entry TLB, statistics and counter-cell bumps — minus observer

@@ -14,7 +14,7 @@ let incr ?(by = 1) t name =
   let r = counter t name in
   r := !r + by
 
-(* Pre-resolved counter handles for staged hot paths. A handle is just
+(* Pre-resolved counter handles for hot paths. A handle is just
    the registry cell, plus a distinguished [unresolved] sentinel so a
    caller can keep a table of lazily resolved handles: start every slot
    at [unresolved], and on first bump replace it with [counter t name].

@@ -29,11 +29,11 @@ val counter : t -> string -> int ref
 val incr : ?by:int -> t -> string -> unit
 (** [incr t name] adds [by] (default 1) to the counter. *)
 
-(** {1 Pre-resolved handles (staged hot paths)}
+(** {1 Pre-resolved handles (hot paths)}
 
     A handle is the registry cell itself; bumping it is one memory
-    increment, with no name lookup. The staged per-representation
-    engines keep per-machine tables of handles, initialised to
+    increment, with no name lookup. The pointer representations' hot
+    paths keep per-machine tables of handles, initialised to
     {!Handle.unresolved} and resolved on first bump — so a counter is
     registered (and becomes visible in {!snapshot}) at exactly the same
     moment the string-keyed [incr] path would have registered it. *)

@@ -24,7 +24,7 @@ let granularity_of_string = function
 
 (* Process-wide default, set from the front-ends' [--durability
    snapshot]/[snapshot-page] flag before domains spawn — mirrors
-   [Engine.set_default_mode]. *)
+   [Durable.set_default_mode]. *)
 let default_granularity : granularity option ref = ref None
 let set_default g = default_granularity := g
 let default () = !default_granularity

@@ -33,8 +33,8 @@ val granularity_of_string : string -> granularity option
 
 (** {1 Process-wide mode}
 
-    Mirrors [Engine.set_default_mode] / [Durable.set_default_mode]:
-    the front-ends' [--durability snapshot]/[snapshot-page] flag sets
+    Mirrors [Durable.set_default_mode]: the front-ends'
+    [--durability snapshot]/[snapshot-page] flag sets
     this before any domain spawns. [Some g] switches the default
     kvstore write path to [`Plain] and the object-store heap choice to
     the flush-free freelist (docs/SNAPSHOT.md). *)

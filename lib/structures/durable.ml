@@ -21,8 +21,7 @@
    the eager discipline regardless of the selected mode.
 
    The discipline is selected per {!Node.t} (field [durability]); the
-   process-wide default below mirrors [Engine.default_mode] and must be
-   set before domains spawn. Catalogue of the [dur.*] counters:
+   process-wide default below must be set before domains spawn. Catalogue of the [dur.*] counters:
    docs/METRICS.md. *)
 
 module Machine = Core.Machine
@@ -39,8 +38,7 @@ let mode_of_string = function
   | _ -> None
 
 (* Process-wide default for [Node.make]'s [?durability]; set from the
-   front-ends' [--durability] flag before any domain spawns, like
-   [Engine.set_default_mode]. *)
+   front-ends' [--durability] flag before any domain spawns. *)
 let default_mode = ref Eager
 let set_default_mode m = default_mode := m
 let mode () = !default_mode

@@ -641,6 +641,40 @@ let test_repr_registry () =
   check "fat slot is 16" 16 (Repr.slot_size Repr.Fat);
   check "riv slot is 8" 8 (Repr.slot_size Repr.Riv)
 
+(* One dereference, two access paths, two fresh machines: the fused
+   [Machine.load64_fast] must load the same value and leave a
+   byte-identical counter registry behind as the generic
+   [Memsim.load64] through the timing observer. *)
+let deref_world kind =
+  let store = Store.create () in
+  let metrics = Core.Metrics.create () in
+  let m = Machine.create ~seed:11 ~metrics ~store () in
+  let rid = Machine.create_region m ~size:(1 lsl 20) in
+  let r = Machine.open_region m rid in
+  if kind = Repr.Based then Machine.set_based_region m rid;
+  let (module P : Core.Repr_sig.S) = Repr.m kind in
+  let holder = Region.alloc r P.slot_size in
+  let target = Region.alloc r 64 in
+  Memsim.store64 m.Machine.mem target 0xBEEF;
+  P.store m ~holder target;
+  (m, metrics, fun () -> P.load m ~holder)
+
+let test_fused_deref_matches_generic () =
+  let registry metrics =
+    Core.Json.to_string (Core.Metrics.to_json metrics)
+  in
+  List.iter
+    (fun kind ->
+      let name = Repr.to_string kind in
+      let ma, mea, load_a = deref_world kind in
+      let va = Machine.load64_fast ma (load_a ()) in
+      let mb, meb, load_b = deref_world kind in
+      let vb = Memsim.load64 mb.Machine.mem (load_b ()) in
+      check (name ^ " deref value") vb va;
+      Alcotest.(check string)
+        (name ^ " deref counters") (registry meb) (registry mea))
+    Repr.all
+
 let test_fat_cache_effectiveness () =
   (* With one region, repeated fat-cached loads are much cheaper than
      uncached fat loads; the cache pays for itself. *)
@@ -742,6 +776,8 @@ let () =
             test_registry_flags_for_ablation_reprs;
           Alcotest.test_case "fat cache effectiveness" `Quick
             test_fat_cache_effectiveness;
+          Alcotest.test_case "fused deref = generic" `Quick
+            test_fused_deref_matches_generic;
         ] );
       ( "position-independence",
         [

@@ -51,14 +51,23 @@ let test_run_counts_nodes () =
   check_bool "cycles measured" true (m.Runner.measured_cycles > 0);
   check_bool "populate measured" true (m.Runner.populate_cycles > 0)
 
+(* Every structure under every representation: the node count and
+   checksum must match the normal pointer's. *)
 let test_checksum_invariant_across_reprs () =
-  let base = Runner.run (small Runner.default) in
   List.iter
-    (fun repr ->
-      let m = Runner.run (small { Runner.default with Runner.repr = repr }) in
-      check (Repr.to_string repr ^ " checksum") base.Runner.checksum
-        m.Runner.checksum)
-    Repr.all
+    (fun structure ->
+      let cfg = small { Runner.default with Runner.structure } in
+      let base = Runner.run cfg in
+      List.iter
+        (fun repr ->
+          let m = Runner.run { cfg with Runner.repr = repr } in
+          let name =
+            Instance.structure_name structure ^ "/" ^ Repr.to_string repr
+          in
+          check (name ^ " nodes") base.Runner.nodes m.Runner.nodes;
+          check (name ^ " checksum") base.Runner.checksum m.Runner.checksum)
+        Repr.all)
+    (Instance.structures @ Instance.extension_structures)
 
 let test_inapplicable_raises () =
   check_bool "off-holder multi-region" true
@@ -193,6 +202,51 @@ let test_extension_structures_run () =
         (m.Runner.measured_cycles > 0 && m.Runner.nodes > 0))
     Instance.extension_structures
 
+(* Structure workloads through the instance layer: every representation
+   must agree with the normal pointer on the traversal result and the
+   search hits, and a rerun on a fresh machine must leave a
+   byte-identical counter registry, for all nine representations and
+   all seven structures. *)
+
+let structure_outcome structure kind =
+  let store = Core.Store.create () in
+  let metrics = Nvmpi_obs.Metrics.create () in
+  let m = Core.Machine.create ~seed:17 ~metrics ~store () in
+  let rid = Core.Machine.create_region m ~size:(1 lsl 22) in
+  let r = Core.Machine.open_region m rid in
+  if kind = Repr.Based then Core.Machine.set_based_region m rid;
+  let node =
+    Nvmpi_structures.Node.make m ~mode:(Nvmpi_structures.Node.Plain [| r |])
+      ~payload:32
+  in
+  let inst = Instance.create structure kind node ~name:"eq" in
+  let keys = Workload.keys ~n:120 ~seed:5 in
+  Array.iter (fun k -> inst.Instance.insert k) keys;
+  let n, sum = inst.Instance.traverse () in
+  let hits =
+    Array.fold_left
+      (fun a k -> if inst.Instance.search k then a + 1 else a)
+      0 keys
+  in
+  ( Printf.sprintf "n=%d sum=%d hits=%d" n sum hits,
+    Nvmpi_obs.Json.to_string (Nvmpi_obs.Metrics.to_json metrics) )
+
+let test_structure_equivalence () =
+  List.iter
+    (fun structure ->
+      let base, _ = structure_outcome structure Repr.Normal in
+      List.iter
+        (fun kind ->
+          let name =
+            Instance.structure_name structure ^ "/" ^ Repr.to_string kind
+          in
+          let result, counters = structure_outcome structure kind in
+          let _, counters' = structure_outcome structure kind in
+          Alcotest.(check string) (name ^ " result") base result;
+          Alcotest.(check string) (name ^ " counters") counters counters')
+        Repr.all)
+    (Instance.structures @ Instance.extension_structures)
+
 let () =
   Alcotest.run "experiments"
     [
@@ -228,5 +282,10 @@ let () =
           Alcotest.test_case "cold mode" `Quick test_cold_mode_costs_more;
           Alcotest.test_case "extension structures run" `Quick
             test_extension_structures_run;
+        ] );
+      ( "equivalence",
+        [
+          Alcotest.test_case "structure workloads" `Quick
+            test_structure_equivalence;
         ] );
     ]
