@@ -23,10 +23,8 @@ open Nvmpi_experiments
 
 let usage_text =
   "usage: main.exe [--scale F] [--seed N] [--full-wordcount] [--json FILE] \
-   [--jobs N] [--wall] [--durability \
-   eager|traverse|snapshot|snapshot-page] [experiment ...]\n\
-  \       main.exe check BASELINE.json [--tolerance F] [--jobs N] \
-   [--durability eager|traverse|snapshot|snapshot-page]\n\
+   [--jobs N] [--wall] [experiment ...]\n\
+  \       main.exe check BASELINE.json [--tolerance F] [--jobs N]\n\
   \       main.exe perf [--ops N]\n\
    experiments: fig12 payload table1 fig13 fig14 regions fig15 breakdown \
    ablations churn durset snapshot bechamel faultsim conform server all\n\
@@ -38,9 +36,6 @@ let usage_text =
    wall-clock only);\n\
    --wall adds a host wall-clock section (with per-representation deref \
    ns) to the JSON snapshot;\n\
-   --durability selects the persistence discipline: eager (legacy, \
-   default), traverse (link-and-persist, docs/DURABLE.md) or \
-   snapshot/snapshot-page (failure-atomic sync epochs, docs/SNAPSHOT.md);\n\
    perf prints a host-nanosecond profile of the simulator's access hot \
    path."
 
@@ -505,39 +500,7 @@ let check_main args =
   end
 
 let () =
-  (* --durability is process-global: it selects the persistence
-     discipline for the whole run (set here, before any domain spawns),
-     so it is stripped ahead of mode dispatch and is accepted by run and
-     check alike. *)
-  let rec strip_durability acc = function
-    | [] -> List.rev acc
-    | "--durability" :: v :: rest -> (
-        match v with
-        | "snapshot" | "snapshot-page" ->
-            (* Failure-atomic sync epochs (docs/SNAPSHOT.md): structure
-               code runs flush-free, durability moves to Snapshot.sync. *)
-            Nvmpi_structures.Durable.set_default_mode
-              Nvmpi_structures.Durable.Eager;
-            Nvmpi_snapshot.Snapshot.set_default
-              (Some
-                 (if v = "snapshot" then Nvmpi_snapshot.Snapshot.Line
-                  else Nvmpi_snapshot.Snapshot.Page));
-            strip_durability acc rest
-        | _ -> (
-            match Nvmpi_structures.Durable.mode_of_string v with
-            | Some m ->
-                Nvmpi_structures.Durable.set_default_mode m;
-                Nvmpi_snapshot.Snapshot.set_default None;
-                strip_durability acc rest
-            | None ->
-                fail
-                  "--durability needs eager, traverse, snapshot or \
-                   snapshot-page, got %S"
-                  v))
-    | [ "--durability" ] -> fail "option --durability needs a value"
-    | a :: rest -> strip_durability (a :: acc) rest
-  in
-  match strip_durability [] (List.tl (Array.to_list Sys.argv)) with
+  match List.tl (Array.to_list Sys.argv) with
   | "check" :: rest -> check_main rest
   | "perf" :: rest -> perf_main rest
   | args -> run_main args

@@ -17,42 +17,18 @@ open Cmdliner
 
 let experiments = Nvmpi_experiments.Suite.names @ [ "all" ]
 
-(* --durability: which persistence discipline the structures use —
-   eager (the legacy behaviour: structure code issues no persistence
-   actions, the default) or traverse (link-and-persist: flush-free
-   traversals, clwb+fence confined to the modification window;
-   docs/DURABLE.md). Process-global, set at command start before any
-   domains spawn. Only hashset and bstree under 8-byte-slot
-   representations change behaviour; the committed BENCH_seed.json is
-   recorded (and checked) under the eager default. *)
-type durability_choice =
-  | Structure of Nvmpi_structures.Durable.mode
-  | Snapshot_epochs of Nvmpi_snapshot.Snapshot.granularity
-
-(* Applied at command start, before any domains spawn. The snapshot
-   modes run structure code flush-free (Eager) and move all durability
-   to explicit sync epochs; components that know about the process-wide
-   default (kvstore write path, residency heap choice, conform exec)
-   pick it up through [Snapshot.enabled]. *)
-let set_durability = function
-  | Structure m ->
-      Nvmpi_structures.Durable.set_default_mode m;
-      Nvmpi_snapshot.Snapshot.set_default None
-  | Snapshot_epochs g ->
-      Nvmpi_structures.Durable.set_default_mode Nvmpi_structures.Durable.Eager;
-      Nvmpi_snapshot.Snapshot.set_default (Some g)
-
+(* --durability on fuzz and serve, the two commands whose workload
+   takes a persistence discipline as input (docs/DURABLE.md,
+   docs/SNAPSHOT.md); it reaches every machine the run creates and is
+   recorded in the report. *)
 let durability =
-  let durability_conv =
+  let modes =
     Arg.enum
-      [
-        ("eager", Structure Nvmpi_structures.Durable.Eager);
-        ("traverse", Structure Nvmpi_structures.Durable.Traverse);
-        ("snapshot", Snapshot_epochs Nvmpi_snapshot.Snapshot.Line);
-        ("snapshot-page", Snapshot_epochs Nvmpi_snapshot.Snapshot.Page);
-      ]
+      (List.map
+         (fun n -> (n, Option.get (Core.Durability.of_string n)))
+         Core.Durability.names)
   in
-  Arg.(value & opt durability_conv (Structure Nvmpi_structures.Durable.Eager)
+  Arg.(value & opt modes Core.Durability.Eager
        & info [ "durability" ] ~docv:"MODE"
            ~doc:"Persistence discipline: $(b,eager) (legacy, the \
                  default), $(b,traverse) (link-and-persist \
@@ -98,8 +74,7 @@ let bench_cmd =
                    snapshot) are identical to a serial run; only \
                    wall-clock changes.")
   in
-  let run durability names scale seed full json jobs =
-    set_durability durability;
+  let run names scale seed full json jobs =
     let open Nvmpi_experiments in
     let params = { Suite.scale; seed; wordcount_full = full } in
     let names =
@@ -131,8 +106,7 @@ let bench_cmd =
   in
   Cmd.v
     (Cmd.info "bench" ~doc:"Regenerate the paper's evaluation tables/figures.")
-    Term.(const run $ durability $ names $ scale $ seed $ full
-          $ json $ jobs)
+    Term.(const run $ names $ scale $ seed $ full $ json $ jobs)
 
 (* check *)
 
@@ -147,8 +121,7 @@ let check_cmd =
          & info [ "tolerance" ]
              ~doc:"Allowed relative deviation per cycle count.")
   in
-  let run durability path tolerance =
-    set_durability durability;
+  let run path tolerance =
     let open Nvmpi_experiments in
     let ( let* ) r f =
       match r with
@@ -176,7 +149,7 @@ let check_cmd =
     (Cmd.info "check"
        ~doc:"Re-run the experiments a benchmark snapshot records and fail \
              on cycle-count regressions beyond the tolerance.")
-    Term.(const run $ durability $ baseline $ tolerance)
+    Term.(const run $ baseline $ tolerance)
 
 (* run *)
 
@@ -297,9 +270,8 @@ let crash_cmd =
                    --only/--skip-selftest filtering), one per line, and \
                    exit without sweeping.")
   in
-  let run durability seed exhaustive sample json skip_selftest jobs
-      wall_json only list_names =
-    set_durability durability;
+  let run seed exhaustive sample json skip_selftest jobs wall_json only
+      list_names =
     let open Nvmpi_faultsim in
     let mode =
       match sample with
@@ -353,8 +325,8 @@ let crash_cmd =
              the durable image at each point, reopen it at fresh segments \
              and verify recovery invariants for every pointer \
              representation.")
-    Term.(const run $ durability $ seed $ exhaustive $ sample
-          $ json $ skip_selftest $ jobs $ wall_json $ only $ list_names)
+    Term.(const run $ seed $ exhaustive $ sample $ json $ skip_selftest
+          $ jobs $ wall_json $ only $ list_names)
 
 (* fuzz *)
 
@@ -391,7 +363,6 @@ let fuzz_cmd =
                    every applicable representation.")
   in
   let run durability seed traces json jobs replay =
-    set_durability durability;
     let open Nvmpi_conform in
     match replay with
     | Some path -> (
@@ -401,7 +372,7 @@ let fuzz_cmd =
             Printf.eprintf "%s: %s\n" path msg;
             exit 2
         | Ok tr ->
-            let fails = Engine.check_trace ~index:(-1) tr in
+            let fails = Engine.check_trace ~durability ~index:(-1) tr in
             if fails = [] then print_endline "replay: PASS (no divergence)"
             else begin
               List.iter
@@ -415,7 +386,7 @@ let fuzz_cmd =
             end)
     | None ->
         let metrics = Core.Metrics.create () in
-        let report = Engine.run ~jobs ~metrics ~seed ~traces () in
+        let report = Engine.run ~jobs ~metrics ~durability ~seed ~traces () in
         Printf.printf
           "conform: %d traces (seed %d, %d with remaps), %d divergence(s)\n"
           report.Engine.traces report.Engine.seed
@@ -533,7 +504,6 @@ let serve_cmd =
   in
   let run durability tenants theta mix churn ops seed shards resident
       keys value_bytes reprs json jobs =
-    set_durability durability;
     let fail msg =
       Printf.eprintf "serve: %s\n" msg;
       exit 2
@@ -555,7 +525,7 @@ let serve_cmd =
     in
     let config =
       { d with Server.tenants; theta; mix; ops; seed; shards; resident;
-        keys_per_tenant = keys; value_bytes; reprs }
+        keys_per_tenant = keys; value_bytes; reprs; durability }
     in
     (match Server.validate config with
     | Ok () -> ()

@@ -66,15 +66,17 @@ let hash t ~key =
   let h = key * 0x2545F4914F6CDD1 in
   (h lxor (h lsr 31)) land max_int mod t.buckets
 
-(* The process default follows the selected durability discipline:
-   [--durability snapshot] flips every store to the plain path. *)
-let default_write_path () =
-  if Nvmpi_snapshot.Snapshot.enabled () then `Plain else `Tx
+(* The default follows the machine's discipline: a snapshot machine
+   takes the plain path. *)
+let default_write_path os =
+  match (Objstore.machine os).Machine.durability with
+  | Core.Durability.Snapshot _ -> `Plain
+  | Eager | Traverse -> `Tx
 
 let create os ~repr ~name ?(buckets = 256) ?write_path () =
   if buckets <= 0 then invalid_arg "Kvstore.create: buckets";
   let write_path =
-    match write_path with Some w -> w | None -> default_write_path ()
+    match write_path with Some w -> w | None -> default_write_path os
   in
   let machine = Objstore.machine os in
   let region = Objstore.region os in
@@ -96,7 +98,7 @@ let create os ~repr ~name ?(buckets = 256) ?write_path () =
 
 let attach ?write_path os ~repr ~name =
   let write_path =
-    match write_path with Some w -> w | None -> default_write_path ()
+    match write_path with Some w -> w | None -> default_write_path os
   in
   let machine = Objstore.machine os in
   let region = Objstore.region os in

@@ -17,9 +17,8 @@
     - [`Plain] (snapshot durability, docs/SNAPSHOT.md): every store is
       un-instrumented — no undo logging, no flush, no fence — and the
       caller makes whole epochs durable with
-      {!Nvmpi_snapshot.Snapshot.sync}. The default flips to [`Plain]
-      when [Nvmpi_snapshot.Snapshot.enabled ()] (the [--durability
-      snapshot] flag).
+      [Nvmpi_snapshot.Snapshot.sync]. The default is [`Plain] on a
+      machine created with [~durability:(Snapshot _)].
 
     The whole store is anchored at a named NVRoot and survives region
     remaps. *)

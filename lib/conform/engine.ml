@@ -43,6 +43,7 @@ type failure = {
 
 type report = {
   seed : int;
+  durability : Core.Durability.t;
   traces : int;
   failures : failure list;
   repr_traces : (string * int) list;  (** traces executed per repr *)
@@ -100,15 +101,16 @@ let compare_pairwise results group =
                   (Repr.to_string k0) (Repr.to_string k) c0 c ))
         rest
 
-let run_exec ?obs_metrics kind tr =
-  Exec.run ?obs_metrics ~kind tr
-
-(** Checks one trace against the oracle and pairwise; failures carry
-    already-shrunk traces. Exposed for tests and [--replay]. *)
-let check_trace ?metrics ~index (tr : Trace.t) : failure list =
+(** Checks one trace against the oracle and pairwise, every machine
+    under [durability] (default [Eager]); failures carry already-shrunk
+    traces. Exposed for tests and [--replay]. *)
+let check_trace ?metrics ?durability ~index (tr : Trace.t) : failure list =
   (match metrics with
   | Some m -> Metrics.incr m "conform.traces"
   | None -> ());
+  let run_exec ?obs_metrics kind tr =
+    Exec.run ?obs_metrics ?durability ~kind tr
+  in
   let reprs = applicable tr in
   let results =
     List.map (fun k -> (k, run_exec ?obs_metrics:metrics k tr)) reprs
@@ -171,7 +173,8 @@ let check_trace ?metrics ~index (tr : Trace.t) : failure list =
   | _ -> ());
   failures
 
-let run ?(jobs = 1) ?metrics ~seed ~traces () : report =
+let run ?(jobs = 1) ?metrics ?(durability = Core.Durability.Eager) ~seed
+    ~traces () : report =
   let indices = List.init traces (fun i -> i) in
   let chunks = Pool.chunks ~jobs indices in
   (* One private registry per chunk, merged in input order afterwards:
@@ -188,7 +191,7 @@ let run ?(jobs = 1) ?metrics ~seed ~traces () : report =
           List.map
             (fun i ->
               let tr = Gen.trace ~seed ~index:i () in
-              let fails = check_trace ~metrics:priv ~index:i tr in
+              let fails = check_trace ~metrics:priv ~durability ~index:i tr in
               (tr, fails))
             chunk
         in
@@ -230,7 +233,15 @@ let run ?(jobs = 1) ?metrics ~seed ~traces () : report =
          []
     |> List.sort compare
   in
-  { seed; traces; failures; repr_traces; traces_with_remap; counters }
+  {
+    seed;
+    durability;
+    traces;
+    failures;
+    repr_traces;
+    traces_with_remap;
+    counters;
+  }
 
 (** {1 Rendering} *)
 
@@ -249,15 +260,18 @@ let failure_to_json f =
 
 let report_to_json r =
   Json.Obj
-    [
-      ("kind", Json.String "conform");
-      ("schema_version", Json.Int 1);
-      ("seed", Json.Int r.seed);
-      ("traces", Json.Int r.traces);
-      ("traces_with_remap", Json.Int r.traces_with_remap);
-      ( "repr_traces",
-        Json.Obj (List.map (fun (n, c) -> (n, Json.Int c)) r.repr_traces) );
-      ("failures", Json.List (List.map failure_to_json r.failures));
-      ( "counters",
-        Json.Obj (List.map (fun (n, v) -> (n, Json.Int v)) r.counters) );
-    ]
+    ([
+       ("kind", Json.String "conform");
+       ("schema_version", Json.Int 1);
+       ("seed", Json.Int r.seed);
+     ]
+    @ Core.Durability.report_fields r.durability
+    @ [
+        ("traces", Json.Int r.traces);
+        ("traces_with_remap", Json.Int r.traces_with_remap);
+        ( "repr_traces",
+          Json.Obj (List.map (fun (n, c) -> (n, Json.Int c)) r.repr_traces) );
+        ("failures", Json.List (List.map failure_to_json r.failures));
+        ( "counters",
+          Json.Obj (List.map (fun (n, v) -> (n, Json.Int v)) r.counters) );
+      ])

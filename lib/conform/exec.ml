@@ -117,7 +117,7 @@ let make_shandle (module P : Core.Repr_sig.S) node st ~create =
         s_unswz = (fun () -> T.unswizzle t);
       }
 
-let run ?obs_metrics ?repr ~kind (tr : Trace.t) : result =
+let run ?obs_metrics ?durability ?repr ~kind (tr : Trace.t) : result =
   (* [?repr] runs an arbitrary module standing in for [kind] — the
      harness self-test injects a deliberately buggy representation
      through it. *)
@@ -133,7 +133,7 @@ let run ?obs_metrics ?repr ~kind (tr : Trace.t) : result =
   in
   try
     let store = Store.create () in
-    let m = Machine.create ~seed:tr.mseed ~store () in
+    let m = Machine.create ~seed:tr.mseed ?durability ~store () in
     let rid0 = Machine.create_region m ~size:region_size in
     let rid1 = Machine.create_region m ~size:region_size in
     let r0 = ref (Machine.open_region m rid0) in

@@ -21,6 +21,7 @@
     ]} *)
 
 module Machine = Machine
+module Durability = Durability
 module Nvspace = Nvspace
 module Fat_table = Fat_table
 module Repr = Repr

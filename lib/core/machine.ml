@@ -62,6 +62,8 @@ type t = {
   mutable based_base : Vaddr.t;
       (* Vaddr.null = unset; the data area never contains address 0 *)
   mutable crash_hook : (unit -> unit) option;
+  durability : Durability.t;
+  fault : Durability.fault option;
   mutable dram_cursor : int;
   dram_limit : int;
 }
@@ -79,7 +81,8 @@ let globals_off = fat_list_off + (fat_list_cap * 16)
 let heap_off = globals_off + 4096
 let dram_size = 512 * 1024 * 1024
 
-let create ?(layout = Layout.default) ?cfg ?metrics ?seed ~store () =
+let create ?(layout = Layout.default) ?cfg ?metrics ?seed
+    ?(durability = Durability.Eager) ?fault ~store () =
   let metrics =
     match metrics with Some m -> m | None -> Metrics.create ()
   in
@@ -113,6 +116,8 @@ let create ?(layout = Layout.default) ?cfg ?metrics ?seed ~store () =
     cells = Array.make Cell.slots Metrics.Handle.unresolved;
     based_base = Vaddr.null;
     crash_hook = None;
+    durability;
+    fault;
     dram_cursor = dram_base + heap_off;
     dram_limit = dram_base + dram_size;
   }

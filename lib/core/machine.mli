@@ -12,7 +12,9 @@
     - the fat-pointer runtime ({!Fat_table}: ID-to-base hashtable and
       base-sorted region list, both living in simulated DRAM);
     - the one-entry fat-pointer cache ([lastID]/[lastAddr] globals in
-      simulated DRAM) and the based-pointer base register.
+      simulated DRAM) and the based-pointer base register;
+    - the run's persistence discipline ({!Durability}), fixed at
+      creation.
 
     Creating a second machine over the same store and re-opening the
     regions models a new run in which every region lands at a different
@@ -75,6 +77,13 @@ type t = {
           Installed by [Nvmpi_faultsim.Tracker.attach]; [None] (the
           default) means no durability tracker is attached and
           [Tx.simulate_crash] conservatively leaves memory as-is. *)
+  durability : Durability.t;
+      (** the run's persistence discipline; read by [Node.make], the
+          kvstore write path, the tenant heap choice and
+          [Snapshot.create] *)
+  fault : Durability.fault option;
+      (** the broken protocol a faultsim selftest double runs; [None]
+          for every real run *)
   mutable dram_cursor : int;
   dram_limit : int;
 }
@@ -94,13 +103,16 @@ val create :
   ?cfg:Nvmpi_cachesim.Timing_config.t ->
   ?metrics:Nvmpi_obs.Metrics.t ->
   ?seed:int ->
+  ?durability:Durability.t ->
+  ?fault:Durability.fault ->
   store:Nvmpi_nvregion.Store.t ->
   unit ->
   t
 (** A fresh address space over [store]. [seed] fixes region placement
     (tests); without it placement is randomized per machine. [metrics]
     lets several machines share one counter registry; by default each
-    machine owns a fresh one. *)
+    machine owns a fresh one. [durability] defaults to [Eager] and
+    [fault] to none. *)
 
 (** {1 Regions} *)
 

@@ -8,6 +8,7 @@ module Memsim = Nvmpi_memsim.Memsim
 module Timing = Nvmpi_cachesim.Timing
 module Node = Nvmpi_structures.Node
 module Durable = Nvmpi_structures.Durable
+module Durability = Core.Durability
 module Zipf = Nvmpi_server.Zipf
 
 (* Flush-minimization measurement for the durable sets (docs/DURABLE.md):
@@ -36,25 +37,19 @@ let line_bytes = 64
 
 let structures = [ Instance.Hashset; Instance.Btree ]
 
-(* The 8-byte-slot encodings the mark bit fits; mirrors
-   [Nvmpi_faultsim.Scenario.durable_reprs]. *)
-let reprs =
-  [ Repr.Off_holder; Repr.Riv; Repr.Based; Repr.Packed_fat; Repr.Hw_oid ]
-
 let counter_cols = [ "timing.flushes"; "timing.fences" ]
 
 let scaled scale n = max 300 (int_of_float (float_of_int n *. scale))
 
 let run_one ~ops ~seed structure repr ~durability =
   let store = Store.create () in
-  let machine = Machine.create ~seed ~store () in
+  let machine = Machine.create ~seed ~durability ~store () in
   let rid = Machine.create_region machine ~size:(1 lsl 21) in
   let region = Machine.open_region machine rid in
   if repr = Repr.Based then Machine.set_based_region machine rid;
-  let node =
-    Node.make ~durability machine ~mode:(Node.Plain [| region |]) ~payload:32
-  in
+  let node = Node.make machine ~mode:(Node.Plain [| region |]) ~payload:32 in
   let inst = Instance.create structure repr node ~name:"durset" in
+  let eager = durability = Durability.Eager in
   (* Eager-baseline plumbing: record each op's touched NVM lines in
      first-touch order (deterministic), then flush them + fence at the
      op boundary. The observer is attached before the preload so both
@@ -64,7 +59,7 @@ let run_one ~ops ~seed structure repr ~durability =
   let seen = Hashtbl.create 64 in
   let recording = ref false in
   let layout = machine.Machine.layout in
-  if durability = Durable.Eager then
+  if eager then
     Memsim.add_observer machine.Machine.mem (fun ~write:_ ~addr ~size:_ ->
         if !recording && Layout.in_nv_space layout addr then begin
           let l = addr land lnot (line_bytes - 1) in
@@ -84,7 +79,6 @@ let run_one ~ops ~seed structure repr ~durability =
   for k = 1 to keys do
     inst.Instance.insert k
   done;
-  let eager = durability = Durable.Eager in
   let rng = Random.State.make [| seed; 0xD5E7 |] in
   let z = Zipf.v ~n:keys ~theta in
   let metrics = Machine.metrics machine in
@@ -118,10 +112,10 @@ type pair = {
 
 let run_pair ~ops ~seed structure repr =
   let eager_cycles, eager_counters =
-    run_one ~ops ~seed structure repr ~durability:Durable.Eager
+    run_one ~ops ~seed structure repr ~durability:Durability.Eager
   in
   let traverse_cycles, traverse_counters =
-    run_one ~ops ~seed structure repr ~durability:Durable.Traverse
+    run_one ~ops ~seed structure repr ~durability:Durability.Traverse
   in
   { eager_cycles; traverse_cycles; eager_counters; traverse_counters }
 
@@ -171,7 +165,7 @@ let table ?(scale = 1.0) ?seed () =
                              p.traverse_counters;
                          ] );
                    ] ))
-             reprs)
+             Durable.reprs)
          structures)
   in
   {

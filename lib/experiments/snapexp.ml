@@ -9,7 +9,6 @@ module Memsim = Nvmpi_memsim.Memsim
 module Timing = Nvmpi_cachesim.Timing
 module Vaddr = Nvmpi_addr.Kinds.Vaddr
 module Node = Nvmpi_structures.Node
-module Durable = Nvmpi_structures.Durable
 module Objstore = Nvmpi_tx.Objstore
 module Kvstore = Nvmpi_apps.Kvstore
 module Snapshot = Nvmpi_snapshot.Snapshot
@@ -128,10 +127,7 @@ let undo_logger machine region =
 
 let run_structure ~ops ~seed structure repr arm =
   let machine, region = boot ~seed repr in
-  let node =
-    Node.make ~durability:Durable.Eager machine
-      ~mode:(Node.Plain [| region |]) ~payload:32
-  in
+  let node = Node.make machine ~mode:(Node.Plain [| region |]) ~payload:32 in
   let inst = Instance.create structure repr node ~name:"snapexp" in
   let per_op =
     match arm with

@@ -14,6 +14,7 @@ module Timing = Nvmpi_cachesim.Timing
 module Objstore = Nvmpi_tx.Objstore
 module Tx = Nvmpi_tx.Tx
 module Kvstore = Nvmpi_apps.Kvstore
+module Durability = Core.Durability
 
 type run = {
   tracker : Tracker.t;
@@ -33,9 +34,9 @@ type t = {
 let region_size = 1 lsl 20
 let payload = 32
 
-let boot ~metrics ~seed =
+let boot ?durability ?fault ~metrics ~seed () =
   let store = Store.create () in
-  let machine = Machine.create ~metrics ~seed ~store () in
+  let machine = Machine.create ~metrics ~seed ?durability ?fault ~store () in
   let rid = Machine.create_region machine ~size:region_size in
   let region = Machine.open_region machine rid in
   (machine, rid, region)
@@ -74,7 +75,7 @@ let structure_scenario ?(keys = 12) ?(batch = 4) ?(fence = true)
     else "struct-" ^ base
   in
   let run ~metrics ~seed =
-    let machine, rid, region = boot ~metrics ~seed in
+    let machine, rid, region = boot ~metrics ~seed () in
     if repr = Repr.Based then Machine.set_based_region machine rid;
     let node = Node.make machine ~mode:(Node.Plain [| region |]) ~payload in
     let root = "faultsim" in
@@ -200,7 +201,7 @@ let describe_map m =
 let kv_scenario ?(ops = 8) repr =
   let name = Printf.sprintf "kvstore/%s" (Repr.to_string repr) in
   let run ~metrics ~seed =
-    let machine, rid, region = boot ~metrics ~seed in
+    let machine, rid, region = boot ~metrics ~seed () in
     if repr = Repr.Based then Machine.set_based_region machine rid;
     let os = Objstore.create machine region () in
     let kv = Kvstore.create os ~repr ~name:"kv" ~buckets:8 () in
@@ -286,7 +287,7 @@ let kv_scenario ?(ops = 8) repr =
 let tx_cells_scenario ?(txs = 6) () =
   let name = "objstore-tx-cells" in
   let run ~metrics ~seed =
-    let machine, rid, region = boot ~metrics ~seed in
+    let machine, rid, region = boot ~metrics ~seed () in
     let os = Objstore.create machine region () in
     let cells = Objstore.alloc os ~tag:0xCE11 ~size:64 () in
     let mem = machine.Machine.mem in
@@ -370,7 +371,7 @@ let tx_cells_scenario ?(txs = 6) () =
 let swizzle_window_scenario ?(keys = 8) () =
   let name = "swizzle-unswizzle-window" in
   let run ~metrics ~seed =
-    let machine, rid, region = boot ~metrics ~seed in
+    let machine, rid, region = boot ~metrics ~seed () in
     let node = Node.make machine ~mode:(Node.Plain [| region |]) ~payload in
     let root = "swz" in
     let inst = Instance.create Instance.List Repr.Swizzle node ~name:root in
@@ -482,7 +483,7 @@ let verify_palloc machine' region' =
 let alloc_scenario ?(ops = 14) () =
   let name = "palloc-churn" in
   let run ~metrics ~seed =
-    let machine, rid, region = boot ~metrics ~seed in
+    let machine, rid, region = boot ~metrics ~seed () in
     let t = palloc_over machine region ~fresh:true in
     (* A little pre-arm history so the churn frees real blocks. *)
     ignore (Palloc.alloc_into t ~root:0 24);
@@ -512,7 +513,7 @@ let alloc_scenario ?(ops = 14) () =
 let alloc_leak_selftest () =
   let name = "selftest-leak-palloc" in
   let run ~metrics ~seed =
-    let machine, rid, region = boot ~metrics ~seed in
+    let machine, rid, region = boot ~metrics ~seed () in
     let t = palloc_over machine region ~fresh:true in
     let p = Palloc.alloc_into t ~root:2 160 in
     let tracker = Tracker.attach machine in
@@ -532,7 +533,7 @@ let alloc_leak_selftest () =
 
 (* {1 Durable sets (link-and-persist)}
 
-   Hashset/bstree under [Durable.Traverse] (docs/DURABLE.md): traversals
+   Hashset/bstree under [Traverse] (docs/DURABLE.md): traversals
    flush nothing, each insert/remove persists exactly one modification
    window (fresh-node lines + one marked link flush + fence). The oracle
    at every crash point: the recovered set equals the durable commit
@@ -552,12 +553,6 @@ type durable_op = {
   d_insert : bool;
 }
 
-(* The 8-byte-slot encodings the mark bit fits ([Durable.applicable]);
-   Fat/Fat_cached keep the eager discipline and are covered by the
-   plain-mode structure scenarios above. *)
-let durable_reprs =
-  [ Repr.Off_holder; Repr.Riv; Repr.Based; Repr.Packed_fat; Repr.Hw_oid ]
-
 let durable_structures = [ Instance.Hashset; Instance.Btree ]
 
 let durable_scenario ?(ops = 14) ?(drop_flushes = false) structure repr =
@@ -570,12 +565,14 @@ let durable_scenario ?(ops = 14) ?(drop_flushes = false) structure repr =
     if drop_flushes then "selftest-dropflush-" ^ base else base
   in
   let run ~metrics ~seed =
-    let machine, rid, region = boot ~metrics ~seed in
-    if repr = Repr.Based then Machine.set_based_region machine rid;
-    let node =
-      Node.make ~durability:Durable.Traverse machine
-        ~mode:(Node.Plain [| region |]) ~payload
+    let fault =
+      if drop_flushes then Some Durability.Drop_window_flushes else None
     in
+    let machine, rid, region =
+      boot ~durability:Durability.Traverse ?fault ~metrics ~seed ()
+    in
+    if repr = Repr.Based then Machine.set_based_region machine rid;
+    let node = Node.make machine ~mode:(Node.Plain [| region |]) ~payload in
     let root = "durset" in
     let inst = Instance.create structure repr node ~name:root in
     (* A small key universe so removals keep biting; the pre-arm subset
@@ -594,22 +591,17 @@ let durable_scenario ?(ops = 14) ?(drop_flushes = false) structure repr =
     let initial = !model in
     let rng = Random.State.make [| seed; 0xD5E7 |] in
     let log = ref [] in
-    if drop_flushes then Durable.drop_window_flushes := true;
-    Fun.protect
-      ~finally:(fun () -> Durable.drop_window_flushes := false)
-      (fun () ->
-        for _ = 1 to ops do
-          let k = universe.(Random.State.int rng (Array.length universe)) in
-          let before = Tracker.seq tracker in
-          let insert = not (IntSet.mem k !model) in
-          if insert then inst.Instance.insert k
-          else ignore (inst.Instance.remove k);
-          model := (if insert then IntSet.add else IntSet.remove) k !model;
-          let after = Tracker.seq tracker in
-          log :=
-            { d_before = before; d_after = after; d_key = k; d_insert = insert }
-            :: !log
-        done);
+    for _ = 1 to ops do
+      let k = universe.(Random.State.int rng (Array.length universe)) in
+      let before = Tracker.seq tracker in
+      let insert = not (IntSet.mem k !model) in
+      if insert then inst.Instance.insert k else ignore (inst.Instance.remove k);
+      model := (if insert then IntSet.add else IntSet.remove) k !model;
+      let after = Tracker.seq tracker in
+      log :=
+        { d_before = before; d_after = after; d_key = k; d_insert = insert }
+        :: !log
+    done;
     let log = List.rev !log in
     let apply op set =
       (if op.d_insert then IntSet.add else IntSet.remove) op.d_key set
@@ -630,7 +622,7 @@ let durable_scenario ?(ops = 14) ?(drop_flushes = false) structure repr =
       if repr = Repr.Based then
         Machine.set_based_region machine' (Region.rid region');
       let node' =
-        Node.make ~durability:Durable.Traverse machine'
+        Node.make ~durability:Durability.Traverse machine'
           ~mode:(Node.Plain [| region' |]) ~payload
       in
       let inst' = Instance.attach structure repr node' ~name:root in
@@ -702,7 +694,12 @@ let snapshot_cells_scenario ?(epochs = 5) ?(cells = 16)
     if drop_writeback then "selftest-snapshot-nowb-" ^ base else base
   in
   let run ~metrics ~seed =
-    let machine, rid, region = boot ~metrics ~seed in
+    let fault =
+      if drop_writeback then Some Durability.Drop_writeback else None
+    in
+    let machine, rid, region =
+      boot ~durability:(Durability.Snapshot granularity) ?fault ~metrics ~seed ()
+    in
     (* Cells at a 520-byte stride: one epoch's writes scatter over many
        lines and several pages, so a torn epoch is observable and the
        line-vs-page log shapes differ. *)
@@ -713,36 +710,32 @@ let snapshot_cells_scenario ?(epochs = 5) ?(cells = 16)
     let mem = machine.Machine.mem in
     let model = Array.init cells (fun i -> 1000 + i) in
     Array.iteri (fun i v -> Memsim.store64 mem (cell i) v) model;
-    let snap = Snapshot.create machine region ~granularity () in
+    let snap = Snapshot.create machine region () in
     Snapshot.sync snap;
     let tracker = Tracker.attach machine in
     Tracker.arm tracker;
     let log = ref [] in
-    if drop_writeback then Snapshot.drop_writeback := true;
-    Fun.protect
-      ~finally:(fun () -> Snapshot.drop_writeback := false)
-      (fun () ->
-        for e = 1 to epochs do
-          let before = Tracker.seq tracker in
-          for i = 0 to cells - 1 do
-            if ((i * 7) + e) mod 3 <> 2 then begin
-              model.(i) <- (e * 1000) + i;
-              Memsim.store64 mem (cell i) model.(i)
-            end
-          done;
-          (* The middle epoch commits, then replays as workload: its
-             write-back happens via the recovery path, under the
-             tracker, so the sweep crashes mid-replay too. *)
-          if e = (epochs / 2) + 1 then begin
-            Snapshot.sync ~stop_after:`Commit snap;
-            Snapshot.replay snap
-          end
-          else Snapshot.sync snap;
-          let after = Tracker.seq tracker in
-          log :=
-            { s_before = before; s_after = after; s_cells = Array.copy model }
-            :: !log
-        done);
+    for e = 1 to epochs do
+      let before = Tracker.seq tracker in
+      for i = 0 to cells - 1 do
+        if ((i * 7) + e) mod 3 <> 2 then begin
+          model.(i) <- (e * 1000) + i;
+          Memsim.store64 mem (cell i) model.(i)
+        end
+      done;
+      (* The middle epoch commits, then replays as workload: its
+         write-back happens via the recovery path, under the tracker, so
+         the sweep crashes mid-replay too. *)
+      if e = (epochs / 2) + 1 then begin
+        Snapshot.sync ~stop_after:`Commit snap;
+        Snapshot.replay snap
+      end
+      else Snapshot.sync snap;
+      let after = Tracker.seq tracker in
+      log :=
+        { s_before = before; s_after = after; s_cells = Array.copy model }
+        :: !log
+    done;
     let log = List.rev !log in
     let initial = Array.init cells (fun i -> 1000 + i) in
     let show a =
@@ -806,16 +799,18 @@ let snapshot_kv_scenario ?(epochs = 5) ?(granularity = Snapshot.Line) repr =
       (Snapshot.granularity_to_string granularity)
   in
   let run ~metrics ~seed =
-    let machine, rid, region = boot ~metrics ~seed in
+    let machine, rid, region =
+      boot ~durability:(Durability.Snapshot granularity) ~metrics ~seed ()
+    in
     if repr = Repr.Based then Machine.set_based_region machine rid;
     (* The flush-free freelist heap: under snapshot durability nothing
        but sync may move the durable cut (palloc's logged allocations
        would persist allocator state mid-epoch, docs/SNAPSHOT.md). *)
     (* The snapshot's meta/log pages must be carved out before the
        object store claims the whole remaining region as its heap. *)
-    let snap = Snapshot.create machine region ~granularity () in
+    let snap = Snapshot.create machine region () in
     let os = Objstore.create machine region ~heap:`Freelist () in
-    let kv = Kvstore.create os ~repr ~name:"kv" ~buckets:8 ~write_path:`Plain () in
+    let kv = Kvstore.create os ~repr ~name:"kv" ~buckets:8 () in
     let model = ref [] in
     for k = 1 to 3 do
       let v = Printf.sprintf "init-%d" k in
@@ -919,7 +914,7 @@ let defaults () =
     paper_structures
   @ List.map (fun r -> kv_scenario r) core_reprs
   @ List.concat_map
-      (fun s -> List.map (fun r -> durable_scenario s r) durable_reprs)
+      (fun s -> List.map (fun r -> durable_scenario s r) Durable.reprs)
       durable_structures
   @ [
       tx_cells_scenario ();

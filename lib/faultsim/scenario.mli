@@ -71,10 +71,6 @@ val alloc_leak_selftest : unit -> t
     opening a window where a live block is unreachable. The sweep must
     report the leak ([expect_fail]). *)
 
-val durable_reprs : Core.Repr.kind list
-(** The 8-byte-slot representations the link-and-persist mark bit fits
-    ([Nvmpi_structures.Durable.applicable]). *)
-
 val durable_structures : Nvmpi_experiments.Instance.structure list
 (** Hashset and bstree — the structures ported to the durable
     discipline. *)
@@ -85,15 +81,16 @@ val durable_scenario :
   Nvmpi_experiments.Instance.structure ->
   Core.Repr.kind ->
   t
-(** Insert/remove churn on a hashset or bstree under
-    [Durable.Traverse] (docs/DURABLE.md). Oracle at every crash point:
+(** Insert/remove churn on a hashset or bstree on a [Traverse] machine
+    (docs/DURABLE.md). Oracle at every crash point:
     the recovered set equals the durable commit prefix of the op log
     (count, checksum and per-key membership, probed through a
     traverse-mode attach so marked-link repair is exercised), with the
     single in-flight op either fully applied or fully absent.
-    [~drop_flushes:true] is the selftest double ([expect_fail]): every
-    window flush/fence is suppressed, so completed ops never become
-    durable and the oracle must flag the loss. *)
+    [~drop_flushes:true] is the selftest double ([expect_fail]): its
+    machine runs [Drop_window_flushes], so every window flush/fence is
+    suppressed, completed ops never become durable and the oracle must
+    flag the loss. *)
 
 val snapshot_cells_scenario :
   ?epochs:int ->
@@ -109,9 +106,10 @@ val snapshot_cells_scenario :
     replays explicitly) and pre-truncate: the recovered image, after
     [Snapshot.attach] replays any committed log, equals exactly the
     last synced epoch, with the in-flight sync all-or-nothing.
-    [~drop_writeback:true] is the selftest double ([expect_fail]): the
-    in-place write-back is suppressed while the truncate still runs,
-    so a committed epoch is durably discarded and must be flagged. *)
+    [~drop_writeback:true] is the selftest double ([expect_fail]): its
+    machine runs [Drop_writeback], so the in-place write-back is
+    suppressed while the truncate still runs, and a committed epoch is
+    durably discarded and must be flagged. *)
 
 val snapshot_kv_scenario :
   ?epochs:int ->

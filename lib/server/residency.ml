@@ -116,12 +116,14 @@ let provision t ~tenant =
   incr t.c_maps;
   incr t.c_creates;
   if t.repr = Repr.Based then Machine.set_based_region t.machine rid;
-  (* Under snapshot durability (docs/SNAPSHOT.md) tenants run the
+  (* On a snapshot machine (docs/SNAPSHOT.md) tenants run the
      un-instrumented write path: the flush-free freelist heap instead of
      palloc's logged one, and [Kvstore.create]'s default picks the plain
      (no undo-log) store path. *)
   let heap =
-    if Nvmpi_snapshot.Snapshot.enabled () then `Freelist else `Palloc
+    match t.machine.Machine.durability with
+    | Core.Durability.Snapshot _ -> `Freelist
+    | Eager | Traverse -> `Palloc
   in
   let os = Objstore.create t.machine region ~log_cap:t.log_cap ~heap () in
   let kv = Kvstore.create os ~repr:t.repr ~name:"kv" ~buckets:t.buckets () in

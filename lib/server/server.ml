@@ -87,6 +87,7 @@ type config = {
   buckets : int;
   log_cap : int;
   reprs : Repr.kind list;
+  durability : Core.Durability.t;
 }
 
 let default =
@@ -104,6 +105,7 @@ let default =
     buckets = 32;
     log_cap = 4096;
     reprs = Repr.all;
+    durability = Core.Durability.Eager;
   }
 
 let validate c =
@@ -165,7 +167,9 @@ let run_shard c ~repr ~sh () =
   let st = Random.State.make [| c.seed; sh; 0x53E6 |] in
   let machine_seed = (c.seed * 0x1F3F5) lxor (sh * 0x61) land max_int in
   let store = Store.create () in
-  let machine = Machine.create ~seed:machine_seed ~store () in
+  let machine =
+    Machine.create ~seed:machine_seed ~durability:c.durability ~store ()
+  in
   let res =
     Residency.create ~machine ~repr ~cap:c.resident
       ~region_size:c.region_size ~buckets:c.buckets ~log_cap:c.log_cap ()
@@ -349,23 +353,26 @@ let schema_version = 1
 
 let config_to_json c =
   Json.Obj
-    [
-      ("tenants", Json.Int c.tenants);
-      ("theta", Json.Float c.theta);
-      ("mix", Json.String (mix_to_string c.mix));
-      ("ops", Json.Int c.ops);
-      ("seed", Json.Int c.seed);
-      ("shards", Json.Int c.shards);
-      ("resident", Json.Int c.resident);
-      ("keys_per_tenant", Json.Int c.keys_per_tenant);
-      ("value_bytes", Json.Int c.value_bytes);
-      ("region_size", Json.Int c.region_size);
-      ("buckets", Json.Int c.buckets);
-      ("log_cap", Json.Int c.log_cap);
-      ( "reprs",
-        Json.List
-          (List.map (fun r -> Json.String (Repr.to_string r)) c.reprs) );
-    ]
+    ([
+       ("tenants", Json.Int c.tenants);
+       ("theta", Json.Float c.theta);
+       ("mix", Json.String (mix_to_string c.mix));
+       ("ops", Json.Int c.ops);
+       ("seed", Json.Int c.seed);
+     ]
+    @ Core.Durability.report_fields c.durability
+    @ [
+        ("shards", Json.Int c.shards);
+        ("resident", Json.Int c.resident);
+        ("keys_per_tenant", Json.Int c.keys_per_tenant);
+        ("value_bytes", Json.Int c.value_bytes);
+        ("region_size", Json.Int c.region_size);
+        ("buckets", Json.Int c.buckets);
+        ("log_cap", Json.Int c.log_cap);
+        ( "reprs",
+          Json.List
+            (List.map (fun r -> Json.String (Repr.to_string r)) c.reprs) );
+      ])
 
 let report_to_json r =
   Json.Obj

@@ -73,12 +73,15 @@ type config = {
   buckets : int;  (** kvstore hash buckets per tenant *)
   log_cap : int;  (** per-tenant undo-log capacity in bytes *)
   reprs : Core.Repr.kind list;  (** representations to drive, in order *)
+  durability : Core.Durability.t;
+      (** every shard machine's persistence discipline; the JSON
+          [params] record it only when it is not [Eager] *)
 }
 
 val default : config
 (** 1000 tenants, theta 0.99, mix B, 5000 ops, seed 42, 4 shards,
     64 resident, 48 keys/tenant, 64-byte values, 64 KiB regions,
-    32 buckets, 4 KiB log, all nine representations. *)
+    32 buckets, 4 KiB log, all nine representations, [Eager]. *)
 
 val validate : config -> (unit, string) result
 

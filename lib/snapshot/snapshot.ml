@@ -13,26 +13,9 @@ module Metrics = Nvmpi_obs.Metrics
 module Vaddr = Nvmpi_addr.Kinds.Vaddr
 module Bitops = Nvmpi_addr.Bitops
 
-type granularity = Line | Page
+type granularity = Core.Durability.granularity = Line | Page
 
 let granularity_to_string = function Line -> "line" | Page -> "page"
-
-let granularity_of_string = function
-  | "line" -> Some Line
-  | "page" -> Some Page
-  | _ -> None
-
-(* Process-wide default, set from the front-ends' [--durability
-   snapshot]/[snapshot-page] flag before domains spawn — mirrors
-   [Durable.set_default_mode]. *)
-let default_granularity : granularity option ref = ref None
-let set_default g = default_granularity := g
-let default () = !default_granularity
-let enabled () = !default_granularity <> None
-
-(* Fault-injection double: drop the in-place write-back (step 3) while
-   still truncating the commit record (step 4). See snapshot.mli. *)
-let drop_writeback = ref false
 
 let magic = 0x534E415053484F54 land ((1 lsl 62) - 1) (* "SNAPSHOT" truncated *)
 let root_name = "__snapshot"
@@ -185,9 +168,9 @@ let make machine region ~meta_off ~log_off ~log_cap ~gran =
 
 let create machine region ?granularity ?(log_cap = 64 * 1024) () =
   let gran =
-    match granularity with
-    | Some g -> g
-    | None -> ( match !default_granularity with Some g -> g | None -> Line)
+    match (granularity, machine.Machine.durability) with
+    | Some g, _ | None, Snapshot g -> g
+    | None, (Eager | Traverse) -> Line
   in
   let page = Memsim.page_size machine.Machine.mem in
   let log_cap = Bitops.align_up log_cap page in
@@ -336,18 +319,20 @@ let sync ?stop_after t =
         match stop_after with
         | Some `Commit -> ()
         | None ->
-            (* Step 3: write the epoch back in place. The fault double
-               drops this entirely — including the fence — while step 4
-               still durably truncates: the protocol-ordering bug the
-               snapshot oracle must catch. *)
-            if not !drop_writeback then begin
-              List.iter
-                (fun (off, len) ->
-                  flush_range t ~addr:(t.base + off) ~len;
-                  t.c_wb_flushes :=
-                    !(t.c_wb_flushes) + ((len + t.line - 1) / t.line))
-                us;
-              Timing.fence (timing t)
-            end;
+            (* Step 3: write the epoch back in place. A machine created
+               with [~fault:Drop_writeback] (the selftest double) drops
+               this entirely — including the fence — while step 4 still
+               durably truncates: the protocol-ordering bug the snapshot
+               oracle must catch. *)
+            (match t.machine.Machine.fault with
+            | Some Core.Durability.Drop_writeback -> ()
+            | Some Drop_window_flushes | None ->
+                List.iter
+                  (fun (off, len) ->
+                    flush_range t ~addr:(t.base + off) ~len;
+                    t.c_wb_flushes :=
+                      !(t.c_wb_flushes) + ((len + t.line - 1) / t.line))
+                  us;
+                Timing.fence (timing t));
             (* Step 4: truncate. *)
             truncate t)

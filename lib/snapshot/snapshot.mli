@@ -26,24 +26,10 @@
     Observers cannot be detached from a memory, so create at most a
     handful of snapshots per machine ({!disable} makes one inert). *)
 
-type granularity = Line | Page
+type granularity = Core.Durability.granularity = Line | Page
 
 val granularity_to_string : granularity -> string
-val granularity_of_string : string -> granularity option
-
-(** {1 Process-wide mode}
-
-    Mirrors [Durable.set_default_mode]: the front-ends'
-    [--durability snapshot]/[snapshot-page] flag sets
-    this before any domain spawns. [Some g] switches the default
-    kvstore write path to [`Plain] and the object-store heap choice to
-    the flush-free freelist (docs/SNAPSHOT.md). *)
-
-val set_default : granularity option -> unit
-val default : unit -> granularity option
-
-val enabled : unit -> bool
-(** [enabled ()] is [true] iff the process default is [Some _]. *)
+(** ["line"] or ["page"]. *)
 
 (** {1 Snapshots} *)
 
@@ -59,8 +45,8 @@ val create :
 (** Carves the snapshot metadata page and a write-ahead log of
     [log_cap] bytes (default 64 KiB, rounded up to whole pages) out of
     the region, anchors them at the ["__snapshot"] root, and starts
-    dirty tracking. [granularity] defaults to the process default's
-    granularity, or [Line]. *)
+    dirty tracking. [granularity] defaults to the machine's
+    [Snapshot g] discipline, or [Line] on any other machine. *)
 
 val attach : Core.Machine.t -> Nvmpi_nvregion.Region.t -> t
 (** Re-opens a snapshot (possibly after a crash or remap): reads the
@@ -117,11 +103,3 @@ val replay : t -> unit
 val disable : t -> unit
 (** Stops tracking permanently (the observer stays registered but
     inert). *)
-
-val drop_writeback : bool ref
-(** Fault-injection double (scenario [selftest-snapshot-nowb]): when
-    set, {!sync} skips step 3 entirely — the epoch's data lines are
-    never flushed, yet step 4 still durably truncates the commit
-    record, violating the protocol's ordering discipline. The epoch is
-    silently lost on the next crash and the faultsim snapshot oracle
-    MUST flag it. Only toggled around a scenario workload. *)

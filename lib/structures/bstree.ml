@@ -21,8 +21,9 @@ module Make (P : Core.Repr_sig.S) = struct
      head link go through [load_link]/[store_link]; under [Eager] both
      are exactly the legacy plain accesses. *)
   let durable t =
-    t.node.Node.durability = Durable.Traverse
-    && Durable.applicable ~slot_size:P.slot_size
+    match t.node.Node.durability with
+    | Core.Durability.Traverse -> Durable.applicable ~slot_size:P.slot_size
+    | Eager | Snapshot _ -> false
 
   let load_link t ~holder =
     if durable t then Durable.check_mark (m t) ~holder;

@@ -20,50 +20,44 @@
    out of scope: [applicable] is false and those representations keep
    the eager discipline regardless of the selected mode.
 
-   The discipline is selected per {!Node.t} (field [durability]); the
-   process-wide default below must be set before domains spawn. Catalogue of the [dur.*] counters:
-   docs/METRICS.md. *)
+   The discipline is the machine's ([Machine.create ~durability]),
+   copied into each {!Node.t} (field [durability]) unless [Node.make]
+   overrides it. Catalogue of the [dur.*] counters: docs/METRICS.md. *)
 
 module Machine = Core.Machine
 module Timing = Nvmpi_cachesim.Timing
 module Vaddr = Nvmpi_addr.Kinds.Vaddr
 
-type mode = Eager | Traverse
-
-let mode_to_string = function Eager -> "eager" | Traverse -> "traverse"
-
-let mode_of_string = function
-  | "eager" -> Some Eager
-  | "traverse" -> Some Traverse
-  | _ -> None
-
-(* Process-wide default for [Node.make]'s [?durability]; set from the
-   front-ends' [--durability] flag before any domain spawns. *)
-let default_mode = ref Eager
-let set_default_mode m = default_mode := m
-let mode () = !default_mode
-
 (* The mark bit only fits single-word slots; see the header comment. *)
 let applicable ~slot_size = slot_size = 8
 
-(* Fault-injection double (scenario [selftest-dropflush-*]): when set,
-   every window flush and fence this module would issue is silently
-   dropped, so completed operations are never made durable and the
-   faultsim durable-set oracle MUST flag the resulting crash images.
-   Only ever toggled around a scenario workload on the main domain. *)
-let drop_window_flushes = ref false
+(* The representations link-and-persist covers: the position-independent
+   members of [Repr.all] whose slot holds the mark bit. *)
+let reprs =
+  List.filter
+    (fun k ->
+      Core.Repr.position_independent k
+      && applicable ~slot_size:(Core.Repr.slot_size k))
+    Core.Repr.all
 
 let line_bytes = 64
 let mark_bit = 1
 
+(* The selftest double [selftest-dropflush-*] runs on a machine created
+   with [~fault:Drop_window_flushes]: every window flush and fence is
+   silently dropped, so completed operations never become durable and
+   the faultsim durable-set oracle MUST flag the crash images. *)
 let window_flush m ~addr =
-  if not !drop_window_flushes then begin
-    Timing.flush m.Machine.timing ~addr;
-    Machine.bump m Machine.Cell.dur_window_flushes "dur.window_flushes"
-  end
+  match m.Machine.fault with
+  | Some Core.Durability.Drop_window_flushes -> ()
+  | Some Drop_writeback | None ->
+      Timing.flush m.Machine.timing ~addr;
+      Machine.bump m Machine.Cell.dur_window_flushes "dur.window_flushes"
 
 let fence m =
-  if not !drop_window_flushes then Timing.fence m.Machine.timing
+  match m.Machine.fault with
+  | Some Core.Durability.Drop_window_flushes -> ()
+  | Some Drop_writeback | None -> Timing.fence m.Machine.timing
 
 (* Flush every cache line of [addr, addr+len): the modification window's
    clwb over a freshly built node, issued before the node is linked. *)

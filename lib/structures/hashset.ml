@@ -24,12 +24,13 @@ module Make (P : Core.Repr_sig.S) = struct
 
   (* Link-and-persist discipline (docs/DURABLE.md): chain links — bucket
      slots and node next-slots — go through [load_link]/[store_link].
-     Under [Durable.Traverse] (and an 8-byte slot encoding) stores are
+     Under [Traverse] (and an 8-byte slot encoding) stores are
      published with a marked flush+fence window and loads repair marked
      links; under [Eager] both are exactly the legacy plain accesses. *)
   let durable t =
-    t.node.Node.durability = Durable.Traverse
-    && Durable.applicable ~slot_size:P.slot_size
+    match t.node.Node.durability with
+    | Core.Durability.Traverse -> Durable.applicable ~slot_size:P.slot_size
+    | Eager | Snapshot _ -> false
 
   let load_link t ~holder =
     if durable t then Durable.check_mark (m t) ~holder;

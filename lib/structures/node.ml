@@ -10,7 +10,7 @@ type t = {
   machine : Machine.t;
   mode : alloc_mode;
   payload : int;
-  durability : Durable.mode;
+  durability : Core.Durability.t;
   mutable next_region : int;
 }
 
@@ -20,7 +20,7 @@ let make ?durability machine ~mode ~payload =
   | _ -> ());
   if payload < 0 then invalid_arg "Node.make: negative payload";
   let durability =
-    match durability with Some d -> d | None -> Durable.mode ()
+    Option.value durability ~default:machine.Machine.durability
   in
   { machine; mode; payload; durability; next_region = 0 }
 

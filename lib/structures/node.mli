@@ -15,22 +15,24 @@ type t = {
   machine : Core.Machine.t;
   mode : alloc_mode;
   payload : int;  (** payload bytes carried by each node *)
-  durability : Durable.mode;
+  durability : Core.Durability.t;
       (** persistence discipline for structures over this node source:
-          [Eager] (the legacy behaviour — no persistence actions in
-          structure code) or [Traverse] (link-and-persist; see
-          {!Durable} and docs/DURABLE.md) *)
+          only [Traverse] (link-and-persist; see {!Durable} and
+          docs/DURABLE.md) adds persistence actions to structure code;
+          under [Eager] and [Snapshot _] it runs the legacy plain
+          accesses *)
   mutable next_region : int;  (** round-robin cursor *)
 }
 
 val make :
-  ?durability:Durable.mode ->
+  ?durability:Core.Durability.t ->
   Core.Machine.t ->
   mode:alloc_mode ->
   payload:int ->
   t
-(** [durability] defaults to the process-wide {!Durable.mode} (set by
-    the front-ends' [--durability] flag; [Eager] out of the box). *)
+(** [durability] defaults to the machine's discipline; the override
+    lets a recovery machine attach a structure under the discipline it
+    was built with. *)
 
 val regions : t -> Nvmpi_nvregion.Region.t array
 (** The regions underlying either mode, in round-robin order. *)

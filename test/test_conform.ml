@@ -59,8 +59,8 @@ let test_gen_is_pure () =
 
 let engine_traces = 25
 
-let report_jobs jobs =
-  Engine.run ~jobs ~seed:42 ~traces:engine_traces ()
+let report_jobs ?durability jobs =
+  Engine.run ~jobs ?durability ~seed:42 ~traces:engine_traces ()
 
 let test_engine_clean_and_covering () =
   let r = report_jobs 1 in
@@ -89,21 +89,25 @@ let test_engine_deterministic_across_jobs () =
   check_str "rerun is byte-identical" r1 (render (report_jobs 1))
 
 let test_engine_clean_under_traverse () =
-  (* Satellite: the whole conformance sweep — structure inserts and
-     removes included — re-run with link-and-persist durability as the
-     process default (docs/DURABLE.md). Durability actions must never
-     change an observable, so the report is as clean as the eager one. *)
-  let module Durable = Nvmpi_structures.Durable in
-  let saved = Durable.mode () in
-  Fun.protect
-    ~finally:(fun () -> Durable.set_default_mode saved)
-    (fun () ->
-      Durable.set_default_mode Durable.Traverse;
-      let r = report_jobs 1 in
-      check "no divergences under traverse durability" 0
-        (List.length r.Engine.failures);
-      check "conform.traces counter" engine_traces
-        (List.assoc "conform.traces" r.Engine.counters))
+  (* The whole conformance sweep — structure inserts and removes
+     included — re-run with link-and-persist durability on every
+     machine (docs/DURABLE.md). Durability actions must never change an
+     observable, so the report is as clean as the eager one, and it
+     records the discipline it ran under. *)
+  let r = report_jobs ~durability:Core.Durability.Traverse 1 in
+  check "no divergences under traverse durability" 0
+    (List.length r.Engine.failures);
+  check "conform.traces counter" engine_traces
+    (List.assoc "conform.traces" r.Engine.counters);
+  let recorded r =
+    Option.bind
+      (Json.member "durability" (Engine.report_to_json r))
+      Json.as_string
+  in
+  Alcotest.(check (option string))
+    "report records traverse" (Some "traverse") (recorded r);
+  Alcotest.(check (option string))
+    "eager report has no durability key" None (recorded (report_jobs 1))
 
 let test_check_trace_replay () =
   (* A handwritten repro through the same entry --replay uses. *)

@@ -194,6 +194,44 @@ let test_jobs_byte_identical () =
   check Alcotest.string "jobs 5 = jobs 1" serial (report_string ~jobs:5 small_config);
   check Alcotest.string "rerun identical" serial (report_string ~jobs:1 small_config)
 
+let test_durability_per_run () =
+  (* The discipline belongs to the run, not the process: an eager report
+     taken after a snapshot run equals the one taken before it, the
+     snapshot run serves from different machines (plain kvstore path,
+     freelist heap) and alone records its discipline, and the two runs
+     side by side on two domains equal their serial reports. *)
+  let snap =
+    { small_config with Server.durability = Core.Durability.Snapshot Line }
+  in
+  let eager_run = Server.run ~jobs:1 small_config in
+  let snap_run = Server.run ~jobs:1 snap in
+  let render r = Json.to_string (Server.report_to_json r) in
+  let eager = render eager_run and snapshot = render snap_run in
+  check Alcotest.string "eager unchanged by a snapshot run" eager
+    (report_string ~jobs:1 small_config);
+  check_bool "snapshot machines serve differently" false
+    (eager_run.Server.results = snap_run.Server.results);
+  let recorded r =
+    Option.bind
+      (Json.member "params" (Server.report_to_json r))
+      (fun p -> Option.bind (Json.member "durability" p) Json.as_string)
+  in
+  check Alcotest.(option string) "snapshot recorded" (Some "snapshot")
+    (recorded snap_run);
+  check Alcotest.(option string) "eager records nothing" None
+    (recorded eager_run);
+  match
+    Nvmpi_parsweep.Pool.map ~jobs:2
+      [
+        (fun () -> report_string ~jobs:1 small_config);
+        (fun () -> report_string ~jobs:1 snap);
+      ]
+  with
+  | [ e; s ] ->
+      check Alcotest.string "eager on a domain = serial" eager e;
+      check Alcotest.string "snapshot on a domain = serial" snapshot s
+  | _ -> Alcotest.fail "Pool.map lost a task"
+
 let test_seed_changes_report () =
   let a = report_string ~jobs:1 small_config in
   let b = report_string ~jobs:1 { small_config with Server.seed = 10 } in
@@ -342,6 +380,8 @@ let () =
           Alcotest.test_case "churn run" `Quick test_churn_run;
           Alcotest.test_case "jobs byte-identical" `Quick
             test_jobs_byte_identical;
+          Alcotest.test_case "durability is per run" `Quick
+            test_durability_per_run;
           Alcotest.test_case "seed changes report" `Quick
             test_seed_changes_report;
           Alcotest.test_case "reprs share the stream" `Quick
