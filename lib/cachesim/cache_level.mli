@@ -1,5 +1,9 @@
 (** One level of a set-associative, write-back, write-allocate cache with
-    LRU replacement. Used as a building block by {!module:Timing}. *)
+    LRU replacement. Used as a building block by {!module:Timing}.
+
+    Storage is allocated on first fill, eight consecutive sets at a time,
+    so creating a level costs one word per eight sets whatever its
+    capacity. *)
 
 type t
 
@@ -34,10 +38,9 @@ val flush_line : t -> addr:int -> bool
     write-back to memory is needed). *)
 
 val invalidate_all : t -> unit
+(** Invalidates every line without writing anything back. *)
 
 val sets : t -> int
-val ways : t -> int
-val line_bytes : t -> int
 
 type stats = { mutable hits : int; mutable misses : int }
 

@@ -49,6 +49,7 @@ let default_buckets = 512
 let trie_vocab =
   lazy (Nvmpi_apps.Text_gen.vocabulary ~size:(1 lsl 17) ~seed:7)
 
+let force_trie_vocab () = ignore (Lazy.force trie_vocab)
 let trie_word key = (Lazy.force trie_vocab).(key land ((1 lsl 17) - 1))
 
 (* Applies only the structure functor the instance needs. A functor

@@ -20,6 +20,11 @@ val structure_of_string : string -> structure option
 val default_buckets : int
 (** Bucket count used for hash-set instances (512). *)
 
+val force_trie_vocab : unit -> unit
+(** Builds the vocabulary trie instances share, once per process. Call
+    it before running instances on several domains: a lazy value forced
+    by two domains at once raises [CamlinternalLazy.Undefined]. *)
+
 type t = {
   insert : int -> unit;
   remove : int -> bool;

@@ -53,12 +53,16 @@ let run p name =
   | None -> invalid_arg (Printf.sprintf "Suite.run: unknown experiment %S" name)
 
 (* Experiments build private machines and metrics registries, so they can
-   run on separate domains; results come back in request order either way. *)
+   run on separate domains; results come back in request order either way.
+   The one value they share, the trie vocabulary, is built before the
+   domains start. *)
 let run_all ?(jobs = 1) p names =
   if jobs <= 1 then List.map (run p) names
-  else
+  else begin
+    Instance.force_trie_vocab ();
     Nvmpi_parsweep.Pool.map ~jobs
       (List.map (fun name () -> run p name) names)
+  end
 
 (* Snapshot (de)serialization -------------------------------------- *)
 

@@ -210,34 +210,91 @@ let test_invalidate_caches_forces_misses () =
   let (), d = Clock.delta clock (fun () -> ignore (Memsim.load64 mem (va 0x10000))) in
   check_bool "miss after invalidation" true (d > cfg.Timing_config.l1_hit)
 
-(* Property: the cache level agrees with a naive reference model (a
-   per-set LRU list) on hit/miss for random access streams. *)
+(* Property: the cache level agrees with a naive reference model on
+   every observable of random access/flush/invalidate streams, over
+   several geometries. The reference keeps, per set, a most-recent-first
+   list of [(line, dirty)] at most [ways] long. *)
+type cache_op = Access of int * bool | Flush of int | Invalidate
+
+let pp_cache_op = function
+  | Access (line, true) -> Printf.sprintf "w%d" line
+  | Access (line, false) -> Printf.sprintf "r%d" line
+  | Flush line -> Printf.sprintf "f%d" line
+  | Invalidate -> "inv"
+
 let prop_cache_matches_reference =
+  let gen =
+    QCheck2.Gen.(
+      oneofl [ (1, 4); (2, 4); (4, 2); (8, 8); (16, 2) ] >>= fun (sets, ways) ->
+      (* Three candidate lines per way keep sets conflicting; half the
+         streams never invalidate, so large sets fill up and evict. *)
+      let line = int_range 0 ((3 * sets * ways) - 1) in
+      int_range 0 1 >>= fun invalidates ->
+      let op =
+        frequency
+          [
+            (40, map2 (fun l w -> Access (l, w)) line bool);
+            (6, map (fun l -> Flush l) line);
+            (invalidates, pure Invalidate);
+          ]
+      in
+      map (fun ops -> ((sets, ways), ops)) (list_size (int_range 20 600) op))
+  in
+  let print ((sets, ways), ops) =
+    Printf.sprintf "%dx%d: %s" sets ways
+      (String.concat " " (List.map pp_cache_op ops))
+  in
   QCheck2.Test.make ~name:"cache level matches a reference LRU model"
-    ~count:60
-    QCheck2.Gen.(list_size (int_range 20 300) (int_range 0 127))
-    (fun lines ->
-      let ways = 2 and sets = 4 in
+    ~count:300 ~print gen
+    (fun ((sets, ways), ops) ->
       let c =
         Cache_level.create ~size_bytes:(ways * sets * 64) ~ways ~line_bits:6
       in
-      (* reference: per set, a most-recent-first list of lines *)
       let reference = Array.make sets [] in
+      let hits = ref 0 and misses = ref 0 in
+      let step op =
+        match op with
+        | Access (line, write) ->
+            let s = line mod sets in
+            let set = reference.(s) in
+            let expected =
+              match List.assoc_opt line set with
+              | Some dirty ->
+                  incr hits;
+                  reference.(s) <-
+                    (line, dirty || write) :: List.remove_assoc line set;
+                  Cache_level.hit
+              | None when List.length set < ways ->
+                  incr misses;
+                  reference.(s) <- (line, write) :: set;
+                  Cache_level.miss_clean
+              | None ->
+                  incr misses;
+                  let lru, dirty = List.nth set (ways - 1) in
+                  reference.(s) <-
+                    (line, write) :: List.filteri (fun i _ -> i < ways - 1) set;
+                  if dirty then lru * 64 else Cache_level.miss_clean
+            in
+            Cache_level.access c ~addr:(line * 64) ~write = expected
+        | Flush line ->
+            let s = line mod sets in
+            let expected =
+              Option.value ~default:false (List.assoc_opt line reference.(s))
+            in
+            reference.(s) <- List.remove_assoc line reference.(s);
+            Cache_level.flush_line c ~addr:(line * 64) = expected
+        | Invalidate ->
+            Array.fill reference 0 sets [];
+            Cache_level.invalidate_all c;
+            true
+      in
       List.for_all
-        (fun line ->
-          let addr = line * 64 in
-          let s = line mod sets in
-          let hit_ref = List.mem line reference.(s) in
-          reference.(s) <-
-            line :: List.filter (fun l -> l <> line) reference.(s);
-          if List.length reference.(s) > ways then
-            reference.(s) <-
-              List.filteri (fun i _ -> i < ways) reference.(s);
-          let hit_c =
-            Cache_level.access c ~addr ~write:false = Cache_level.hit
-          in
-          hit_c = hit_ref)
-        lines)
+        (fun op ->
+          step op
+          &&
+          let st = Cache_level.stats c in
+          st.Cache_level.hits = !hits && st.Cache_level.misses = !misses)
+        ops)
 
 let () =
   Alcotest.run "cachesim"

@@ -702,6 +702,20 @@ let test_deterministic_placement_with_seed () =
   check_bool "different seed, different placement" true
     (not (Vaddr.equal (base_of 1234) (base_of 4321)))
 
+(* A machine costs what a run touches, not what it models: the default
+   32 MiB 16-way L3 alone would take 1.5 Mi words as capacity-sized
+   arrays. [Gc.allocated_bytes] is exact for a given build. *)
+let test_create_allocation () =
+  let store = Store.create () in
+  let before = Gc.allocated_bytes () in
+  ignore (Sys.opaque_identity (Machine.create ~seed:1 ~store ()));
+  let words =
+    int_of_float (Gc.allocated_bytes () -. before) / (Sys.word_size / 8)
+  in
+  check_bool
+    (Printf.sprintf "create allocates %d words, fewer than 64 Ki" words)
+    true (words < 65536)
+
 let test_registry_flags_for_ablation_reprs () =
   check_bool "packed-fat is implicit self-contained (but slow)" true
     (Repr.implicit_self_contained Repr.Packed_fat);
@@ -818,6 +832,7 @@ let () =
           Alcotest.test_case "rid_of_addr" `Quick test_rid_of_addr_exn;
           Alcotest.test_case "deterministic placement" `Quick
             test_deterministic_placement_with_seed;
+          Alcotest.test_case "create allocation" `Quick test_create_allocation;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_random_pointer_graph ]);
     ]
