@@ -56,9 +56,7 @@ let part1_tx_recovery () =
      lands at a different segment; attaching rolls the undo log back. *)
   let images =
     List.map
-      (fun (rid, _, _, _) ->
-        let img = Tracker.crash_image tracker rid in
-        (rid, Bytes.length img, img))
+      (fun (rid, _, _, _) -> (rid, Tracker.crash_image tracker rid))
       (Tracker.tracked tracker)
   in
   let m2, regions = Recovery.boot ~seed:2 images in

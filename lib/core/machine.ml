@@ -228,9 +228,9 @@ let count ?by t name = Metrics.incr ?by t.metrics name
    holds, the sole observer *is* [t.timing] and the fused data access
    plus a direct [Timing.access_line] charge is exactly what the generic
    path's observer dispatch would have done. Any second observer (the
-   fault-injection tracker) or [Memsim.observed false] window makes the
-   guard false and falls back to the generic path, preserving observer
-   semantics and event order bit-for-bit. *)
+   fault-injection tracker) makes the guard false and falls back to the
+   generic path, preserving observer semantics and event order
+   bit-for-bit. *)
 
 let[@inline never] resolve_cell t i name =
   let c = Metrics.handle t.metrics name in

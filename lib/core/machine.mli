@@ -150,7 +150,8 @@ val close_region : t -> Nvmpi_addr.Kinds.Rid.t -> unit
 (** Persists the image back to the store, unmaps the region, and drops
     it from the RIV tables, the fat runtime and — if it holds this
     region — the one-entry [lastID]/[lastAddr] fat-pointer cache (an
-    unobserved bookkeeping write, like the manager's image copies). *)
+    unobserved bookkeeping write, like the manager's image copies). A
+    RID-table page left all zero is released. *)
 
 val close_all : t -> unit
 val region : t -> Nvmpi_addr.Kinds.Rid.t -> Nvmpi_nvregion.Region.t option
@@ -216,9 +217,8 @@ val bump : t -> int -> string -> unit
 val load64_fast : t -> Nvmpi_addr.Kinds.Vaddr.t -> int
 val store64_fast : t -> Nvmpi_addr.Kinds.Vaddr.t -> int -> unit
 (** Fused 64-bit accesses: when the machine's timing model is the sole
-    enabled observer (the steady state — [create] attaches it as
-    observer 0), the data access and the single-line cache charge are
-    made directly, skipping the observer closure. Otherwise (durability
-    tracker attached, or an [observed false] bookkeeping window) they
-    fall back to the generic [load64]/[store64], so observer semantics
-    and event order are preserved exactly. *)
+    observer (the steady state — [create] attaches it as observer 0),
+    the data access and the single-line cache charge are made directly,
+    skipping the observer closure. Otherwise (durability tracker
+    attached) they fall back to the generic [load64]/[store64], so
+    observer semantics and event order are preserved exactly. *)

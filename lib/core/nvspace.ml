@@ -95,10 +95,18 @@ let register_region t ~rid ~base =
     (K.base_entry_vaddr l ~rid)
     (Seg.to_int (K.seg_of_vaddr l base))
 
+(* A region reopened at a fresh segment writes a fresh RID-table page;
+   releasing each table page once its entries are all zero keeps the
+   tables at the pages live regions use. A released page reads as zeros
+   and timing charges by address, so no cycle or counter moves. *)
 let unregister_region t ~rid ~base =
   let l = t.layout in
-  Memsim.store_sized t.mem ~size:t.rid_entry (K.rid_entry_vaddr l base) 0;
-  Memsim.store_sized t.mem ~size:t.base_entry (K.base_entry_vaddr l ~rid) 0
+  let rid_entry = K.rid_entry_vaddr l base in
+  let base_entry = K.base_entry_vaddr l ~rid in
+  Memsim.store_sized t.mem ~size:t.rid_entry rid_entry 0;
+  Memsim.store_sized t.mem ~size:t.base_entry base_entry 0;
+  Memsim.drop_zero_page t.mem rid_entry;
+  Memsim.drop_zero_page t.mem base_entry
 
 let id2addr t rid =
   let l = t.layout in

@@ -37,7 +37,9 @@ val register_region :
 
 val unregister_region :
   t -> rid:Nvmpi_addr.Kinds.Rid.t -> base:Nvmpi_addr.Kinds.Vaddr.t -> unit
-(** Zeroes both entries when the region is closed. *)
+(** Zeroes both entries when the region is closed, then releases each
+    table page that is left all zero
+    (see {!Nvmpi_memsim.Memsim.drop_zero_page}). *)
 
 val id2addr : t -> Nvmpi_addr.Kinds.Rid.t -> Nvmpi_addr.Kinds.Vaddr.t
 (** [id2addr t rid] is the base address of the open region [rid]

@@ -9,6 +9,9 @@
      simulated memory, so only positions are known here — values are
      captured by the line snapshot when a flush arrives).
 
+   The durable image is page-sparse: a page absent at arm time stays
+   absent, reading as zeros, until a fence lands a line on it.
+
    Deliberate simplification (documented in docs/FAULTSIM.md): cache
    evictions are NOT treated as durable. A dirty line evicted from L3
    does reach NVM in the timing model, but whether it does by a given
@@ -16,31 +19,31 @@
    non-durable makes the durable image the guaranteed-persisted lower
    bound, which is the set recovery may rely on. *)
 
+module Page_image = Nvmpi_memsim.Memsim.Page_image
+
 type t = {
   base : int;
   size : int;
   line : int;
-  image : Bytes.t;
+  image : Page_image.t;
   dirty : (int, Bytes.t) Hashtbl.t; (* line start -> byte presence mask *)
   staged : (int, Bytes.t * int) Hashtbl.t; (* snap lo -> (snap, fresh bytes) *)
   mutable durable_total : int;
 }
 
-let create ~base ~size ~line ~init =
-  if Bytes.length init <> size then invalid_arg "Image.create";
+let create ~base ~line ~init =
   {
     base;
-    size;
+    size = Page_image.size init;
     line;
-    image = Bytes.copy init;
+    image = Page_image.copy init;
     dirty = Hashtbl.create 64;
     staged = Hashtbl.create 64;
     durable_total = 0;
   }
 
 let base t = t.base
-let size t = t.size
-let image t = Bytes.copy t.image
+let image t = Page_image.copy t.image
 let durable_bytes t = t.durable_total
 
 let mask_count m =
@@ -105,7 +108,8 @@ let apply t (e : Events.t) =
   | Events.Fence ->
       Hashtbl.iter
         (fun lo (snap, c) ->
-          Bytes.blit snap 0 t.image (lo - t.base) (Bytes.length snap);
+          Page_image.blit_from_bytes snap 0 t.image (lo - t.base)
+            (Bytes.length snap);
           t.durable_total <- t.durable_total + c)
         t.staged;
       Hashtbl.reset t.staged

@@ -16,18 +16,21 @@
 
 type t
 
-val create : base:int -> size:int -> line:int -> init:Bytes.t -> t
+val create :
+  base:int -> line:int -> init:Nvmpi_memsim.Memsim.Page_image.t -> t
 (** [init] (the region contents when tracking was armed) is the initial
-    durable image; [line] is the cache-line size in bytes. *)
+    durable image, copied; its size is the region's. [line] is the
+    cache-line size in bytes. *)
 
 val apply : t -> Events.t -> unit
 (** Folds one event. Events outside [[base, base+size)] are ignored. *)
 
-val image : t -> Bytes.t
-(** A copy of the current durable image. *)
+val image : t -> Nvmpi_memsim.Memsim.Page_image.t
+(** A copy of the current durable image, sharing no page with it. A page
+    is present when it was present in [init] or a fence landed a line
+    on it. *)
 
 val base : t -> int
-val size : t -> int
 
 val durable_bytes : t -> int
 (** Cumulative count of bytes made durable by fences since creation. *)

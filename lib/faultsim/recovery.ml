@@ -6,18 +6,13 @@ module Rid = Nvmpi_addr.Kinds.Rid
 
 let store_of_images images =
   let store = Store.create () in
-  List.iter
-    (fun (rid, size, img) ->
-      Store.add_with_rid store ~rid ~size;
-      let blob = Store.find_exn store rid in
-      Bytes.blit img 0 blob.Store.data 0 size)
-    images;
+  List.iter (fun (rid, img) -> Store.add_image store ~rid img) images;
   store
 
 let boot ?metrics ~seed images =
   let store = store_of_images images in
   let machine = Machine.create ?metrics ~seed ~store () in
   let regions =
-    List.map (fun (rid, _, _) -> (rid, Machine.open_region machine rid)) images
+    List.map (fun (rid, _) -> (rid, Machine.open_region machine rid)) images
   in
   (machine, regions)

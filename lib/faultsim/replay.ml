@@ -10,8 +10,7 @@ let create tracker =
   let line = Tracker.line_size tracker in
   let states =
     List.map
-      (fun (rid, base, size, init) ->
-        (rid, Image.create ~base ~size ~line ~init))
+      (fun (rid, base, _, init) -> (rid, Image.create ~base ~line ~init))
       (Tracker.tracked tracker)
   in
   { tracker; states; pos = 0 }
@@ -28,7 +27,7 @@ let advance t ~upto =
   done
 
 let images t =
-  List.map (fun (rid, st) -> (rid, Image.size st, Image.image st)) t.states
+  List.map (fun (rid, st) -> (rid, Image.image st)) t.states
 
 let durable_bytes t =
   List.fold_left (fun acc (_, st) -> acc + Image.durable_bytes st) 0 t.states

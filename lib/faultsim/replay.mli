@@ -17,9 +17,12 @@ val advance : t -> upto:int -> unit
     [pos..upto-1]). Raises [Invalid_argument] when moving backwards or
     past the end of the log. *)
 
-val images : t -> (Nvmpi_addr.Kinds.Rid.t * int * Bytes.t) list
+val images :
+  t -> (Nvmpi_addr.Kinds.Rid.t * Nvmpi_memsim.Memsim.Page_image.t) list
 (** Durable images of all tracked regions at the current crash point, as
-    [(rid, size, bytes)] — the exact NVM contents a crash here leaves. *)
+    [(rid, image)] — the exact NVM contents a crash here leaves. Each
+    image is a fresh copy of the present pages only, which the caller
+    owns (and {!Recovery.boot} hands to its store). *)
 
 val durable_bytes : t -> int
 val volatile_bytes : t -> int

@@ -12,7 +12,7 @@ type tracked = {
   rid : Rid.t;
   base : int;
   size : int;
-  init : Bytes.t;
+  init : Memsim.Page_image.t;
   state : Image.t; (* live durable state, folded as events arrive *)
 }
 
@@ -81,7 +81,7 @@ let on_fence t =
 let apply_crash t =
   List.iter
     (fun tr ->
-      Memsim.poke_bytes t.machine.Machine.mem ~addr:(Vaddr.v tr.base)
+      Memsim.poke_image t.machine.Machine.mem ~addr:(Vaddr.v tr.base)
         (Image.image tr.state);
       Image.reset_volatile tr.state)
     t.tracked;
@@ -124,10 +124,15 @@ let arm t =
         let base = (Region.base r :> int) in
         let size = Region.size r in
         let init =
-          Memsim.peek_bytes t.machine.Machine.mem ~addr:(Region.base r)
-            ~len:size
+          Memsim.peek_image t.machine.Machine.mem ~addr:(Region.base r) ~size
         in
-        { rid = Region.rid r; base; size; init; state = Image.create ~base ~size ~line:t.line ~init })
+        {
+          rid = Region.rid r;
+          base;
+          size;
+          init;
+          state = Image.create ~base ~line:t.line ~init;
+        })
       regions;
   t.len <- 0;
   t.armed <- true

@@ -10,11 +10,12 @@
     persisted.
 
     Recording is observation-only: the tracker never issues simulated
-    accesses or charges (snapshots go through {!Nvmpi_memsim.Memsim}'s
-    debug port), so an attached-but-unarmed tracker leaves cycle counts
-    unchanged. {!checkpoint} is the exception by design — it {e is} the
-    program action "flush everything volatile, then fence", charged
-    normally. *)
+    accesses or charges (snapshots, the base images taken at {!arm} and
+    the crash written back by {!apply_crash} all go through
+    {!Nvmpi_memsim.Memsim}'s debug port), so an attached-but-unarmed
+    tracker leaves cycle counts unchanged. {!checkpoint} is the
+    exception by design — it {e is} the program action "flush
+    everything volatile, then fence", charged normally. *)
 
 type t
 
@@ -47,11 +48,15 @@ val event_window : t -> upto:int -> width:int -> (int * Events.t) list
 
 (** {1 Durability state} *)
 
-val tracked : t -> (Nvmpi_addr.Kinds.Rid.t * int * int * Bytes.t) list
+val tracked :
+  t ->
+  (Nvmpi_addr.Kinds.Rid.t * int * int * Nvmpi_memsim.Memsim.Page_image.t) list
 (** Tracked regions as [(rid, base, size, base_image)]. *)
 
-val crash_image : t -> Nvmpi_addr.Kinds.Rid.t -> Bytes.t
-(** The region's durable bytes {e now} (crash point [seq t]). *)
+val crash_image :
+  t -> Nvmpi_addr.Kinds.Rid.t -> Nvmpi_memsim.Memsim.Page_image.t
+(** A copy of the region's durable image {e now} (crash point
+    [seq t]). *)
 
 val durable_bytes : t -> int
 val volatile_bytes : t -> int

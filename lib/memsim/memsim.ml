@@ -9,6 +9,107 @@ type observer = write:bool -> addr:int -> size:int -> unit
 let no_observer : observer = fun ~write:_ ~addr:_ ~size:_ -> ()
 let no_page = Bytes.create 0
 
+(* [is_zero b off len]: do [len] bytes of [b] from [off] all read 0?
+   Word-wise: whole pages are scanned on every region close. *)
+let is_zero b off len =
+  let i = ref 0 in
+  while !i + 8 <= len && Int64.equal (Bytes.get_int64_ne b (off + !i)) 0L do
+    i := !i + 8
+  done;
+  while !i < len && Bytes.get b (off + !i) = '\000' do
+    incr i
+  done;
+  !i >= len
+
+module Page_image = struct
+  let page_bits = 12
+  let page_size = 1 lsl page_bits
+
+  (* Slot [i] holds bytes [i * page_size, (i + 1) * page_size) as a
+     full page of its own, or [no_page], which reads as zeros. Bytes of
+     the last page past [size] are 0. *)
+  type t = { size : int; pages : Bytes.t array }
+
+  let create size =
+    if size < 0 then invalid_arg "Memsim.Page_image.create";
+    { size; pages = Array.make ((size + page_size - 1) lsr page_bits) no_page }
+
+  let size t = t.size
+
+  let present t =
+    Array.fold_left (fun n p -> if p == no_page then n else n + 1) 0 t.pages
+
+  let copy_page p = if p == no_page then p else Bytes.copy p
+  let copy t = { t with pages = Array.map copy_page t.pages }
+
+  (* Bytes of the image held by slot [i]. *)
+  let slot_len t i = min page_size (t.size - (i lsl page_bits))
+
+  let check t off len =
+    if off < 0 || len < 0 || off > t.size - len then
+      invalid_arg "Memsim.Page_image: range outside the image"
+
+  let blit_from_bytes src src_off t off len =
+    check t off len;
+    if src_off < 0 || src_off > Bytes.length src - len then
+      invalid_arg "Memsim.Page_image.blit_from_bytes";
+    let i = ref 0 in
+    while !i < len do
+      let o = off + !i in
+      let slot = o lsr page_bits and poff = o land (page_size - 1) in
+      let chunk = min (len - !i) (page_size - poff) in
+      let page =
+        let p = t.pages.(slot) in
+        if p != no_page then p
+        else begin
+          let p = Bytes.make page_size '\000' in
+          t.pages.(slot) <- p;
+          p
+        end
+      in
+      Bytes.blit src (src_off + !i) page poff chunk;
+      i := !i + chunk
+    done
+
+  let sub t off len =
+    check t off len;
+    let b = Bytes.make len '\000' in
+    let i = ref 0 in
+    while !i < len do
+      let o = off + !i in
+      let slot = o lsr page_bits and poff = o land (page_size - 1) in
+      let chunk = min (len - !i) (page_size - poff) in
+      let p = t.pages.(slot) in
+      if p != no_page then Bytes.blit p poff b !i chunk;
+      i := !i + chunk
+    done;
+    b
+
+  let to_bytes t = sub t 0 t.size
+
+  let of_bytes b =
+    let t = create (Bytes.length b) in
+    Array.iteri
+      (fun i _ ->
+        let off = i lsl page_bits and len = slot_len t i in
+        if not (is_zero b off len) then blit_from_bytes b off t off len)
+      t.pages;
+    t
+
+  let get_int64_le t off = Bytes.get_int64_le (sub t off 8) 0
+
+  let set_int64_le t off v =
+    let b = Bytes.create 8 in
+    Bytes.set_int64_le b 0 v;
+    blit_from_bytes b 0 t off 8
+
+  let resize t size =
+    if size < t.size then invalid_arg "Memsim.Page_image.resize";
+    let grown = create size in
+    Array.iteri (fun i p -> grown.pages.(i) <- copy_page p) t.pages;
+    grown
+end
+
 type t = {
   page_bits : int;
   page_mask : int; (* page_size - 1, precomputed for the access path *)
@@ -21,9 +122,9 @@ type t = {
   mutable obs : observer array;
   mutable n_obs : int;
   mutable obs0 : observer;
-  mutable notify : bool;
   (* Single-entry TLB: the last page touched through the access path.
-     Invalidated by unmap (the only operation that drops pages). *)
+     Invalidated by the operations that drop pages: unmap and
+     drop_zero_page. *)
   mutable tlb_page : int; (* -1 = invalid *)
   mutable tlb_bytes : Bytes.t;
   stats : stats;
@@ -46,7 +147,6 @@ let create ?(page_bits = 12) ?metrics () =
     obs = [||];
     n_obs = 0;
     obs0 = no_observer;
-    notify = true;
     tlb_page = -1;
     tlb_bytes = no_page;
     stats = { loads = 0; stores = 0; pages = 0 };
@@ -120,6 +220,18 @@ let unmap t ~addr =
       t.tlb_page <- -1;
       t.tlb_bytes <- no_page
 
+let drop_zero_page t a =
+  let p = a lsr t.page_bits in
+  match Hashtbl.find_opt t.pages p with
+  | Some page when is_zero page 0 (Bytes.length page) ->
+      Hashtbl.remove t.pages p;
+      t.stats.pages <- t.stats.pages - 1;
+      if t.tlb_page = p then begin
+        t.tlb_page <- -1;
+        t.tlb_bytes <- no_page
+      end
+  | _ -> ()
+
 let is_mapped t a = a >= 0 && page_in_ranges t (a lsr t.page_bits)
 
 let mappings t =
@@ -137,8 +249,6 @@ let add_observer t f =
   if t.n_obs = 0 then t.obs0 <- f;
   t.n_obs <- t.n_obs + 1
 
-let observed t b = t.notify <- b
-
 let notify t write addr size =
   if write then begin
     t.stats.stores <- t.stats.stores + 1;
@@ -148,15 +258,13 @@ let notify t write addr size =
     t.stats.loads <- t.stats.loads + 1;
     incr t.c_loads
   end;
-  if t.notify then begin
-    let n = t.n_obs in
-    if n = 1 then t.obs0 ~write ~addr ~size
-    else if n > 1 then
-      let obs = t.obs in
-      for i = 0 to n - 1 do
-        (Array.unsafe_get obs i) ~write ~addr ~size
-      done
-  end
+  let n = t.n_obs in
+  if n = 1 then t.obs0 ~write ~addr ~size
+  else if n > 1 then
+    let obs = t.obs in
+    for i = 0 to n - 1 do
+      (Array.unsafe_get obs i) ~write ~addr ~size
+    done
 
 let materialize t p addr size =
   if not (page_in_ranges t p) then fault addr size "unmapped";
@@ -257,7 +365,7 @@ let store_sized t ~size a v =
    single direct [obs0] call, so fused + caller-side charge is
    observationally identical to the generic path. *)
 
-let[@inline] solo_observed t = t.notify && t.n_obs = 1
+let[@inline] solo_observed t = t.n_obs = 1
 
 let[@inline] note t write =
   if write then begin
@@ -344,6 +452,70 @@ let fill t ~addr ~len c =
     store8 t (addr + i) (Char.code c)
   done
 
+(* Whole-image copies, slot by slot: slot [i] of an image at the
+   page-aligned [addr] is memory page [addr / page + i]. [count] bumps
+   one load or store per slot, present or not, as a chunked blit of the
+   flat image does; the debug-port forms pass [false]. Neither
+   direction calls observers or touches the TLB: a page it writes is
+   either already in the table (and overwritten in place) or new. *)
+
+let image_first_page t ~addr ~what =
+  if t.page_bits <> Page_image.page_bits then
+    invalid_arg (what ^ ": memory page size is not the image page size");
+  if addr < 0 || addr land t.page_mask <> 0 then
+    invalid_arg (what ^ ": base not page-aligned");
+  addr lsr t.page_bits
+
+let check_slot_mapped t p len =
+  if not (page_in_ranges t p) then
+    fault (p lsl t.page_bits) len "unmapped (image copy)"
+
+let copy_in t ~addr ~count ~what (img : Page_image.t) =
+  let first = image_first_page t ~addr ~what in
+  Array.iteri
+    (fun i src ->
+      let p = first + i and len = Page_image.slot_len img i in
+      check_slot_mapped t p len;
+      (match Hashtbl.find_opt t.pages p with
+      | Some dst ->
+          if src == no_page then Bytes.fill dst 0 len '\000'
+          else Bytes.blit src 0 dst 0 len
+      | None ->
+          if src != no_page then begin
+            Hashtbl.add t.pages p (Bytes.copy src);
+            t.stats.pages <- t.stats.pages + 1
+          end);
+      if count then note t true)
+    img.Page_image.pages
+
+let copy_out t ~addr ~count ~what (img : Page_image.t) =
+  let first = image_first_page t ~addr ~what in
+  let pages = img.Page_image.pages in
+  Array.iteri
+    (fun i dst ->
+      let p = first + i and len = Page_image.slot_len img i in
+      check_slot_mapped t p len;
+      (match Hashtbl.find_opt t.pages p with
+      | Some src ->
+          let dst =
+            if dst != no_page then dst
+            else begin
+              let fresh = Bytes.make Page_image.page_size '\000' in
+              pages.(i) <- fresh;
+              fresh
+            end
+          in
+          Bytes.blit src 0 dst 0 len
+      | None -> pages.(i) <- no_page);
+      if count then note t false)
+    pages
+
+let install t ~addr img =
+  copy_in t ~addr ~count:true ~what:"Memsim.install" img
+
+let extract t ~addr img =
+  copy_out t ~addr ~count:true ~what:"Memsim.extract" img
+
 (* Debug port: raw access that bypasses the access pipeline entirely —
    no observers, no load/store statistics or counters. Harness-only
    (the fault-injection subsystem's snapshot/restore machinery); never
@@ -380,6 +552,14 @@ let poke_bytes t ~addr b =
     i := !i + chunk
   done
 
+let peek_image t ~addr ~size =
+  let img = Page_image.create size in
+  copy_out t ~addr ~count:false ~what:"Memsim.peek_image" img;
+  img
+
+let poke_image t ~addr img =
+  copy_in t ~addr ~count:false ~what:"Memsim.poke_image" img
+
 (* Typed facade (Kinds discipline, see Nvmpi_addr.Kinds): the public
    signature takes typed virtual addresses; the wrappers are zero-cost
    coercions over the int-based engine above. *)
@@ -388,6 +568,7 @@ module Vaddr = Nvmpi_addr.Kinds.Vaddr
 
 let map t ~addr:(a : Vaddr.t) ~size = map t ~addr:(a :> int) ~size
 let unmap t ~addr:(a : Vaddr.t) = unmap t ~addr:(a :> int)
+let drop_zero_page t (a : Vaddr.t) = drop_zero_page t (a :> int)
 let is_mapped t (a : Vaddr.t) = is_mapped t (a :> int)
 let mappings t = List.map (fun (a, s) -> (Vaddr.v a, s)) (mappings t)
 let load8 t (a : Vaddr.t) = load8 t (a :> int)
@@ -408,3 +589,7 @@ let blit_to_bytes t ~addr:(a : Vaddr.t) ~len = blit_to_bytes t ~addr:(a :> int) 
 let fill t ~addr:(a : Vaddr.t) ~len c = fill t ~addr:(a :> int) ~len c
 let peek_bytes t ~addr:(a : Vaddr.t) ~len = peek_bytes t ~addr:(a :> int) ~len
 let poke_bytes t ~addr:(a : Vaddr.t) b = poke_bytes t ~addr:(a :> int) b
+let install t ~addr:(a : Vaddr.t) img = install t ~addr:(a :> int) img
+let extract t ~addr:(a : Vaddr.t) img = extract t ~addr:(a :> int) img
+let peek_image t ~addr:(a : Vaddr.t) ~size = peek_image t ~addr:(a :> int) ~size
+let poke_image t ~addr:(a : Vaddr.t) img = poke_image t ~addr:(a :> int) img

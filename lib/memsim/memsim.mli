@@ -52,6 +52,11 @@ val mappings : t -> (Nvmpi_addr.Kinds.Vaddr.t * int) list
 (** All mapped ranges as [(addr, size)] pairs, sorted by address
     (page-rounded). *)
 
+val drop_zero_page : t -> Nvmpi_addr.Kinds.Vaddr.t -> unit
+(** [drop_zero_page t a] releases the page holding [a] if it is present
+    and all zero. An absent mapped page reads as zeros, so no access can
+    tell the difference; only {!stats}[.pages] and host memory do. *)
+
 (** {1 Observers} *)
 
 val add_observer : t -> observer -> unit
@@ -59,11 +64,6 @@ val add_observer : t -> observer -> unit
     access has been validated. Registration is O(1) amortized; a memory
     with a single observer (the common case: the timing model) pays one
     direct closure call per access. *)
-
-val observed : t -> bool -> unit
-(** [observed t false] temporarily disables observer notification (used
-    when the harness performs bookkeeping accesses that should not be
-    charged by the timing model); [observed t true] re-enables it. *)
 
 (** {1 Typed accesses}
 
@@ -102,8 +102,8 @@ val store_sized : t -> size:int -> Nvmpi_addr.Kinds.Vaddr.t -> int -> unit
     line charge. *)
 
 val solo_observed : t -> bool
-(** True iff notification is on and exactly one observer is registered —
-    the precondition for the fused entry points. *)
+(** True iff exactly one observer is registered — the precondition for
+    the fused entry points. *)
 
 val load64_fused : t -> Nvmpi_addr.Kinds.Vaddr.t -> int
 val store64_fused : t -> Nvmpi_addr.Kinds.Vaddr.t -> int -> unit
@@ -123,6 +123,75 @@ val blit_to_bytes : t -> addr:Nvmpi_addr.Kinds.Vaddr.t -> len:int -> bytes
 
 val fill : t -> addr:Nvmpi_addr.Kinds.Vaddr.t -> len:int -> char -> unit
 
+(** {1 Region images}
+
+    A region's contents outside any address space — the store's
+    canonical image, a tracker's durable image — are kept as
+    {!Page_image.t}s: arrays of 4 KiB pages where a missing page reads
+    as zeros, just as an untouched mapped page of simulated memory
+    does. Copies between memory and an image move only the pages that
+    are present. Memory and image never share a page: every copy
+    allocates or overwrites a page of the destination's own. *)
+
+module Page_image : sig
+  type t
+
+  val page_size : int
+  (** 4096: the page size of every image, and of the memory it is
+      copied to or from. *)
+
+  val create : int -> t
+  (** [create size] is an all-zero image of [size] bytes with no page
+      present. *)
+
+  val size : t -> int
+
+  val present : t -> int
+  (** Number of pages present. Absent pages read as zeros; a present
+      page may also be all zero. *)
+
+  val copy : t -> t
+  (** A copy that shares no page with the original. *)
+
+  val of_bytes : bytes -> t
+  (** The image of flat bytes, keeping only the pages that hold a
+      non-zero byte. *)
+
+  val to_bytes : t -> bytes
+  (** The image as [size t] flat bytes. *)
+
+  val blit_from_bytes : bytes -> int -> t -> int -> int -> unit
+  (** [blit_from_bytes src src_off t off len] copies [len] bytes of
+      [src] into the image at [off], making the pages it writes
+      present. Raises [Invalid_argument] outside [[0, size t)]. *)
+
+  val get_int64_le : t -> int -> int64
+  val set_int64_le : t -> int -> int64 -> unit
+
+  val resize : t -> int -> t
+  (** [resize t size] is a copy of [t] grown to [size] bytes; the new
+      tail reads as zeros. Raises [Invalid_argument] if [size] is
+      smaller than [size t]. *)
+end
+
+val install : t -> addr:Nvmpi_addr.Kinds.Vaddr.t -> Page_image.t -> unit
+(** [install t ~addr img] writes [img] into memory at [addr]: the
+    present pages are copied into pages of the memory's own, and the
+    memory's existing pages under absent ones are zeroed. No observer
+    fires. It counts one [mem.stores] per page the image spans, present
+    or not: as many as a {!blit_from_bytes} of the flat image counts.
+    [addr] must be page-aligned. Raises {!Fault} if the range leaves
+    mapped memory. *)
+
+val extract : t -> addr:Nvmpi_addr.Kinds.Vaddr.t -> Page_image.t -> unit
+(** [extract t ~addr img] overwrites [img] with the [Page_image.size img]
+    bytes of memory at [addr]; an untouched page of memory becomes an
+    absent page of [img], and bytes of the last memory page past
+    [size img] stay behind. No observer fires; it counts one
+    [mem.loads] per page the image spans and materializes no page.
+    [addr] must be page-aligned. Raises {!Fault} if the range leaves
+    mapped memory. *)
+
 (** {1 Debug port}
 
     Raw access below the access pipeline: no observers fire, no
@@ -140,9 +209,19 @@ val poke_bytes : t -> addr:Nvmpi_addr.Kinds.Vaddr.t -> bytes -> unit
 (** [poke_bytes t ~addr b] overwrites simulated memory with [b] without
     observing. Raises {!Fault} if the range leaves mapped memory. *)
 
+val peek_image :
+  t -> addr:Nvmpi_addr.Kinds.Vaddr.t -> size:int -> Page_image.t
+(** {!extract} into a fresh image of [size] bytes, through the debug
+    port: no counter moves. *)
+
+val poke_image : t -> addr:Nvmpi_addr.Kinds.Vaddr.t -> Page_image.t -> unit
+(** {!install} through the debug port: no counter moves. *)
+
 (** {1 Statistics} *)
 
 type stats = { mutable loads : int; mutable stores : int; mutable pages : int }
 
 val stats : t -> stats
-(** Cumulative access counts and number of materialized pages. *)
+(** Cumulative access counts, and the number of pages present now:
+    pages materialized by an access or an image copy, less those that
+    {!unmap} or {!drop_zero_page} released. *)

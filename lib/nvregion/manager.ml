@@ -77,9 +77,7 @@ let open_region ?at_nvbase t (rid : Rid.t) =
       in
       let base = K.vaddr_of_seg t.layout (Seg.v nvbase) in
       Memsim.map t.mem ~addr:base ~size:blob.Store.size;
-      Memsim.observed t.mem false;
-      Memsim.blit_from_bytes t.mem ~addr:base blob.Store.data;
-      Memsim.observed t.mem true;
+      Memsim.install t.mem ~addr:base blob.Store.data;
       let r = Region.make ~mem:t.mem ~rid ~base ~size:blob.Store.size in
       Region.check_header r;
       Hashtbl.add t.open_tbl (rid :> int) r;
@@ -102,12 +100,7 @@ let is_open t (rid : Rid.t) = Hashtbl.mem t.open_tbl (rid :> int)
 let save_region t rid =
   let r = region_exn t rid in
   let blob = Store.find_exn t.store rid in
-  Memsim.observed t.mem false;
-  let data =
-    Memsim.blit_to_bytes t.mem ~addr:(Region.base r) ~len:(Region.size r)
-  in
-  Memsim.observed t.mem true;
-  Bytes.blit data 0 blob.Store.data 0 (Bytes.length data)
+  Memsim.extract t.mem ~addr:(Region.base r) blob.Store.data
 
 let close_region t (rid : Rid.t) =
   let r = region_exn t rid in

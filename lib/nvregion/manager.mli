@@ -6,9 +6,12 @@
     virtual address from one run to the next. Closing a region writes
     the (possibly modified) image back to the store and unmaps it.
 
-    The manager performs its image copies with memory observers disabled:
-    mapping is an OS-level operation whose cost is not part of any of the
-    paper's measured pointer operations. *)
+    The manager's image copies ({!Nvmpi_memsim.Memsim.install} and
+    {!Nvmpi_memsim.Memsim.extract}) call no memory observer: mapping is
+    an OS-level operation whose cost is not part of any of the paper's
+    measured pointer operations. They move only the pages the image or
+    the memory holds, and count one [mem.stores] (open) or [mem.loads]
+    (save, close) per page the region spans. *)
 
 type t
 

@@ -1,7 +1,8 @@
 module K = Nvmpi_addr.Kinds
 module Rid = K.Rid
+module Page_image = Nvmpi_memsim.Memsim.Page_image
 
-type blob = { rid : Rid.t; size : int; data : Bytes.t }
+type blob = { rid : Rid.t; size : int; data : Page_image.t }
 
 (* The store indexes blobs by raw ID: it models the NVM device, below
    the typed discipline; [Rid.t] appears at the interface. *)
@@ -14,25 +15,37 @@ let magic = Header.magic
 let create () = { blobs = Hashtbl.create 16; next = 1 }
 
 let init_header b ~rid ~size =
-  Bytes.set_int64_le b Header.off_magic (Int64.of_int magic);
-  Bytes.set_int64_le b Header.off_rid (Int64.of_int rid);
-  Bytes.set_int64_le b Header.off_size (Int64.of_int size);
-  Bytes.set_int64_le b Header.off_heap_top (Int64.of_int header_bytes);
-  Bytes.set_int64_le b Header.off_nroots 0L
+  let set off v = Page_image.set_int64_le b off (Int64.of_int v) in
+  set Header.off_magic magic;
+  set Header.off_rid rid;
+  set Header.off_size size;
+  set Header.off_heap_top header_bytes;
+  set Header.off_nroots 0
 
-let add_with_rid t ~rid:(rid' : Rid.t) ~size =
-  let rid = (rid' :> int) in
-  if rid <= 0 then invalid_arg "Store.add_with_rid: rid must be positive";
+(* [fn] names the caller in errors. *)
+let check_new ~fn t rid ~size =
+  if rid <= 0 then invalid_arg (fn ^ ": rid must be positive");
   if Hashtbl.mem t.blobs rid then
-    invalid_arg (Printf.sprintf "Store.add_with_rid: rid %d exists" rid);
+    invalid_arg (Printf.sprintf "%s: rid %d exists" fn rid);
   if size < header_bytes then
-    invalid_arg
-      (Printf.sprintf "Store.add_with_rid: size %d < header %d" size
-         header_bytes);
-  let data = Bytes.make size '\000' in
-  init_header data ~rid ~size;
-  Hashtbl.add t.blobs rid { rid = rid'; size; data };
+    invalid_arg (Printf.sprintf "%s: size %d < header %d" fn size header_bytes)
+
+let add_blob t rid data =
+  let size = Page_image.size data in
+  Hashtbl.add t.blobs rid { rid = Rid.v rid; size; data };
   if rid >= t.next then t.next <- rid + 1
+
+let add_with_rid t ~rid:(rid : Rid.t) ~size =
+  let rid = (rid :> int) in
+  check_new ~fn:"Store.add_with_rid" t rid ~size;
+  let data = Page_image.create size in
+  init_header data ~rid ~size;
+  add_blob t rid data
+
+let add_image t ~rid:(rid : Rid.t) data =
+  let rid = (rid :> int) in
+  check_new ~fn:"Store.add_image" t rid ~size:(Page_image.size data);
+  add_blob t rid data
 
 let add t ~size =
   let rid = Rid.v t.next in
@@ -48,10 +61,9 @@ let grow t ~rid:(rid : Rid.t) ~size =
   | Some b ->
       if size <= b.size then
         invalid_arg "Store.grow: new size must exceed the current size";
-      let data = Bytes.make size '\000' in
-      Bytes.blit b.data 0 data 0 b.size;
+      let data = Page_image.resize b.data size in
       (* The header records the region size; update it in the image. *)
-      Bytes.set_int64_le data Header.off_size (Int64.of_int size);
+      Page_image.set_int64_le data Header.off_size (Int64.of_int size);
       Hashtbl.replace t.blobs (rid :> int) { b with size; data }
 
 let find_exn t (rid : Rid.t) =
@@ -71,7 +83,7 @@ let ids t =
 let next_rid t = Rid.v t.next
 
 let blob_rid b =
-  Rid.v (Int64.to_int (Bytes.get_int64_le b.data Header.off_rid))
+  Rid.v (Int64.to_int (Page_image.get_int64_le b.data Header.off_rid))
 
 let file_magic = "NVMPI-STORE-1\n"
 
@@ -88,7 +100,7 @@ let save_file t path =
           let b = find_exn t rid in
           output_binary_int oc (b.rid :> int);
           output_binary_int oc b.size;
-          output_bytes oc b.data)
+          output_bytes oc (Page_image.to_bytes b.data))
         ids)
 
 let load_file path =
@@ -105,7 +117,6 @@ let load_file path =
         let size = input_binary_int ic in
         let data = Bytes.create size in
         really_input ic data 0 size;
-        Hashtbl.add t.blobs rid { rid = Rid.v rid; size; data };
-        if rid >= t.next then t.next <- rid + 1
+        add_blob t rid (Page_image.of_bytes data)
       done;
       t)

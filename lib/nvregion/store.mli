@@ -15,7 +15,9 @@ type t
 type blob = {
   rid : Nvmpi_addr.Kinds.Rid.t;
   size : int;  (** usable region size in bytes, header included *)
-  data : Bytes.t;
+  data : Nvmpi_memsim.Memsim.Page_image.t;
+      (** the image, page-sparse: only pages a run has touched are
+          present. It shares no page with any simulated memory. *)
 }
 
 val create : unit -> t
@@ -28,6 +30,13 @@ val add : t -> size:int -> Nvmpi_addr.Kinds.Rid.t
 val add_with_rid : t -> rid:Nvmpi_addr.Kinds.Rid.t -> size:int -> unit
 (** Like {!add} with an explicit ID. Raises [Invalid_argument] if the ID
     is taken or is 0. *)
+
+val add_image :
+  t -> rid:Nvmpi_addr.Kinds.Rid.t -> Nvmpi_memsim.Memsim.Page_image.t -> unit
+(** [add_image t ~rid img] adds region [rid] with image [img], header
+    and all, as it stands. The store takes [img] over without copying:
+    the caller must not use it afterwards. Raises [Invalid_argument] as
+    {!add_with_rid} does. *)
 
 val grow : t -> rid:Nvmpi_addr.Kinds.Rid.t -> size:int -> unit
 (** [grow t ~rid ~size] enlarges a region image to [size] bytes,
@@ -47,7 +56,8 @@ val next_rid : t -> Nvmpi_addr.Kinds.Rid.t
 (** {1 File persistence} *)
 
 val save_file : t -> string -> unit
-(** Serializes every region image to the given file. *)
+(** Serializes every region image to the given file, each as its flat
+    [size] bytes. *)
 
 val load_file : string -> t
 (** Loads a store previously written by {!save_file}. Raises [Failure]

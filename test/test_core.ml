@@ -73,6 +73,28 @@ let test_nvspace_unregister () =
        false
      with Nvspace.Unknown_region _ -> true)
 
+(* Every reopen at a fresh segment writes a RID-table entry on a page
+   of its own; unregistering must release that page again, so memory
+   stays at the pages live regions use however often they move. *)
+let test_nvspace_reopens_keep_pages_flat () =
+  let _, m = machine ~seed:6 () in
+  let rids = List.init 2 (fun _ -> Machine.create_region m ~size:8192) in
+  let reopen_all () =
+    List.iter
+      (fun rid ->
+        Machine.close_region m rid;
+        ignore (Machine.open_region m rid))
+      rids
+  in
+  List.iter (fun rid -> ignore (Machine.open_region m rid)) rids;
+  reopen_all ();
+  let pages () = (Memsim.stats m.Machine.mem).Memsim.pages in
+  let p0 = pages () in
+  for _ = 1 to 1000 do
+    reopen_all ()
+  done;
+  check "page count after 2000 reopens" p0 (pages ())
+
 let test_nvspace_multi_region () =
   let _, m = machine ~seed:5 () in
   let regions =
@@ -762,6 +784,8 @@ let () =
           Alcotest.test_case "unknown region" `Quick test_nvspace_unknown_region;
           Alcotest.test_case "unregister" `Quick test_nvspace_unregister;
           Alcotest.test_case "ten regions" `Quick test_nvspace_multi_region;
+          Alcotest.test_case "reopens keep table pages flat" `Quick
+            test_nvspace_reopens_keep_pages_flat;
         ] );
       ( "fat-table",
         [

@@ -7,6 +7,7 @@ module Vaddr = Core.Kinds.Vaddr
 module Metrics = Core.Metrics
 module Objstore = Nvmpi_tx.Objstore
 module Tx = Nvmpi_tx.Tx
+module Page_image = Memsim.Page_image
 open Nvmpi_faultsim
 
 let check = Alcotest.(check int)
@@ -23,25 +24,30 @@ let fresh_machine ?(seed = 1) () =
 (* Durability state machine ------------------------------------------- *)
 
 let snap_of b lo = Events.Flush { lo; snap = b }
+let zero_image size = Page_image.create size
+
+(* Byte [i] of the durable image. *)
+let durable_byte img i =
+  Char.code (Bytes.get (Page_image.to_bytes (Image.image img)) i)
 
 let test_image_store_not_durable () =
-  let img = Image.create ~base:0 ~size:256 ~line ~init:(Bytes.make 256 '\000') in
+  let img = Image.create ~base:0 ~line ~init:(zero_image 256) in
   Image.apply img (Events.Store { addr = 8; size = 8 });
   check "store alone leaves image untouched" 0
-    (Char.code (Bytes.get (Image.image img) 8));
+    (durable_byte img 8);
   check "dirty bytes are volatile" 8 (Image.volatile_bytes img);
   check "nothing durable yet" 0 (Image.durable_bytes img)
 
 let test_image_flush_needs_fence () =
-  let img = Image.create ~base:0 ~size:256 ~line ~init:(Bytes.make 256 '\000') in
+  let img = Image.create ~base:0 ~line ~init:(zero_image 256) in
   Image.apply img (Events.Store { addr = 0; size = 8 });
   Image.apply img (snap_of (Bytes.make line 'x') 0);
   check "flushed-not-fenced image untouched" 0
-    (Char.code (Bytes.get (Image.image img) 0));
+    (durable_byte img 0);
   check_bool "staged bytes still volatile" true (Image.volatile_bytes img > 0);
   Image.apply img Events.Fence;
   check "fence lands the line snapshot" (Char.code 'x')
-    (Char.code (Bytes.get (Image.image img) 0));
+    (durable_byte img 0);
   (* durable_bytes counts newly durable bytes — the 8 stored ones; the
      rest of the line was already durable from the init image. *)
   check "stored bytes are durable" 8 (Image.durable_bytes img);
@@ -50,18 +56,18 @@ let test_image_flush_needs_fence () =
 let test_image_snapshot_semantics () =
   (* The fence persists the line contents at flush time, not the last
      store: a store after the flush stays volatile. *)
-  let img = Image.create ~base:0 ~size:256 ~line ~init:(Bytes.make 256 '\000') in
+  let img = Image.create ~base:0 ~line ~init:(zero_image 256) in
   Image.apply img (Events.Store { addr = 0; size = 8 });
   Image.apply img (snap_of (Bytes.make line 'a') 0);
   Image.apply img (Events.Store { addr = 0; size = 8 });
   Image.apply img Events.Fence;
   check "post-flush store not included" (Char.code 'a')
-    (Char.code (Bytes.get (Image.image img) 0));
+    (durable_byte img 0);
   check_bool "post-flush store is volatile again" true
     (Image.volatile_bytes img > 0)
 
 let test_image_pending_lines () =
-  let img = Image.create ~base:0 ~size:1024 ~line ~init:(Bytes.make 1024 '\000') in
+  let img = Image.create ~base:0 ~line ~init:(zero_image 1024) in
   Image.apply img (Events.Store { addr = 10; size = 4 });
   Image.apply img (Events.Store { addr = 300; size = 4 });
   (match Image.pending_lines img with
@@ -71,17 +77,87 @@ let test_image_pending_lines () =
         (String.concat ";" (List.map string_of_int l)));
   Image.reset_volatile img;
   check "reset drops pending" 0 (List.length (Image.pending_lines img));
-  check "reset keeps durable image size" 1024 (Bytes.length (Image.image img))
+  check "reset keeps durable image size" 1024
+    (Page_image.size (Image.image img))
 
 let test_image_out_of_range_ignored () =
   let img =
-    Image.create ~base:4096 ~size:256 ~line ~init:(Bytes.make 256 '\000')
+    Image.create ~base:4096 ~line ~init:(zero_image 256)
   in
   Image.apply img (Events.Store { addr = 0; size = 8 });
   Image.apply img (snap_of (Bytes.make line 'z') 0);
   Image.apply img Events.Fence;
   check "events outside the region do nothing" 0 (Image.durable_bytes img);
-  check "image unchanged" 0 (Char.code (Bytes.get (Image.image img) 0))
+  check "image unchanged" 0 (durable_byte img 0)
+
+(* A random Store/Flush/Fence stream folded into [Image] leaves the
+   durable image equal, at every point, to a flat-bytes reference in
+   which a fence copies the newest unfenced snapshot of each line. The
+   region is page-aligned but not a page (or line) multiple, starts from
+   an image with zero and non-zero pages, and sees events outside it. *)
+let prop_image_matches_flat_reference =
+  let base = 4096 and size = (3 * 4096) + 200 in
+  let lines = (size + line - 1) / line in
+  let flat_bytes ~dense ~seed len =
+    let st = Random.State.make [| seed |] in
+    Bytes.init len (fun i ->
+        if dense (i / 4096) && Random.State.int st 3 = 0 then
+          Char.chr (Random.State.int st 256)
+        else '\000')
+  in
+  let init =
+    QCheck2.Gen.(
+      map2
+        (fun dense seed -> flat_bytes ~dense:(Array.get dense) ~seed size)
+        (array_size (return 4) bool) int)
+  in
+  let event =
+    QCheck2.Gen.(
+      frequency
+        [
+          ( 3,
+            map2
+              (fun addr size -> Events.Store { addr; size })
+              (int_range (base - 64) (base + size + 64))
+              (oneofl [ 1; 2; 4; 8 ]) );
+          ( 3,
+            (* Lines -1 and [lines] lie outside the region; the tracker
+               clips a flush of the region's last line to the region. *)
+            map3
+              (fun l dense seed ->
+                let lo = base + (l * line) in
+                let hi =
+                  if l < 0 || l >= lines then lo + line
+                  else min (lo + line) (base + size)
+                in
+                snap_of (flat_bytes ~dense:(fun _ -> dense) ~seed (hi - lo)) lo)
+              (int_range (-1) lines) bool int );
+          (1, return Events.Fence);
+        ])
+  in
+  QCheck2.Test.make
+    ~name:"durable image matches a flat reference at every point" ~count:200
+    QCheck2.Gen.(pair init (list_size (int_range 0 150) event))
+    (fun (init, events) ->
+      let img = Image.create ~base ~line ~init:(Page_image.of_bytes init) in
+      let reference = Bytes.copy init in
+      let staged = Hashtbl.create 16 in
+      List.for_all
+        (fun e ->
+          Image.apply img e;
+          (match e with
+          | Events.Store _ -> ()
+          | Events.Flush { lo; snap } ->
+              if lo < base + size && lo + Bytes.length snap > base then
+                Hashtbl.replace staged lo snap
+          | Events.Fence ->
+              Hashtbl.iter
+                (fun lo snap ->
+                  Bytes.blit snap 0 reference (lo - base) (Bytes.length snap))
+                staged;
+              Hashtbl.reset staged);
+          Bytes.equal (Page_image.to_bytes (Image.image img)) reference)
+        events)
 
 (* Tracker ------------------------------------------------------------- *)
 
@@ -99,11 +175,11 @@ let test_tracker_records_and_materializes () =
   (* Not flushed: the durable image still holds the pre-arm value. *)
   let img = Tracker.crash_image tr (Region.rid r) in
   check "durable image holds pre-crash value" 111
-    (Bytes.get_int64_le img (Region.offset_of_addr r a) |> Int64.to_int);
+    (Page_image.get_int64_le img (Region.offset_of_addr r a) |> Int64.to_int);
   Tracker.checkpoint tr;
   let img = Tracker.crash_image tr (Region.rid r) in
   check "checkpoint makes the store durable" 222
-    (Bytes.get_int64_le img (Region.offset_of_addr r a) |> Int64.to_int)
+    (Page_image.get_int64_le img (Region.offset_of_addr r a) |> Int64.to_int)
 
 let test_tracker_crash_hook_reverts_memory () =
   let m, r = fresh_machine () in
@@ -118,6 +194,22 @@ let test_tracker_crash_hook_reverts_memory () =
   (* After the crash the dropped store is gone from the volatile sets
      too: a checkpoint immediately after must be a no-op. *)
   check "nothing volatile after crash" 0 (Tracker.volatile_bytes tr)
+
+(* A page the region first touches after [arm] is absent from the
+   durable image, so the crash must zero it in live memory. *)
+let test_crash_zeroes_page_touched_after_arm () =
+  let m, r = fresh_machine () in
+  let a = Region.addr_of_offset r (512 * 1024) in
+  let tr = Tracker.attach m in
+  Tracker.arm tr;
+  let pages () = (Memsim.stats m.Machine.mem).Memsim.pages in
+  let p0 = pages () in
+  Machine.store64 m a 77;
+  check "the store materialized a page" (p0 + 1) (pages ());
+  check "durable image holds the header page only" 1
+    (Page_image.present (Tracker.crash_image tr (Region.rid r)));
+  Tracker.apply_crash tr;
+  check "crash zeroes the page" 0 (Machine.load64 m a)
 
 let test_simulate_crash_with_tracker () =
   let m, r = fresh_machine () in
@@ -169,10 +261,10 @@ let test_replay_matches_tracker () =
   Machine.store64 m a 42;
   let cur = Replay.create tr in
   Replay.advance cur ~upto:(Tracker.seq tr);
-  let _, size, img = List.hd (Replay.images cur) in
-  check "replayed image size" (Region.size r) size;
+  let _, img = List.hd (Replay.images cur) in
+  check "replayed image size" (Region.size r) (Page_image.size img);
   check "replay at log end equals live durable image" 41
-    (Bytes.get_int64_le img (Region.offset_of_addr r a) |> Int64.to_int);
+    (Page_image.get_int64_le img (Region.offset_of_addr r a) |> Int64.to_int);
   Alcotest.check_raises "cursor cannot move backwards"
     (Invalid_argument "Replay.advance: cursor only moves forward") (fun () ->
       Replay.advance cur ~upto:0)
@@ -334,6 +426,7 @@ let () =
             test_image_snapshot_semantics;
           Alcotest.test_case "pending lines and reset" `Quick
             test_image_pending_lines;
+          QCheck_alcotest.to_alcotest prop_image_matches_flat_reference;
           Alcotest.test_case "events outside the region ignored" `Quick
             test_image_out_of_range_ignored;
         ] );
@@ -341,6 +434,8 @@ let () =
         [
           Alcotest.test_case "records and materializes durability" `Quick
             test_tracker_records_and_materializes;
+          Alcotest.test_case "crash zeroes a page touched after arm" `Quick
+            test_crash_zeroes_page_touched_after_arm;
           Alcotest.test_case "crash hook reverts live memory" `Quick
             test_tracker_crash_hook_reverts_memory;
           Alcotest.test_case "Tx.simulate_crash goes through the tracker"

@@ -117,13 +117,7 @@ let test_observers () =
   ignore (Memsim.load64 m base);
   ignore (Memsim.load8 m base);
   check "stores" 1 !stores;
-  check "loads" 2 !loads;
-  Memsim.observed m false;
-  ignore (Memsim.load64 m base);
-  check "suppressed" 2 !loads;
-  Memsim.observed m true;
-  ignore (Memsim.load64 m base);
-  check "restored" 3 !loads
+  check "loads" 2 !loads
 
 let test_stats () =
   let m, base = fresh () in
@@ -310,6 +304,125 @@ let prop_tlb_matches_reference =
               | exception Memsim.Fault _ -> not mapped.(s)))
         ops)
 
+(* Region images ---------------------------------------------------------- *)
+
+module Page_image = Memsim.Page_image
+
+let page = Page_image.page_size
+
+(* A 1 MiB image with bytes on two of its 256 pages. *)
+let sparse_image () =
+  let img = Page_image.create (1 lsl 20) in
+  Page_image.set_int64_le img 8 0x1111L;
+  Page_image.set_int64_le img 700_000 0x2222L;
+  img
+
+let test_image_copies_present_pages () =
+  let m, base = fresh ~base:0x100000 ~size:(1 lsl 20) () in
+  let img = sparse_image () in
+  check "two pages present" 2 (Page_image.present img);
+  Memsim.install m ~addr:base img;
+  check "install materializes the present pages only" 2
+    (Memsim.stats m).Memsim.pages;
+  check "first word" 0x1111 (Memsim.load64 m (Vaddr.add base 8));
+  check "second word" 0x2222 (Memsim.load64 m (Vaddr.add base 700_000));
+  check "absent page reads zero" 0 (Memsim.load64 m (Vaddr.add base 0x8000));
+  (* Memory owns its pages: storing does not reach the image. *)
+  Memsim.store64 m (Vaddr.add base 8) 0x3333;
+  check "image unchanged by a store" 0x1111
+    (Int64.to_int (Page_image.get_int64_le img 8));
+  let out = Page_image.create (1 lsl 20) in
+  Memsim.extract m ~addr:base out;
+  check "extract keeps the touched pages" 3 (Page_image.present out);
+  check "extracted word" 0x3333 (Int64.to_int (Page_image.get_int64_le out 8));
+  (* ... and the image owns its pages: writing it does not reach memory. *)
+  Page_image.set_int64_le out 8 0x4444L;
+  check "memory unchanged by the image" 0x3333
+    (Memsim.load64 m (Vaddr.add base 8))
+
+let test_image_install_zeroes_absent () =
+  let m, base = fresh ~size:(2 * page) () in
+  Memsim.store64 m (Vaddr.add base (page + 16)) 99;
+  Memsim.install m ~addr:base (Page_image.create (2 * page));
+  check "absent slot zeroes the page under it" 0
+    (Memsim.load64 m (Vaddr.add base (page + 16)))
+
+let test_image_counts () =
+  let m, base = fresh ~size:(4 * page) () in
+  let s = Memsim.stats m in
+  let img = Page_image.create ((3 * page) + 100) in
+  Page_image.set_int64_le img 0 7L;
+  Memsim.install m ~addr:base img;
+  Memsim.extract m ~addr:base img;
+  check "install counts one store per slot" 4 s.Memsim.stores;
+  check "extract counts one load per slot" 4 s.Memsim.loads;
+  Memsim.poke_image m ~addr:base img;
+  ignore (Memsim.peek_image m ~addr:base ~size:(Page_image.size img));
+  check "debug port counts no store" 4 s.Memsim.stores;
+  check "debug port counts no load" 4 s.Memsim.loads
+
+let test_image_rejects () =
+  let m, base = fresh () in
+  let img = Page_image.create page in
+  Alcotest.check_raises "base must be page-aligned"
+    (Invalid_argument "Memsim.install: base not page-aligned") (fun () ->
+      Memsim.install m ~addr:(Vaddr.add base 8) img);
+  check_bool "unmapped range faults" true
+    (try
+       Memsim.install m ~addr:(va 0x100000) img;
+       false
+     with Memsim.Fault _ -> true);
+  Alcotest.check_raises "image writes stay inside the image"
+    (Invalid_argument "Memsim.Page_image: range outside the image") (fun () ->
+      Page_image.set_int64_le img (page - 4) 1L)
+
+let test_drop_zero_page () =
+  let m, base = fresh () in
+  let s = Memsim.stats m in
+  Memsim.store64 m base 5;
+  Memsim.drop_zero_page m base;
+  check "a page holding data stays" 1 s.Memsim.pages;
+  Memsim.store64 m base 0;
+  Memsim.drop_zero_page m base;
+  check "an all-zero page goes" 0 s.Memsim.pages;
+  (* The dropped page was the TLB's: a store after the drop must land
+     in a fresh page that later accesses find. *)
+  Memsim.store64 m base 7;
+  ignore (Memsim.load64 m (Vaddr.add base page));
+  check "store after the drop survives" 7 (Memsim.load64 m base)
+
+(* Flat bytes with some zero pages, a size that is often not a multiple
+   of the page size, and values with the high bit set. *)
+let gen_flat =
+  QCheck2.Gen.(
+    let* pages = int_range 1 4 and* tail = int_range 0 (page - 1) in
+    let size = ((pages - 1) * page) + tail + 1 in
+    let* dense = array_size (return pages) bool in
+    let* seed = int in
+    let st = Random.State.make [| seed |] in
+    return
+      (Bytes.init size (fun i ->
+           if dense.(i / page) && Random.State.int st 4 = 0 then
+             Char.chr (Random.State.int st 256)
+           else '\000')))
+
+let prop_image_copies_match_blits =
+  QCheck2.Test.make
+    ~name:"image install/extract match flat blits on arbitrary bytes"
+    ~count:100 gen_flat (fun flat ->
+      let len = Bytes.length flat in
+      let img = Page_image.of_bytes flat in
+      let m, base = fresh ~size:(4 * page) () in
+      Memsim.install m ~addr:base img;
+      let out = Page_image.create len in
+      Memsim.extract m ~addr:base out;
+      Bytes.equal (Page_image.to_bytes img) flat
+      && Bytes.equal (Memsim.blit_to_bytes m ~addr:base ~len) flat
+      && Bytes.equal (Page_image.to_bytes out) flat
+      && Bytes.equal
+           (Page_image.to_bytes (Memsim.peek_image m ~addr:base ~size:len))
+           flat)
+
 let prop_disjoint_writes =
   QCheck2.Test.make ~name:"writes to distinct words do not interfere"
     ~count:200
@@ -370,5 +483,17 @@ let () =
           QCheck_alcotest.to_alcotest prop_blit_arbitrary_bytes;
           QCheck_alcotest.to_alcotest prop_tlb_matches_reference;
           QCheck_alcotest.to_alcotest prop_disjoint_writes;
+          QCheck_alcotest.to_alcotest prop_image_copies_match_blits;
+        ] );
+      ( "images",
+        [
+          Alcotest.test_case "copies move present pages only" `Quick
+            test_image_copies_present_pages;
+          Alcotest.test_case "install zeroes pages under absent slots" `Quick
+            test_image_install_zeroes_absent;
+          Alcotest.test_case "counted and debug-port copies" `Quick
+            test_image_counts;
+          Alcotest.test_case "rejects" `Quick test_image_rejects;
+          Alcotest.test_case "drop_zero_page" `Quick test_drop_zero_page;
         ] );
     ]

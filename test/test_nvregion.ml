@@ -5,6 +5,8 @@ module Memsim = Core.Memsim
 module Layout = Core.Layout
 module Kinds = Core.Kinds
 module Vaddr = Kinds.Vaddr
+module Page_image = Memsim.Page_image
+module Metrics = Core.Metrics
 
 (* Tests bless host integers at the Figure 8 trust boundary and coerce
    typed results back out for Alcotest's int checkers. *)
@@ -66,14 +68,67 @@ let test_store_file_roundtrip () =
   let s = Store.create () in
   let rid = Store.add s ~size:65536 in
   let b = Store.find_exn s rid in
-  Bytes.set b.Store.data 8192 'Q';
+  Page_image.blit_from_bytes (Bytes.of_string "Q") 0 b.Store.data 8192 1;
   let path = Filename.temp_file "nvmpi" ".store" in
   Store.save_file s path;
   let s' = Store.load_file path in
   Sys.remove path;
   let b' = Store.find_exn s' rid in
-  Alcotest.(check char) "payload byte" 'Q' (Bytes.get b'.Store.data 8192);
+  Alcotest.(check char) "payload byte" 'Q'
+    (Bytes.get (Page_image.to_bytes b'.Store.data) 8192);
   check "next_rid preserved" (ir (Store.next_rid s)) (ir (Store.next_rid s'))
+
+(* The file format is flat: magic, region count, then per region its
+   id, size and [size] bytes, every page present or not. *)
+let flat_file regions =
+  let buf = Buffer.create 4096 in
+  let int n =
+    Buffer.add_string buf
+      (String.init 4 (fun i -> Char.chr ((n lsr (8 * (3 - i))) land 0xFF)))
+  in
+  Buffer.add_string buf "NVMPI-STORE-1\n";
+  int (List.length regions);
+  List.iter
+    (fun (rid, data) ->
+      int rid;
+      int (Bytes.length data);
+      Buffer.add_bytes buf data)
+    regions;
+  Buffer.contents buf
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let test_store_file_is_flat () =
+  let s = Store.create () in
+  let rid = Store.add s ~size:12345 in
+  let b = Store.find_exn s rid in
+  Page_image.set_int64_le b.Store.data 9000 (-1L);
+  let path = Filename.temp_file "nvmpi" ".store" in
+  Store.save_file s path;
+  let written = read_file path in
+  Sys.remove path;
+  Alcotest.(check string) "flat bytes of every page"
+    (flat_file [ (ir rid, Page_image.to_bytes b.Store.data) ])
+    written
+
+let test_store_loads_flat_file () =
+  let data = Bytes.make 10000 '\000' in
+  Bytes.set_int64_le data 0 (Int64.of_int Store.magic);
+  Bytes.set_int64_le data 8 3L;
+  Bytes.set_int64_le data 9000 0x5151L;
+  let path = Filename.temp_file "nvmpi" ".store" in
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_string oc (flat_file [ (3, data) ]));
+  let s = Store.load_file path in
+  Sys.remove path;
+  let b = Store.find_exn s (ri 3) in
+  check "size" 10000 b.Store.size;
+  check "header rid" 3 (ir (Store.blob_rid b));
+  check "only the non-zero pages are present" 2
+    (Page_image.present b.Store.data);
+  Alcotest.(check bool) "contents" true
+    (Bytes.equal data (Page_image.to_bytes b.Store.data));
+  check "next rid" 4 (ir (Store.next_rid s))
 
 (* Regions through a manager *)
 
@@ -193,7 +248,54 @@ let test_save_region_checkpoint () =
   let blob = Store.find_exn store rid in
   let off = Vaddr.offset_in a ~base:(Region.base r) in
   check "checkpointed" 42
-    (Int64.to_int (Bytes.get_int64_le blob.Store.data off))
+    (Int64.to_int (Page_image.get_int64_le blob.Store.data off))
+
+(* Opening copies the image in and closing copies it out, one counted
+   store or load per page the region spans, whether or not the image
+   holds that page — what the chunked flat blit with observers off
+   counted. Opening also loads the header's magic and rid. *)
+let test_open_close_counts () =
+  List.iter
+    (fun (size, chunks) ->
+      let metrics = Metrics.create () in
+      let mem = Memsim.create ~metrics () in
+      let store = Store.create () in
+      let mgr = Manager.create ~seed:9 ~layout ~mem ~store () in
+      let rid = Manager.create_region mgr ~size in
+      let stores () = Metrics.get metrics "mem.stores" in
+      let loads () = Metrics.get metrics "mem.loads" in
+      let s0 = stores () and l0 = loads () in
+      ignore (Manager.open_region mgr rid);
+      check (Printf.sprintf "%d-byte open stores" size) chunks (stores () - s0);
+      check (Printf.sprintf "%d-byte open loads" size) 2 (loads () - l0);
+      let s1 = stores () and l1 = loads () in
+      Manager.close_region mgr rid;
+      check (Printf.sprintf "%d-byte close stores" size) 0 (stores () - s1);
+      check (Printf.sprintf "%d-byte close loads" size) chunks (loads () - l1);
+      check "stats agree with the counters" (stores ())
+        (Memsim.stats mem).Memsim.stores)
+    [ (4096, 1); (3 * 4096, 3); (1 lsl 20, 256); (5000, 2) ]
+
+(* The last mapped page of a region whose size is not a page multiple
+   holds bytes past the region; they never reach the image. *)
+let test_bytes_past_size_stay_out () =
+  let store, mgr = manager ~seed:12 () in
+  let rid = Manager.create_region mgr ~size:5000 in
+  let r = Manager.open_region mgr rid in
+  let mem = Manager.mem mgr in
+  Memsim.store8 mem (Vaddr.add (Region.base r) 4999) 0x41;
+  Memsim.store64 mem (Vaddr.add (Region.base r) 6000) 0x4242;
+  check "past-size store landed in memory" 0x4242
+    (Memsim.load64 mem (Vaddr.add (Region.base r) 6000));
+  Manager.close_region mgr rid;
+  Store.grow store ~rid ~size:8192;
+  let flat = Page_image.to_bytes (Store.find_exn store rid).Store.data in
+  check "last byte of the region kept" 0x41 (Char.code (Bytes.get flat 4999));
+  check_bool "grown tail is zero" true
+    (Bytes.for_all (fun c -> c = '\000') (Bytes.sub flat 5000 (8192 - 5000)));
+  let r = Manager.open_region mgr rid in
+  check "reopened tail reads zero" 0
+    (Memsim.load64 mem (Vaddr.add (Region.base r) 6000))
 
 let test_pinned_placement () =
   let _, mgr = manager ~seed:6 () in
@@ -284,6 +386,9 @@ let () =
           Alcotest.test_case "rejects" `Quick test_store_rejects;
           Alcotest.test_case "header init" `Quick test_store_header;
           Alcotest.test_case "file roundtrip" `Quick test_store_file_roundtrip;
+          Alcotest.test_case "file is flat" `Quick test_store_file_is_flat;
+          Alcotest.test_case "loads a flat file" `Quick
+            test_store_loads_flat_file;
         ] );
       ( "regions",
         [
@@ -300,6 +405,10 @@ let () =
             test_persistence_across_runs;
           Alcotest.test_case "close unmaps" `Quick test_close_unmaps;
           Alcotest.test_case "checkpoint" `Quick test_save_region_checkpoint;
+          Alcotest.test_case "open/close count one access per page" `Quick
+            test_open_close_counts;
+          Alcotest.test_case "bytes past size stay out of the image" `Quick
+            test_bytes_past_size_stay_out;
           Alcotest.test_case "pinned placement" `Quick test_pinned_placement;
           Alcotest.test_case "region_of_addr" `Quick test_region_of_addr;
           Alcotest.test_case "oversized region rejected" `Quick
