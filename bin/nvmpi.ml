@@ -45,9 +45,20 @@ let bench_cmd =
     Arg.(value & pos_all (enum (List.map (fun e -> (e, e)) experiments)) [ "all" ]
          & info [] ~docv:"EXPERIMENT")
   in
+  (* A snapshot records its scale for check to re-run with, so a value
+     check cannot read back (nan) or that sizes ignore (<= 0) is
+     refused here. *)
+  let positive =
+    Arg.conv'
+      ( (fun s ->
+          match float_of_string_opt s with
+          | Some f when f > 0.0 -> Ok f
+          | _ -> Error (Printf.sprintf "expected a positive number, got %S" s)),
+        Format.pp_print_float )
+  in
   let scale =
-    Arg.(value & opt float 1.0
-         & info [ "scale" ] ~doc:"Scale factor on workload sizes.")
+    Arg.(value & opt positive 1.0
+         & info [ "scale" ] ~doc:"Scale factor on workload sizes (positive).")
   in
   let seed =
     Arg.(value & opt (some int) None
@@ -119,9 +130,16 @@ let check_cmd =
   let tolerance =
     Arg.(value & opt float 0.10
          & info [ "tolerance" ]
-             ~doc:"Allowed relative deviation per cycle count.")
+             ~doc:"Allowed relative deviation per cycle count \
+                   (non-negative).")
   in
-  let run path tolerance =
+  let jobs =
+    Arg.(value & opt int 1
+         & info [ "jobs" ] ~docv:"N"
+             ~doc:"Re-run the experiments on N domains. The cells are \
+                   identical to a serial run; only wall-clock changes.")
+  in
+  let run path tolerance jobs =
     let open Nvmpi_experiments in
     let ( let* ) r f =
       match r with
@@ -133,7 +151,10 @@ let check_cmd =
     let* baseline = Core.Json.of_file path in
     let* params = Suite.params_of_json baseline in
     let* names = Suite.names_of_json baseline in
-    let fresh = Suite.snapshot_of params (Suite.run_all params names) in
+    (* A baseline checked against itself has no mismatches, so this
+       rejects a bad tolerance or schema before the experiments run. *)
+    let* _ = Suite.check ~tolerance ~baseline ~fresh:baseline () in
+    let fresh = Suite.snapshot_of params (Suite.run_all ~jobs params names) in
     let* compared, mismatches = Suite.check ~tolerance ~baseline ~fresh () in
     if mismatches = [] then
       Printf.printf "check: PASS (%d cells within %g%% of %s)\n" compared
@@ -149,7 +170,7 @@ let check_cmd =
     (Cmd.info "check"
        ~doc:"Re-run the experiments a benchmark snapshot records and fail \
              on cycle-count regressions beyond the tolerance.")
-    Term.(const run $ baseline $ tolerance)
+    Term.(const run $ baseline $ tolerance $ jobs)
 
 (* run *)
 
@@ -225,12 +246,6 @@ let crash_cmd =
              ~doc:"Inject a crash after every recorded event (store, flush, \
                    fence) instead of only after fences.")
   in
-  let sample =
-    Arg.(value & opt (some int) None
-         & info [ "sample" ] ~docv:"N"
-             ~doc:"Inject crashes at N seeded random event indices per \
-                   scenario (plus the endpoints). Overrides --exhaustive.")
-  in
   let json =
     Arg.(value & opt (some string) None
          & info [ "json" ] ~docv:"FILE"
@@ -270,14 +285,9 @@ let crash_cmd =
                    --only/--skip-selftest filtering), one per line, and \
                    exit without sweeping.")
   in
-  let run seed exhaustive sample json skip_selftest jobs wall_json only
-      list_names =
+  let run seed exhaustive json skip_selftest jobs wall_json only list_names =
     let open Nvmpi_faultsim in
-    let mode =
-      match sample with
-      | Some n -> Sweep.Sampled n
-      | None -> if exhaustive then Sweep.Exhaustive else Sweep.After_fences
-    in
+    let mode = if exhaustive then Sweep.Exhaustive else Sweep.After_fences in
     let scenarios =
       Scenario.defaults ()
       @ (if skip_selftest then [] else Scenario.selftests ())
@@ -325,8 +335,8 @@ let crash_cmd =
              the durable image at each point, reopen it at fresh segments \
              and verify recovery invariants for every pointer \
              representation.")
-    Term.(const run $ seed $ exhaustive $ sample $ json $ skip_selftest
-          $ jobs $ wall_json $ only $ list_names)
+    Term.(const run $ seed $ exhaustive $ json $ skip_selftest $ jobs
+          $ wall_json $ only $ list_names)
 
 (* fuzz *)
 

@@ -2,8 +2,8 @@ module Json = Nvmpi_obs.Json
 
 let schema_version = 2
 
-(* v1 snapshots differ from v2 only by the optional "wall" section, which
-   the cycle check never reads, so both remain checkable. *)
+(* v2 differs from v1 only by an optional host wall-clock section that
+   the cycle check never reads, so both versions stay checkable. *)
 let readable_versions = [ 1; 2 ]
 
 type params = { scale : float; seed : int option; wordcount_full : bool }
@@ -43,13 +43,11 @@ let experiments =
 let names = List.map fst experiments
 let mem name = List.mem_assoc name experiments
 
-type result = { name : string; tables : Table.t list; wall_ns : int }
+type result = { name : string; tables : Table.t list }
 
 let run p name =
   match List.assoc_opt name experiments with
-  | Some f ->
-      let tables, wall_ns = Nvmpi_parsweep.Wall.time (fun () -> f p) in
-      { name; tables; wall_ns }
+  | Some f -> { name; tables = f p }
   | None -> invalid_arg (Printf.sprintf "Suite.run: unknown experiment %S" name)
 
 (* Experiments build private machines and metrics registries, so they can
@@ -74,8 +72,8 @@ let params_to_json p =
       ("wordcount_full", Json.Bool p.wordcount_full);
     ]
 
-let snapshot_of ?(wall = false) ?(deref_ns = []) p results =
-  let base =
+let snapshot_of p results =
+  Json.Obj
     [
       ("schema_version", Json.Int schema_version);
       ("params", params_to_json p);
@@ -90,42 +88,6 @@ let snapshot_of ?(wall = false) ?(deref_ns = []) p results =
                  ])
              results) );
     ]
-  in
-  (* Wall-clock is host noise, not simulated time: it lives in its own
-     section, off by default, so snapshots stay byte-comparable and the
-     cycle check below never sees it. *)
-  let wall_section =
-    if not wall then []
-    else
-      [
-        ( "wall",
-          Json.Obj
-            ([
-               ( "total_ns",
-                 Json.Int
-                   (List.fold_left (fun a r -> a + r.wall_ns) 0 results) );
-               ( "experiments",
-                 Json.List
-                   (List.map
-                      (fun r ->
-                        Json.Obj
-                          [
-                            ("name", Json.String r.name);
-                            ("wall_ns", Json.Int r.wall_ns);
-                          ])
-                      results) );
-             ]
-            @
-            if deref_ns = [] then []
-            else
-              [
-                ( "deref_ns_per_op",
-                  Json.Obj
-                    (List.map (fun (n, v) -> (n, Json.Float v)) deref_ns) );
-              ]) );
-      ]
-  in
-  Json.Obj (base @ wall_section)
 
 let ( let* ) = Result.bind
 
@@ -179,8 +141,12 @@ let names_of_json doc =
             Option.bind (Json.member "name" e) Json.as_string)
           exps
       in
-      if List.length names = List.length exps then Ok names
-      else Error "snapshot: an experiment entry has no name"
+      if List.length names <> List.length exps then
+        Error "snapshot: an experiment entry has no name"
+      else
+        match List.find_opt (fun n -> not (mem n)) names with
+        | Some n -> Error (Printf.sprintf "snapshot: unknown experiment %S" n)
+        | None -> Ok names
 
 (* Regression check -------------------------------------------------- *)
 
@@ -261,6 +227,13 @@ let pp_mismatch m =
         m.key m.baseline fresh pct
 
 let check ?(tolerance = 0.10) ~baseline ~fresh () =
+  let* () =
+    if tolerance >= 0.0 then Ok ()
+    else
+      Error
+        (Printf.sprintf "tolerance must be a non-negative number, got %g"
+           tolerance)
+  in
   let* base_cells = index_cells baseline in
   let* fresh_cells = index_cells fresh in
   let tbl = Hashtbl.create 256 in

@@ -2,14 +2,13 @@
     of their results, and regression checking of one snapshot against
     another.
 
-    A snapshot is the schema-versioned document [bench/main.exe --json]
+    A snapshot is the schema-versioned document [nvmpi bench --json]
     writes (see [docs/METRICS.md] for the full schema):
 
     {v
     { "schema_version": 2,
       "params": { "scale": ..., "seed": ..., "wordcount_full": ... },
-      "experiments": [ { "name": "fig12", "tables": [ ... ] }, ... ],
-      "wall": { ... }   (optional, host wall-clock — never checked) }
+      "experiments": [ { "name": "fig12", "tables": [ ... ] }, ... ] }
     v}
 
     [check] compares the per-cell ["cycles"] values of two snapshots'
@@ -28,18 +27,16 @@ val default : params
 (** scale 1.0, default seeds, scaled wordcount inputs. *)
 
 val names : string list
-(** Every experiment name, in paper order: fig12, payload, table1,
-    fig13, fig14, regions, fig15, breakdown, ablations. The bechamel
-    host-time micro-benchmarks are not part of the suite — they measure
-    the simulator, not the simulated machine, so they have no
-    deterministic cycle numbers to snapshot. *)
+(** Every experiment name: the paper's evaluation in paper order
+    (fig12, payload, table1, fig13, fig14, regions, fig15, breakdown),
+    then ablations, churn, durset and snapshot. Host time is not a
+    suite experiment — it measures the simulator, not the simulated
+    machine, so it has no deterministic cycle numbers to snapshot. *)
 
 val mem : string -> bool
 (** Whether a string names a suite experiment. *)
 
-type result = { name : string; tables : Table.t list; wall_ns : int }
-(** [wall_ns] is the host wall-clock the experiment took to {e run};
-    it never appears in the table cells. *)
+type result = { name : string; tables : Table.t list }
 
 val run : params -> string -> result
 (** Runs one named experiment.
@@ -48,20 +45,13 @@ val run : params -> string -> result
 val run_all : ?jobs:int -> params -> string list -> result list
 (** [jobs > 1] runs the experiments on a {!Nvmpi_parsweep.Pool} — each
     experiment already builds private machines and metrics registries —
-    and returns results in request order, identical to the serial run
-    except for [wall_ns]. *)
+    and returns results in request order, identical to the serial
+    run. *)
 
-val snapshot_of :
-  ?wall:bool ->
-  ?deref_ns:(string * float) list ->
-  params -> result list -> Nvmpi_obs.Json.t
-(** The schema-versioned snapshot document for a set of results.
-    [~wall:true] (default false) appends a ["wall"] section with
-    per-experiment and total [wall_ns], and — when
-    [deref_ns] is non-empty — a ["deref_ns_per_op"] object mapping each
-    representation to its measured host-nanosecond single-dereference
-    cost. {!check} ignores the whole section, and determinism tests
-    compare snapshots without it. *)
+val snapshot_of : params -> result list -> Nvmpi_obs.Json.t
+(** The schema-versioned snapshot document for a set of results. It
+    holds nothing host-dependent, so equal inputs give byte-identical
+    documents. *)
 
 val params_of_json :
   Nvmpi_obs.Json.t -> (params, string) Stdlib.result
@@ -70,7 +60,9 @@ val params_of_json :
 
 val names_of_json :
   Nvmpi_obs.Json.t -> (string list, string) Stdlib.result
-(** The experiment names a snapshot contains, in order. *)
+(** The experiment names a snapshot contains, in order. [Error] if an
+    entry has no name or names an experiment {!mem} rejects, so a check
+    fails before it runs anything. *)
 
 val check :
   ?tolerance:float ->
@@ -87,4 +79,4 @@ val check :
     (default 0.10, i.e. 10%) in either direction — a large speedup is
     as suspicious as a slowdown when the simulator is deterministic.
     [Error] means a snapshot is malformed or from another schema
-    version. *)
+    version, or [tolerance] is negative. *)

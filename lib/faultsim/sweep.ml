@@ -1,12 +1,11 @@
 module Metrics = Nvmpi_obs.Metrics
 module Json = Nvmpi_obs.Json
 
-type mode = After_fences | Exhaustive | Sampled of int
+type mode = After_fences | Exhaustive
 
 let mode_to_string = function
   | After_fences -> "after-fences"
   | Exhaustive -> "exhaustive"
-  | Sampled k -> Printf.sprintf "sampled-%d" k
 
 type failure = {
   seq : int;
@@ -31,7 +30,7 @@ let scenario_ok r =
 
 let ok report = List.for_all scenario_ok report.scenarios
 
-let crash_points tracker mode ~seed =
+let crash_points tracker mode =
   let n = Tracker.seq tracker in
   let pts =
     match mode with
@@ -44,10 +43,6 @@ let crash_points tracker mode ~seed =
           | _ -> ()
         done;
         !after_fences
-    | Sampled k ->
-        let st = Random.State.make [| seed; n; 0x5EED |] in
-        let draws = List.init k (fun _ -> Random.State.int st (n + 1)) in
-        0 :: n :: draws
   in
   List.sort_uniq compare pts
 
@@ -116,7 +111,7 @@ let run_scenario ?(jobs = 1) ~metrics ~seed ~mode (sc : Scenario.t) =
   (* The workload is over; stop recording so recovery machines and the
      verification itself cannot grow the log under the cursor. *)
   Tracker.disarm tracker;
-  let points = crash_points tracker mode ~seed in
+  let points = crash_points tracker mode in
   let outcomes =
     if jobs <= 1 then eval_points ~tracker ~verify ~seed points
     else
@@ -155,7 +150,7 @@ let run ?(jobs = 1) ?(mode = After_fences) ~metrics ~seed scenarios =
                     sc.Scenario.run ~metrics ~seed
                   in
                   Tracker.disarm tracker;
-                  let points = crash_points tracker mode ~seed in
+                  let points = crash_points tracker mode in
                   (tracker, verify, points,
                    Nvmpi_parsweep.Pool.chunks ~jobs points))
             in

@@ -11,7 +11,6 @@ type mode =
       (** one point after every fence, plus the endpoints — the moments
           a crash can actually expose distinct durable states *)
   | Exhaustive  (** every event index (after every store/flush/fence) *)
-  | Sampled of int  (** [k] seeded uniform draws, plus the endpoints *)
 
 val mode_to_string : mode -> string
 

@@ -111,8 +111,11 @@ val load_sized_fused : t -> size:int -> Nvmpi_addr.Kinds.Vaddr.t -> int
 
 (** {1 Bulk transfers}
 
-    Bulk transfers are observed as a sequence of 8-byte (then byte-sized)
-    accesses. *)
+    A bulk transfer splits at page boundaries and counts one access per
+    piece: each chunk, at most a page long, bumps [mem.stores]
+    ([blit_from_bytes]) or [mem.loads] ([blit_to_bytes]) once and is
+    reported to every observer as a single access of its own address
+    and size. *)
 
 val blit_from_bytes : t -> addr:Nvmpi_addr.Kinds.Vaddr.t -> bytes -> unit
 (** Copies an OCaml [bytes] into simulated memory at [addr]. *)

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Documentation consistency gate (CI step; run any time with
-# scripts/doc_check.sh). Three checks, all derived from the code so the
+# scripts/doc_check.sh). Four checks, all derived from the code so the
 # docs cannot silently go stale:
 #
 #   1. every nvmpi subcommand (the Cmd.info names in bin/nvmpi.ml) is
@@ -8,7 +8,10 @@
 #   2. every registered counter prefix (the first dotted component of
 #      counter names in lib/) has a catalogue entry in docs/METRICS.md;
 #   3. every intra-repo markdown link in the curated docs resolves
-#      (anchors stripped; http(s)/mailto links skipped).
+#      (anchors stripped; http(s)/mailto links skipped);
+#   4. every `dune exec <dir>/<name>.exe` in the docs, the skill notes,
+#      scripts/ and CI names an executable that <dir>/dune declares,
+#      and every scripts/<name>.sh they mention exists.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -66,8 +69,33 @@ for doc in $docs; do
   done < <(grep -oE '\]\([^)[:space:]]+\)' "$doc" | sed -e 's/^](//' -e 's/)$//')
 done
 
+# --- 4. executables and scripts ---------------------------------------
+
+scanned="README.md DESIGN.md EXPERIMENTS.md docs .claude/skills scripts .github/workflows/ci.yml"
+# The executables a dune file declares: the (name ...) or (names ...)
+# that opens each executable(s)/test(s) stanza.
+declared() {
+  tr '\n' ' ' < "$1" \
+    | grep -oE '\((executables?|tests?)[[:space:]]+\(names?[[:space:]]+[^)]*\)' \
+    | sed -E 's/.*\(names?[[:space:]]+//; s/\)$//' | tr -s ' \t' '\n'
+}
+exes=$(grep -rhoE 'dune exec [A-Za-z0-9_/-]+\.exe' $scanned | sed 's/^dune exec //' | sort -u)
+for exe in $exes; do
+  dir="${exe%/*}"
+  name="$(basename "$exe" .exe)"
+  if [ ! -f "$dir/dune" ]; then
+    err "'dune exec $exe' is named, but $dir/dune does not exist"
+  elif ! declared "$dir/dune" | grep -qx "$name"; then
+    err "'dune exec $exe' is named, but $dir/dune declares no executable '$name'"
+  fi
+done
+scripts=$(grep -rhoE 'scripts/[A-Za-z0-9_-]+\.sh' $scanned | sort -u)
+for script in $scripts; do
+  [ -f "$script" ] || err "'$script' is named, but it does not exist"
+done
+
 if [ "$fail" -ne 0 ]; then
   echo "doc_check: FAIL" >&2
   exit 1
 fi
-echo "doc_check: PASS ($(echo "$subcommands" | wc -w | tr -d ' ') subcommands, $(echo "$prefixes" | wc -w | tr -d ' ') counter prefixes, links OK)"
+echo "doc_check: PASS ($(echo "$subcommands" | wc -w | tr -d ' ') subcommands, $(echo "$prefixes" | wc -w | tr -d ' ') counter prefixes, links OK, $(echo "$exes" | wc -w | tr -d ' ') executables, $(echo "$scripts" | wc -w | tr -d ' ') scripts)"

@@ -247,6 +247,110 @@ let test_structure_equivalence () =
         Repr.all)
     (Instance.structures @ Instance.extension_structures)
 
+(* Suite.check *)
+
+module Json = Nvmpi_obs.Json
+
+(* A hand-built snapshot holding what check reads: one fig12 table
+   whose cells are (label, cycles) pairs under a single row. *)
+let snapshot ?(version = Json.Int 2) ?(name = "fig12") cells =
+  let cell (label, cycles) =
+    Json.Obj [ ("label", Json.String label); ("cycles", Json.Int cycles) ]
+  in
+  let table =
+    Json.Obj
+      [
+        ("title", Json.String "t");
+        ( "records",
+          Json.List
+            [
+              Json.Obj
+                [
+                  ("row", Json.String "list");
+                  ("cells", Json.List (List.map cell cells));
+                ];
+            ] );
+      ]
+  in
+  Json.Obj
+    [
+      ("schema_version", version);
+      ( "experiments",
+        Json.List
+          [
+            Json.Obj
+              [ ("name", Json.String name); ("tables", Json.List [ table ]) ];
+          ] );
+    ]
+
+let base = snapshot [ ("riv", 1000); ("fat", 2000); ("zero", 0) ]
+
+let mismatches ?tolerance fresh =
+  match Suite.check ?tolerance ~baseline:base ~fresh () with
+  | Ok (compared, lines) ->
+      check "every baseline cell compared" 3 compared;
+      lines
+  | Error msg -> Alcotest.failf "unexpected error: %s" msg
+
+let expect_one prefix = function
+  | [ line ] ->
+      if not (String.starts_with ~prefix line) then
+        Alcotest.failf "expected a %s line, got %S" prefix line
+  | lines -> Alcotest.failf "expected one mismatch, got %d" (List.length lines)
+
+let expect_error what = function
+  | Ok _ -> Alcotest.failf "%s: expected Error" what
+  | Error _ -> ()
+
+let test_check_exact () =
+  check "exact match, tolerance 0" 0
+    (List.length (mismatches ~tolerance:0.0 base))
+
+let test_check_tolerance () =
+  let fresh riv = snapshot [ ("riv", riv); ("fat", 2000); ("zero", 0) ] in
+  check "5% inside 10%" 0
+    (List.length (mismatches ~tolerance:0.1 (fresh 1050)));
+  check "10% exactly is inside" 0
+    (List.length (mismatches ~tolerance:0.1 (fresh 1100)));
+  expect_one "SLOWER" (mismatches ~tolerance:0.1 (fresh 1200));
+  expect_one "FASTER" (mismatches ~tolerance:0.1 (fresh 800));
+  expect_one "SLOWER" (mismatches ~tolerance:0.0 (fresh 1001))
+
+let test_check_missing () =
+  expect_one "MISSING"
+    (mismatches ~tolerance:0.1 (snapshot [ ("riv", 1000); ("zero", 0) ]))
+
+let test_check_zero_baseline () =
+  (* No relative deviation exists from zero: any non-zero count is a
+     mismatch whatever the tolerance. *)
+  let fresh zero = snapshot [ ("riv", 1000); ("fat", 2000); ("zero", zero) ] in
+  check "zero stays zero" 0 (List.length (mismatches ~tolerance:0.0 (fresh 0)));
+  expect_one "SLOWER" (mismatches ~tolerance:10.0 (fresh 5))
+
+let test_check_schema_version () =
+  List.iter
+    (fun (what, version) ->
+      let doc = snapshot ~version [ ("riv", 1000) ] in
+      expect_error (what ^ " baseline")
+        (Suite.check ~baseline:doc ~fresh:base ());
+      expect_error (what ^ " fresh") (Suite.check ~baseline:base ~fresh:doc ()))
+    [ ("version 3", Json.Int 3); ("string version", Json.String "2") ];
+  let v1 = snapshot ~version:(Json.Int 1) [] in
+  match Suite.check ~baseline:v1 ~fresh:base () with
+  | Ok (0, []) -> ()
+  | _ -> Alcotest.fail "a v1 snapshot is readable"
+
+let test_check_negative_tolerance () =
+  expect_error "tolerance -0.5"
+    (Suite.check ~tolerance:(-0.5) ~baseline:base ~fresh:base ())
+
+let test_names_of_json () =
+  (match Suite.names_of_json base with
+  | Ok [ "fig12" ] -> ()
+  | _ -> Alcotest.fail "names_of_json reads fig12");
+  expect_error "unknown experiment"
+    (Suite.names_of_json (snapshot ~name:"bogus" [ ("riv", 1000) ]))
+
 let () =
   Alcotest.run "experiments"
     [
@@ -287,5 +391,19 @@ let () =
         [
           Alcotest.test_case "structure workloads" `Quick
             test_structure_equivalence;
+        ] );
+      ( "check",
+        [
+          Alcotest.test_case "exact match" `Quick test_check_exact;
+          Alcotest.test_case "tolerance bounds" `Quick test_check_tolerance;
+          Alcotest.test_case "missing cell" `Quick test_check_missing;
+          Alcotest.test_case "zero-cycle baseline cell" `Quick
+            test_check_zero_baseline;
+          Alcotest.test_case "unreadable schema_version" `Quick
+            test_check_schema_version;
+          Alcotest.test_case "negative tolerance rejected" `Quick
+            test_check_negative_tolerance;
+          Alcotest.test_case "unknown experiment rejected" `Quick
+            test_names_of_json;
         ] );
     ]

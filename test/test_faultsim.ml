@@ -324,13 +324,13 @@ let test_swizzle_midwalk_crash_pinned () =
   check "swizzle window behaviour pinned at every point" 0
     (List.length r.Sweep.failures)
 
-let test_sweep_kv_sampled () =
+let test_sweep_kv_exhaustive () =
   let metrics = Metrics.create () in
   let r =
-    Sweep.run_scenario ~metrics ~seed:29 ~mode:(Sweep.Sampled 6)
+    Sweep.run_scenario ~metrics ~seed:29 ~mode:Sweep.Exhaustive
       (Scenario.kv_scenario ~ops:5 Core.Repr.Off_holder)
   in
-  check "kvstore read-your-writes holds at sampled points" 0
+  check "kvstore read-your-writes holds at every point" 0
     (List.length r.Sweep.failures)
 
 let test_sweep_alloc_exhaustive () =
@@ -458,8 +458,8 @@ let () =
             test_sweep_tx_atomicity_exhaustive;
           Alcotest.test_case "swizzle mid-walk crash window" `Quick
             test_swizzle_midwalk_crash_pinned;
-          Alcotest.test_case "kvstore sampled points" `Quick
-            test_sweep_kv_sampled;
+          Alcotest.test_case "kvstore exhaustive" `Quick
+            test_sweep_kv_exhaustive;
           Alcotest.test_case "allocator exhaustive" `Quick
             test_sweep_alloc_exhaustive;
           Alcotest.test_case "allocator leak double caught" `Quick

@@ -81,7 +81,7 @@ let sweep_json ~jobs =
   let metrics = Nvmpi_obs.Metrics.create () in
   let scenarios = take 4 (Scenario.defaults ()) in
   let report =
-    Sweep.run ~jobs ~mode:(Sweep.Sampled 10) ~metrics ~seed:7 scenarios
+    Sweep.run ~jobs ~mode:Sweep.Exhaustive ~metrics ~seed:7 scenarios
   in
   (Nvmpi_obs.Json.to_string (Sweep.json_of_report report), metrics)
 
@@ -106,8 +106,6 @@ let bench_json ~jobs =
   let params = { Suite.scale = 0.05; seed = Some 1; wordcount_full = false } in
   let names = [ "fig12"; "breakdown" ] in
   let results = Suite.run_all ~jobs params names in
-  (* Compare without the wall section — the only field allowed to
-     differ between runs. *)
   Nvmpi_obs.Json.to_string (Suite.snapshot_of params results)
 
 let test_bench_parallel_determinism () =
