@@ -244,7 +244,8 @@ let crash_cmd =
     Arg.(value & flag
          & info [ "exhaustive" ]
              ~doc:"Inject a crash after every recorded event (store, flush, \
-                   fence) instead of only after fences.")
+                   fence) instead of only at the endpoints, after fences and \
+                   where a scenario's expected state changes.")
   in
   let json =
     Arg.(value & opt (some string) None
@@ -287,7 +288,7 @@ let crash_cmd =
   in
   let run seed exhaustive json skip_selftest jobs wall_json only list_names =
     let open Nvmpi_faultsim in
-    let mode = if exhaustive then Sweep.Exhaustive else Sweep.After_fences in
+    let mode = if exhaustive then Sweep.Exhaustive else Sweep.Transitions in
     let scenarios =
       Scenario.defaults ()
       @ (if skip_selftest then [] else Scenario.selftests ())

@@ -217,12 +217,16 @@ let pp_mismatch m =
       Printf.sprintf "MISSING  %s: in baseline (%d cycles) but not in this run"
         m.key m.baseline
   | Some fresh ->
+      (* A change from zero has no relative size. *)
       let pct =
-        100.0
-        *. (float_of_int fresh -. float_of_int m.baseline)
-        /. float_of_int m.baseline
+        if m.baseline = 0 then ""
+        else
+          Printf.sprintf " (%+.1f%%)"
+            (100.0
+            *. (float_of_int fresh -. float_of_int m.baseline)
+            /. float_of_int m.baseline)
       in
-      Printf.sprintf "%s %s: %d -> %d cycles (%+.1f%%)"
+      Printf.sprintf "%s %s: %d -> %d cycles%s"
         (if fresh > m.baseline then "SLOWER  " else "FASTER  ")
         m.key m.baseline fresh pct
 

@@ -42,7 +42,6 @@ let create ~base ~line ~init =
     durable_total = 0;
   }
 
-let base t = t.base
 let image t = Page_image.copy t.image
 let durable_bytes t = t.durable_total
 

@@ -30,8 +30,6 @@ val image : t -> Nvmpi_memsim.Memsim.Page_image.t
     is present when it was present in [init] or a fence landed a line
     on it. *)
 
-val base : t -> int
-
 val durable_bytes : t -> int
 (** Cumulative count of bytes made durable by fences since creation. *)
 

@@ -15,8 +15,6 @@ let create tracker =
   in
   { tracker; states; pos = 0 }
 
-let pos t = t.pos
-
 let advance t ~upto =
   if upto < t.pos then invalid_arg "Replay.advance: cursor only moves forward";
   if upto > Tracker.seq t.tracker then invalid_arg "Replay.advance: past log end";
@@ -28,9 +26,3 @@ let advance t ~upto =
 
 let images t =
   List.map (fun (rid, st) -> (rid, Image.image st)) t.states
-
-let durable_bytes t =
-  List.fold_left (fun acc (_, st) -> acc + Image.durable_bytes st) 0 t.states
-
-let volatile_bytes t =
-  List.fold_left (fun acc (_, st) -> acc + Image.volatile_bytes st) 0 t.states

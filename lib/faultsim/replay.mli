@@ -10,8 +10,6 @@ type t
 val create : Tracker.t -> t
 (** A cursor at crash point 0 (the durable base images at arm time). *)
 
-val pos : t -> int
-
 val advance : t -> upto:int -> unit
 (** Moves the cursor to crash point [upto] (applies events
     [pos..upto-1]). Raises [Invalid_argument] when moving backwards or
@@ -23,6 +21,3 @@ val images :
     [(rid, image)] — the exact NVM contents a crash here leaves. Each
     image is a fresh copy of the present pages only, which the caller
     owns (and {!Recovery.boot} hands to its store). *)
-
-val durable_bytes : t -> int
-val volatile_bytes : t -> int

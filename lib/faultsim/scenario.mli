@@ -1,13 +1,14 @@
-(** Crash-consistency scenarios: workloads instrumented with durability
-    checkpoints plus an oracle that, given a crash point, decides whether
-    a recovered machine is in a legal state.
+(** Crash-consistency scenarios: workloads that record a history of
+    expected states, plus one check that decides whether a recovered
+    machine is in a legal state.
 
     A scenario's [run] builds the workload on a fresh machine, arms a
-    {!Tracker} at the point from which crashes are injected, and returns
-    the tracker together with a [verify] function. [verify ~seq] is
-    called on a {e recovery} machine booted from the durable image at
-    crash point [seq] (regions remapped to fresh random segments) and
-    returns [Ok ()] or [Error reason].
+    {!Tracker} at the point from which crashes are injected, and records
+    the model state after each step of the workload, stamped with the
+    tracker seqs that bracket it. At crash point [seq] the last step
+    completed is committed, and a step the crash lands inside may also
+    have happened, all or nothing. A checkpoint step brackets no event,
+    so it is expected from its fence on.
 
     [expect_fail] marks self-test doubles (e.g. a fence-dropping
     checkpoint): the sweep inverts the verdict — such a scenario passes
@@ -16,11 +17,19 @@
 
 type run = {
   tracker : Tracker.t;
+  expect : seq:int -> int;
+      (** The number of the expected outcome at crash point [seq]: two
+          points with the same number expect the same recovered states.
+          It never decreases as [seq] grows. *)
   verify :
     seq:int ->
     Core.Machine.t ->
     (Nvmpi_addr.Kinds.Rid.t * Nvmpi_nvregion.Region.t) list ->
     (unit, string) result;
+      (** Called on a {e recovery} machine booted from the durable image
+          at crash point [seq] (regions remapped to fresh random
+          segments): the scenario's check of outcome [expect ~seq].
+          Returns [Ok ()] or [Error reason]. *)
 }
 
 type t = {
@@ -70,10 +79,6 @@ val alloc_leak_selftest : unit -> t
 (** Selftest double: durably clears a root before freeing its block,
     opening a window where a live block is unreachable. The sweep must
     report the leak ([expect_fail]). *)
-
-val durable_structures : Nvmpi_experiments.Instance.structure list
-(** Hashset and bstree — the structures ported to the durable
-    discipline. *)
 
 val durable_scenario :
   ?ops:int ->

@@ -1,10 +1,10 @@
 module Metrics = Nvmpi_obs.Metrics
 module Json = Nvmpi_obs.Json
 
-type mode = After_fences | Exhaustive
+type mode = Transitions | Exhaustive
 
 let mode_to_string = function
-  | After_fences -> "after-fences"
+  | Transitions -> "transitions"
   | Exhaustive -> "exhaustive"
 
 type failure = {
@@ -30,29 +30,39 @@ let scenario_ok r =
 
 let ok report = List.for_all scenario_ok report.scenarios
 
-let crash_points tracker mode =
-  let n = Tracker.seq tracker in
-  let pts =
-    match mode with
-    | Exhaustive -> List.init (n + 1) Fun.id
-    | After_fences ->
-        let after_fences = ref [ 0; n ] in
-        for i = 0 to n - 1 do
-          match Tracker.event tracker i with
-          | Events.Fence -> after_fences := (i + 1) :: !after_fences
-          | _ -> ()
-        done;
-        !after_fences
-  in
-  List.sort_uniq compare pts
+let crash_points mode (run : Scenario.run) =
+  let n = Tracker.seq run.tracker in
+  let all = List.init (n + 1) Fun.id in
+  match mode with
+  | Exhaustive -> all
+  | Transitions ->
+      (* The durable image changes only at a fence and the expected
+         outcome only where [expect] moves, so a point between two
+         planned ones can expose nothing new. *)
+      List.filter
+        (fun p ->
+          p = 0 || p = n
+          || (match Tracker.event run.tracker (p - 1) with
+             | Events.Fence -> true
+             | _ -> false)
+          || run.expect ~seq:p <> run.expect ~seq:(p - 1))
+        all
+
+(* Runs the scenario's workload and plans its points. The workload is
+   over once [run] returns; stop recording so recovery machines and the
+   verification itself cannot grow the log under the cursor. *)
+let record ~metrics ~seed ~mode (sc : Scenario.t) =
+  let run = sc.run ~metrics ~seed in
+  Tracker.disarm run.tracker;
+  (run, crash_points mode run)
 
 (* Evaluate an ascending run of crash points with a private cursor. Pure
    with respect to shared state: the tracker is disarmed (read-only), the
    cursor replays into images it owns, and every recovery machine gets a
    private metrics registry — which is what lets chunks of points run on
    separate domains and still merge byte-identically. *)
-let eval_points ~tracker ~verify ~seed points =
-  let cursor = Replay.create tracker in
+let eval_points (run : Scenario.run) ~seed points =
+  let cursor = Replay.create run.tracker in
   List.map
     (fun p ->
       Replay.advance cursor ~upto:p;
@@ -62,7 +72,7 @@ let eval_points ~tracker ~verify ~seed points =
           let machine', regions' =
             Recovery.boot ~seed:recovery_seed (Replay.images cursor)
           in
-          verify ~seq:p machine' regions'
+          run.verify ~seq:p machine' regions'
         with e -> Error ("recovery raised " ^ Printexc.to_string e)
       in
       (p, outcome))
@@ -107,20 +117,16 @@ let merge_scenario ~metrics ~tracker (sc : Scenario.t) ~points ~outcomes
 
 let run_scenario ?(jobs = 1) ~metrics ~seed ~mode (sc : Scenario.t) =
   let t0 = Nvmpi_parsweep.Wall.now_ns () in
-  let { Scenario.tracker; verify } = sc.Scenario.run ~metrics ~seed in
-  (* The workload is over; stop recording so recovery machines and the
-     verification itself cannot grow the log under the cursor. *)
-  Tracker.disarm tracker;
-  let points = crash_points tracker mode in
+  let run, points = record ~metrics ~seed ~mode sc in
   let outcomes =
-    if jobs <= 1 then eval_points ~tracker ~verify ~seed points
+    if jobs <= 1 then eval_points run ~seed points
     else
       Nvmpi_parsweep.Pool.chunks ~jobs points
-      |> List.map (fun chunk () -> eval_points ~tracker ~verify ~seed chunk)
+      |> List.map (fun chunk () -> eval_points run ~seed chunk)
       |> Nvmpi_parsweep.Pool.map ~jobs
       |> List.concat
   in
-  merge_scenario ~metrics ~tracker sc ~points ~outcomes
+  merge_scenario ~metrics ~tracker:run.tracker sc ~points ~outcomes
     ~wall_ns:(Nvmpi_parsweep.Wall.now_ns () - t0)
 
 let rec take_drop n lst =
@@ -132,7 +138,7 @@ let rec take_drop n lst =
         let taken, rest = take_drop (n - 1) rest in
         (x :: taken, rest)
 
-let run ?(jobs = 1) ?(mode = After_fences) ~metrics ~seed scenarios =
+let run ?(jobs = 1) ?(mode = Transitions) ~metrics ~seed scenarios =
   let scenarios =
     if jobs <= 1 then
       List.map (fun sc -> run_scenario ~metrics ~seed ~mode sc) scenarios
@@ -146,30 +152,25 @@ let run ?(jobs = 1) ?(mode = After_fences) ~metrics ~seed scenarios =
           (fun sc ->
             let prep, workload_ns =
               Nvmpi_parsweep.Wall.time (fun () ->
-                  let { Scenario.tracker; verify } =
-                    sc.Scenario.run ~metrics ~seed
-                  in
-                  Tracker.disarm tracker;
-                  let points = crash_points tracker mode in
-                  (tracker, verify, points,
-                   Nvmpi_parsweep.Pool.chunks ~jobs points))
+                  let run, points = record ~metrics ~seed ~mode sc in
+                  (run, points, Nvmpi_parsweep.Pool.chunks ~jobs points))
             in
             (sc, prep, workload_ns))
           scenarios
       in
       let tasks =
         List.concat_map
-          (fun (_, (tracker, verify, _, chunks), _) ->
+          (fun (_, (run, _, chunks), _) ->
             List.map
               (fun chunk () ->
                 Nvmpi_parsweep.Wall.time (fun () ->
-                    eval_points ~tracker ~verify ~seed chunk))
+                    eval_points run ~seed chunk))
               chunks)
           prepared
       in
       let evaluated = ref (Nvmpi_parsweep.Pool.map ~jobs tasks) in
       List.map
-        (fun (sc, (tracker, _, points, chunks), workload_ns) ->
+        (fun (sc, ((run : Scenario.run), points, chunks), workload_ns) ->
           let mine, rest = take_drop (List.length chunks) !evaluated in
           evaluated := rest;
           let outcomes = List.concat_map fst mine in
@@ -178,7 +179,7 @@ let run ?(jobs = 1) ?(mode = After_fences) ~metrics ~seed scenarios =
              chunks, which overlap other scenarios' chunks on the
              pool. *)
           let eval_ns = List.fold_left (fun a (_, ns) -> a + ns) 0 mine in
-          merge_scenario ~metrics ~tracker sc ~points ~outcomes
+          merge_scenario ~metrics ~tracker:run.tracker sc ~points ~outcomes
             ~wall_ns:(workload_ns + eval_ns))
         prepared
     end

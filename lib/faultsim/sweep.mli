@@ -7,12 +7,18 @@
     points are explored. *)
 
 type mode =
-  | After_fences
-      (** one point after every fence, plus the endpoints — the moments
-          a crash can actually expose distinct durable states *)
+  | Transitions
+      (** both endpoints, the point after every fence, and every point
+          where the scenario's expected outcome ({!Scenario.run.expect})
+          changes: between two such points neither the durable image
+          nor the expectation moves *)
   | Exhaustive  (** every event index (after every store/flush/fence) *)
 
 val mode_to_string : mode -> string
+
+val crash_points : mode -> Scenario.run -> int list
+(** The ascending crash points a sweep of a recorded (disarmed) run
+    visits. *)
 
 type failure = {
   seq : int;  (** crash point *)

@@ -138,12 +138,9 @@ let arm t =
   t.armed <- true
 
 let disarm t = t.armed <- false
-let armed t = t.armed
-let machine t = t.machine
 let line_size t = t.line
 let seq t = t.len
 let event t i = if i < 0 || i >= t.len then invalid_arg "Tracker.event" else t.buf.(i)
-let events t = Array.sub t.buf 0 t.len
 
 let event_window t ~upto ~width =
   let lo = max 0 (upto - width) in

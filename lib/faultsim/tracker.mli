@@ -29,8 +29,6 @@ val arm : t -> unit
     region is open. *)
 
 val disarm : t -> unit
-val armed : t -> bool
-val machine : t -> Core.Machine.t
 val line_size : t -> int
 
 (** {1 The event log} *)
@@ -40,7 +38,6 @@ val seq : t -> int
     fails after the first [p] events"; valid points are [0..seq t]. *)
 
 val event : t -> int -> Events.t
-val events : t -> Events.t array
 
 val event_window : t -> upto:int -> width:int -> (int * Events.t) list
 (** The last [width] events before crash point [upto], with their

@@ -298,6 +298,13 @@ let expect_one prefix = function
         Alcotest.failf "expected a %s line, got %S" prefix line
   | lines -> Alcotest.failf "expected one mismatch, got %d" (List.length lines)
 
+let contains s sub =
+  let n = String.length sub in
+  let rec at i =
+    i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
+  in
+  at 0
+
 let expect_error what = function
   | Ok _ -> Alcotest.failf "%s: expected Error" what
   | Error _ -> ()
@@ -325,7 +332,11 @@ let test_check_zero_baseline () =
      mismatch whatever the tolerance. *)
   let fresh zero = snapshot [ ("riv", 1000); ("fat", 2000); ("zero", zero) ] in
   check "zero stays zero" 0 (List.length (mismatches ~tolerance:0.0 (fresh 0)));
-  expect_one "SLOWER" (mismatches ~tolerance:10.0 (fresh 5))
+  let lines = mismatches ~tolerance:10.0 (fresh 5) in
+  expect_one "SLOWER" lines;
+  let line = List.hd lines in
+  if String.exists (fun c -> c = '%') line || contains line "inf" then
+    Alcotest.failf "a change from zero prints a percentage: %S" line
 
 let test_check_schema_version () =
   List.iter

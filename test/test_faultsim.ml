@@ -274,7 +274,7 @@ let test_replay_matches_tracker () =
 let test_sweep_structure_clean () =
   let metrics = Metrics.create () in
   let r =
-    Sweep.run_scenario ~metrics ~seed:11 ~mode:Sweep.After_fences
+    Sweep.run_scenario ~metrics ~seed:11 ~mode:Sweep.Transitions
       (Scenario.structure_scenario ~keys:8 Nvmpi_experiments.Instance.List
          Core.Repr.Riv)
   in
@@ -354,7 +354,7 @@ let test_sweep_alloc_leak_caught () =
      can actually see allocator bugs. *)
   let metrics = Metrics.create () in
   let r =
-    Sweep.run_scenario ~metrics ~seed:31 ~mode:Sweep.After_fences
+    Sweep.run_scenario ~metrics ~seed:31 ~mode:Sweep.Transitions
       (Scenario.alloc_leak_selftest ())
   in
   check_bool "double is marked expect_fail" true r.Sweep.expect_fail;
@@ -388,7 +388,7 @@ let test_sweep_durable_dropflush_caught () =
      never become durable; the oracle must flag the loss somewhere. *)
   let metrics = Metrics.create () in
   let r =
-    Sweep.run_scenario ~metrics ~seed:37 ~mode:Sweep.After_fences
+    Sweep.run_scenario ~metrics ~seed:37 ~mode:Sweep.Transitions
       (Scenario.durable_scenario ~ops:8 ~drop_flushes:true
          Nvmpi_experiments.Instance.Hashset Core.Repr.Riv)
   in
@@ -396,6 +396,55 @@ let test_sweep_durable_dropflush_caught () =
   check_bool "dropped windows observed at some crash point" true
     (r.Sweep.failures <> []);
   check_bool "inverted verdict passes" true (Sweep.scenario_ok r)
+
+let test_default_plan_catches_doubles () =
+  (* At this seed the drop-flush doubles record no fence, so a plan of
+     fences and endpoints alone sees every op's effect only at the final
+     point, where the toggles happen to net out to the arm-time set. *)
+  let report =
+    Sweep.run ~metrics:(Metrics.create ()) ~seed:1625 (Scenario.selftests ())
+  in
+  List.iter
+    (fun r ->
+      if r.Sweep.failures = [] then
+        Alcotest.failf "%s went uncaught by the default plan" r.Sweep.name)
+    report.Sweep.scenarios
+
+let test_transitions_cover_every_point () =
+  (* Soundness of the default plan, from recordings alone: every crash
+     point p has a planned point q <= p with no fence among events
+     q..p-1 (so the same durable image) and the same expected outcome,
+     so a verdict at q stands for p. *)
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun (sc : Scenario.t) ->
+          let run = sc.run ~metrics:(Metrics.create ()) ~seed in
+          Tracker.disarm run.tracker;
+          let plan = ref (Sweep.crash_points Sweep.Transitions run) in
+          (* Planned points with no fence between them and [p]. *)
+          let since_fence = ref [] in
+          for p = 0 to Tracker.seq run.tracker do
+            (if p > 0 then
+               match Tracker.event run.tracker (p - 1) with
+               | Events.Fence -> since_fence := []
+               | _ -> ());
+            (match !plan with
+            | q :: rest when q = p ->
+                since_fence := q :: !since_fence;
+                plan := rest
+            | _ -> ());
+            if
+              not
+                (List.exists
+                   (fun q -> run.expect ~seq:q = run.expect ~seq:p)
+                   !since_fence)
+            then
+              Alcotest.failf "%s at seed %d: no planned point stands for %d"
+                sc.name seed p
+          done)
+        (Scenario.defaults () @ Scenario.selftests ()))
+    [ 42; 1625 ]
 
 let test_report_json_roundtrip () =
   let metrics = Metrics.create () in
@@ -468,6 +517,10 @@ let () =
             test_sweep_durable_sets_clean;
           Alcotest.test_case "durable drop-flush double caught" `Quick
             test_sweep_durable_dropflush_caught;
+          Alcotest.test_case "default plan catches every double at seed 1625"
+            `Quick test_default_plan_catches_doubles;
+          Alcotest.test_case "transitions plan covers every point" `Quick
+            test_transitions_cover_every_point;
           Alcotest.test_case "json report" `Quick test_report_json_roundtrip;
         ] );
     ]
