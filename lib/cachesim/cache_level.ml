@@ -13,6 +13,12 @@ type t = {
   span : int;
   chunks : int array array; (* [empty] until one of its sets fills *)
   mutable tick : int;
+  (* The line of the last access, resident at slot [last_slot] of chunk
+     [last_chunk]; -1 when forgotten. Indices, not the chunk itself:
+     storing a pointer would cost a write barrier on every probe. *)
+  mutable last_line : int;
+  mutable last_chunk : int;
+  mutable last_slot : int;
   stats : stats;
 }
 
@@ -46,6 +52,9 @@ let create ~size_bytes ~ways ~line_bits =
     span = 2 * ways;
     chunks = Array.make (sets lsr chunk_bits) empty;
     tick = 0;
+    last_line = -1;
+    last_chunk = 0;
+    last_slot = 0;
     stats = { hits = 0; misses = 0 };
   }
 
@@ -59,8 +68,16 @@ let reset_stats t =
 (* First slot of set [s] in its chunk. *)
 let base t s = (s land ((1 lsl t.chunk_bits) - 1)) * t.span
 
-let access t ~addr ~write =
-  let line = addr lsr t.line_bits in
+(* A hit on the way found at slot [i] of [chunk]. *)
+let[@inline] hit_at t chunk i ~write =
+  Array.unsafe_set chunk (i + 1) t.tick;
+  if write then Array.unsafe_set chunk i (Array.unsafe_get chunk i lor 1);
+  t.stats.hits <- t.stats.hits + 1;
+  hit
+
+(* Looks [line] up in its set; on a miss, fills it over the victim.
+   Either way [line] is left resident at the remembered slot. *)
+let probe t line ~write =
   let s = line land t.set_mask in
   let c = s lsr t.chunk_bits in
   let chunk = t.chunks.(c) in
@@ -74,7 +91,6 @@ let access t ~addr ~write =
   in
   let base = base t s in
   let stop = base + t.span in
-  t.tick <- t.tick + 1;
   (* Every slot touched below lies in [base, stop), inside [chunk], so
      this per-access path skips the bounds checks. A line is filled only
      on a miss, so it occupies at most one way and the first match is the
@@ -84,12 +100,11 @@ let access t ~addr ~write =
     i := !i + 2
   done;
   let i = !i in
+  t.last_line <- line;
+  t.last_chunk <- c;
   if i < stop then begin
-    Array.unsafe_set chunk (i + 1) t.tick;
-    if write then
-      Array.unsafe_set chunk i (Array.unsafe_get chunk i lor 1);
-    t.stats.hits <- t.stats.hits + 1;
-    hit
+    t.last_slot <- i;
+    hit_at t chunk i ~write
   end
   else begin
     t.stats.misses <- t.stats.misses + 1;
@@ -107,6 +122,7 @@ let access t ~addr ~write =
       j := !j + 2
     done;
     let v = if !v >= 0 then !v else !best in
+    t.last_slot <- v;
     let old = Array.unsafe_get chunk v in
     Array.unsafe_set chunk v ((line lsl 1) lor Bool.to_int write);
     Array.unsafe_set chunk (v + 1) t.tick;
@@ -114,7 +130,19 @@ let access t ~addr ~write =
     else miss_clean
   end
 
+(* A probe of the last line is a hit at the remembered slot: only a miss
+   in its set, which re-points [last_line], [flush_line] or
+   [invalidate_all] can displace that line, and the last two forget it.
+   [last_chunk] is an index [probe] read [chunks] at. *)
+let[@inline] access t ~addr ~write =
+  let line = addr lsr t.line_bits in
+  t.tick <- t.tick + 1;
+  if line = t.last_line then
+    hit_at t (Array.unsafe_get t.chunks t.last_chunk) t.last_slot ~write
+  else probe t line ~write
+
 let flush_line t ~addr =
+  t.last_line <- -1;
   let line = addr lsr t.line_bits in
   let s = line land t.set_mask in
   let chunk = t.chunks.(s lsr t.chunk_bits) in
@@ -136,4 +164,6 @@ let flush_line t ~addr =
 
 (* Nothing reads an invalid way's stamp, so returning every chunk to
    [empty] is the whole invalidation: O(sets / 8) pointer stores. *)
-let invalidate_all t = Array.fill t.chunks 0 (Array.length t.chunks) empty
+let invalidate_all t =
+  t.last_line <- -1;
+  Array.fill t.chunks 0 (Array.length t.chunks) empty

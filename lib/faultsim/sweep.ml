@@ -115,17 +115,10 @@ let merge_scenario ~metrics ~tracker (sc : Scenario.t) ~points ~outcomes
     wall_ns;
   }
 
-let run_scenario ?(jobs = 1) ~metrics ~seed ~mode (sc : Scenario.t) =
+let run_scenario ~metrics ~seed ~mode (sc : Scenario.t) =
   let t0 = Nvmpi_parsweep.Wall.now_ns () in
   let run, points = record ~metrics ~seed ~mode sc in
-  let outcomes =
-    if jobs <= 1 then eval_points run ~seed points
-    else
-      Nvmpi_parsweep.Pool.chunks ~jobs points
-      |> List.map (fun chunk () -> eval_points run ~seed chunk)
-      |> Nvmpi_parsweep.Pool.map ~jobs
-      |> List.concat
-  in
+  let outcomes = eval_points run ~seed points in
   merge_scenario ~metrics ~tracker:run.tracker sc ~points ~outcomes
     ~wall_ns:(Nvmpi_parsweep.Wall.now_ns () - t0)
 

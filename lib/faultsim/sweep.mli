@@ -49,18 +49,14 @@ val scenario_ok : scenario_result -> bool
 val ok : report -> bool
 
 val run_scenario :
-  ?jobs:int ->
   metrics:Nvmpi_obs.Metrics.t ->
   seed:int ->
   mode:mode ->
   Scenario.t ->
   scenario_result
-(** [jobs > 1] splits the crash points into contiguous chunks evaluated
-    on a {!Nvmpi_parsweep.Pool} — one private {!Replay} cursor per
-    chunk, recovery machines on private metrics registries — and merges
-    outcomes in ascending point order on the calling domain. The result
-    (and the shared registry's counters) are identical for any [jobs];
-    only wall-clock changes. *)
+(** Records one scenario and evaluates its crash points in ascending
+    order on the calling domain, with one {!Replay} cursor. {!run} is
+    the parallel path. *)
 
 val run :
   ?jobs:int ->
@@ -72,8 +68,11 @@ val run :
 (** Scenario workloads always run serially on the calling domain (they
     feed the shared metrics registry); [jobs] then evaluates {e every}
     chunk of {e every} scenario's crash points on a single Domain pool
-    (one spawn per sweep), merging per scenario as in {!run_scenario}.
-    Under [jobs > 1] each [wall_ns] is the scenario's serial workload
+    (one spawn per sweep). Each chunk gets a private {!Replay} cursor
+    and recovery machines on private metrics registries; outcomes merge
+    per scenario in ascending point order on the calling domain, so the
+    report and the shared registry's counters are identical for any
+    [jobs]. Under [jobs > 1] each [wall_ns] is the scenario's serial workload
     time plus the summed chunk-evaluation time — chunks of different
     scenarios overlap, so per-scenario numbers are CPU-like; only the
     report total is comparable to elapsed time at [jobs = 1]. *)

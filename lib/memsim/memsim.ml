@@ -122,17 +122,26 @@ type t = {
   mutable obs : observer array;
   mutable n_obs : int;
   mutable obs0 : observer;
-  (* Single-entry TLB: the last page touched through the access path.
-     Invalidated by the operations that drop pages: unmap and
-     drop_zero_page. *)
-  mutable tlb_page : int; (* -1 = invalid *)
-  mutable tlb_bytes : Bytes.t;
+  (* Direct-mapped TLB of [tlb_size] entries in front of [pages]: slot
+     [p land tlb_mask] holds page [p] in [tlb_pages] when [tlb_tags]
+     holds [p], and -1 when empty. Only pages of [pages] enter it, never
+     [zero_page]; unmap and drop_zero_page, the operations that drop
+     pages, clear their slots. *)
+  tlb_tags : int array;
+  tlb_pages : Bytes.t array;
+  (* What a load from an absent mapped page reads. Never written. *)
+  zero_page : Bytes.t;
   stats : stats;
   (* Counter cells resolved once at creation: the access path runs on
      every simulated load/store, so it must not pay a registry lookup. *)
   c_loads : int ref;
   c_stores : int ref;
 }
+
+(* Every RIV or fat decode alternates a data page with a table page, so
+   each needs an entry of its own. *)
+let tlb_size = 64
+let tlb_mask = tlb_size - 1
 
 let create ?(page_bits = 12) ?metrics () =
   if page_bits < 4 || page_bits > 24 then invalid_arg "Memsim.create";
@@ -147,8 +156,9 @@ let create ?(page_bits = 12) ?metrics () =
     obs = [||];
     n_obs = 0;
     obs0 = no_observer;
-    tlb_page = -1;
-    tlb_bytes = no_page;
+    tlb_tags = Array.make tlb_size (-1);
+    tlb_pages = Array.make tlb_size no_page;
+    zero_page = Bytes.make (1 lsl page_bits) '\000';
     stats = { loads = 0; stores = 0; pages = 0 };
     c_loads = Metrics.counter metrics "mem.loads";
     c_stores = Metrics.counter metrics "mem.stores";
@@ -217,8 +227,8 @@ let unmap t ~addr =
           end)
         t.ranges;
       t.ranges <- out;
-      t.tlb_page <- -1;
-      t.tlb_bytes <- no_page
+      Array.fill t.tlb_tags 0 tlb_size (-1);
+      Array.fill t.tlb_pages 0 tlb_size no_page
 
 let drop_zero_page t a =
   let p = a lsr t.page_bits in
@@ -226,9 +236,10 @@ let drop_zero_page t a =
   | Some page when is_zero page 0 (Bytes.length page) ->
       Hashtbl.remove t.pages p;
       t.stats.pages <- t.stats.pages - 1;
-      if t.tlb_page = p then begin
-        t.tlb_page <- -1;
-        t.tlb_bytes <- no_page
+      let s = p land tlb_mask in
+      if t.tlb_tags.(s) = p then begin
+        t.tlb_tags.(s) <- -1;
+        t.tlb_pages.(s) <- no_page
       end
   | _ -> ()
 
@@ -266,26 +277,33 @@ let notify t write addr size =
       (Array.unsafe_get obs i) ~write ~addr ~size
     done
 
-let materialize t p addr size =
-  if not (page_in_ranges t p) then fault addr size "unmapped";
-  let page = Bytes.make (t.page_mask + 1) '\000' in
-  Hashtbl.add t.pages p page;
-  t.stats.pages <- t.stats.pages + 1;
+let fill_tlb t p s page =
+  t.tlb_tags.(s) <- p;
+  t.tlb_pages.(s) <- page;
   page
 
-let[@inline] get_page t addr size =
+(* TLB miss on page [p], whose slot is [s]. A load from an absent
+   mapped page reads [zero_page] and leaves memory and the TLB as they
+   were; a store materializes the page. *)
+let[@inline never] walk t ~write p s addr size =
+  match Hashtbl.find t.pages p with
+  | page -> fill_tlb t p s page
+  | exception Not_found ->
+      if not (page_in_ranges t p) then fault addr size "unmapped";
+      if write then begin
+        let page = Bytes.make (t.page_mask + 1) '\000' in
+        Hashtbl.add t.pages p page;
+        t.stats.pages <- t.stats.pages + 1;
+        fill_tlb t p s page
+      end
+      else t.zero_page
+
+(* [s] is below [tlb_size], the length of both TLB arrays. *)
+let[@inline] get_page t ~write addr size =
   let p = addr lsr t.page_bits in
-  if p = t.tlb_page then t.tlb_bytes
-  else begin
-    let page =
-      match Hashtbl.find t.pages p with
-      | page -> page
-      | exception Not_found -> materialize t p addr size
-    in
-    t.tlb_page <- p;
-    t.tlb_bytes <- page;
-    page
-  end
+  let s = p land tlb_mask in
+  if Array.unsafe_get t.tlb_tags s = p then Array.unsafe_get t.tlb_pages s
+  else walk t ~write p s addr size
 
 let check_align addr size =
   if addr land (size - 1) <> 0 then fault addr size "misaligned"
@@ -294,49 +312,49 @@ let off t addr = addr land t.page_mask
 
 let load8 t a =
   if a < 0 then fault a 1 "negative address";
-  let page = get_page t a 1 in
+  let page = get_page t ~write:false a 1 in
   notify t false a 1;
   Char.code (Bytes.get page (a land t.page_mask))
 
 let load16 t a =
   check_align a 2;
-  let page = get_page t a 2 in
+  let page = get_page t ~write:false a 2 in
   notify t false a 2;
   Bytes.get_uint16_le page (a land t.page_mask)
 
 let load32 t a =
   check_align a 4;
-  let page = get_page t a 4 in
+  let page = get_page t ~write:false a 4 in
   notify t false a 4;
   Int32.to_int (Bytes.get_int32_le page (a land t.page_mask)) land 0xFFFFFFFF
 
 let load64 t a =
   check_align a 8;
-  let page = get_page t a 8 in
+  let page = get_page t ~write:false a 8 in
   notify t false a 8;
   Int64.to_int (Bytes.get_int64_le page (a land t.page_mask))
 
 let store8 t a v =
   if a < 0 then fault a 1 "negative address";
-  let page = get_page t a 1 in
+  let page = get_page t ~write:true a 1 in
   notify t true a 1;
   Bytes.set page (a land t.page_mask) (Char.chr (v land 0xFF))
 
 let store16 t a v =
   check_align a 2;
-  let page = get_page t a 2 in
+  let page = get_page t ~write:true a 2 in
   notify t true a 2;
   Bytes.set_uint16_le page (a land t.page_mask) (v land 0xFFFF)
 
 let store32 t a v =
   check_align a 4;
-  let page = get_page t a 4 in
+  let page = get_page t ~write:true a 4 in
   notify t true a 4;
   Bytes.set_int32_le page (a land t.page_mask) (Int32.of_int (v land 0xFFFFFFFF))
 
 let store64 t a v =
   check_align a 8;
-  let page = get_page t a 8 in
+  let page = get_page t ~write:true a 8 in
   notify t true a 8;
   Bytes.set_int64_le page (a land t.page_mask) (Int64.of_int v)
 
@@ -379,31 +397,31 @@ let[@inline] note t write =
 
 let load8_fused t a =
   if a < 0 then fault a 1 "negative address";
-  let page = get_page t a 1 in
+  let page = get_page t ~write:false a 1 in
   note t false;
   Char.code (Bytes.get page (a land t.page_mask))
 
 let load16_fused t a =
   check_align a 2;
-  let page = get_page t a 2 in
+  let page = get_page t ~write:false a 2 in
   note t false;
   Bytes.get_uint16_le page (a land t.page_mask)
 
 let load32_fused t a =
   check_align a 4;
-  let page = get_page t a 4 in
+  let page = get_page t ~write:false a 4 in
   note t false;
   Int32.to_int (Bytes.get_int32_le page (a land t.page_mask)) land 0xFFFFFFFF
 
 let load64_fused t a =
   check_align a 8;
-  let page = get_page t a 8 in
+  let page = get_page t ~write:false a 8 in
   note t false;
   Int64.to_int (Bytes.get_int64_le page (a land t.page_mask))
 
 let store64_fused t a v =
   check_align a 8;
-  let page = get_page t a 8 in
+  let page = get_page t ~write:true a 8 in
   note t true;
   Bytes.set_int64_le page (a land t.page_mask) (Int64.of_int v)
 
@@ -425,7 +443,7 @@ let blit_from_bytes t ~addr b =
   let i = ref 0 in
   while !i < len do
     let a = addr + !i in
-    let page = get_page t a 1 in
+    let page = get_page t ~write:true a 1 in
     let poff = off t a in
     let chunk = min (len - !i) (page_size t - poff) in
     Bytes.blit b !i page poff chunk;
@@ -438,7 +456,7 @@ let blit_to_bytes t ~addr ~len =
   let i = ref 0 in
   while !i < len do
     let a = addr + !i in
-    let page = get_page t a 1 in
+    let page = get_page t ~write:false a 1 in
     let poff = off t a in
     let chunk = min (len - !i) (page_size t - poff) in
     Bytes.blit page poff b !i chunk;
@@ -545,7 +563,7 @@ let poke_bytes t ~addr b =
   let i = ref 0 in
   while !i < len do
     let a = addr + !i in
-    let page = get_page t a 1 in
+    let page = get_page t ~write:true a 1 in
     let poff = off t a in
     let chunk = min (len - !i) (page_size t - poff) in
     Bytes.blit b !i page poff chunk;

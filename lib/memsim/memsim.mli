@@ -1,11 +1,12 @@
 (** A simulated byte-addressable virtual address space.
 
     This stands in for the native virtual memory the paper's C/C++
-    prototype manipulates directly. Memory is demand-paged: backing pages
-    are materialized on first touch, but only inside ranges registered
-    with {!map} — any access outside a mapped range raises {!Fault},
-    which is how the tests detect dangling (position-dependent) pointers
-    after a region moves.
+    prototype manipulates directly. Memory is demand-paged: a backing
+    page is materialized by the first store to it (a load from an
+    untouched page reads zeros and allocates nothing), but only inside
+    ranges registered with {!map} — any access outside a mapped range
+    raises {!Fault}, which is how the tests detect dangling
+    (position-dependent) pointers after a region moves.
 
     Every load and store is reported to registered observers; the timing
     model ({!module:Nvmpi_cachesim}) attaches itself as an observer to
@@ -90,7 +91,7 @@ val store_sized : t -> size:int -> Nvmpi_addr.Kinds.Vaddr.t -> int -> unit
 (** {1 Fused entry points}
 
     The full access pipeline — alignment check, page walk through the
-    single-entry TLB, statistics and counter-cell bumps — minus observer
+    64-entry TLB, statistics and counter-cell bumps — minus observer
     dispatch. Contract: call these only when {!solo_observed} holds and
     you hold that sole observer's model (in practice: the machine's
     timing model, attached as observer 0 at creation), and charge it
@@ -226,5 +227,5 @@ type stats = { mutable loads : int; mutable stores : int; mutable pages : int }
 
 val stats : t -> stats
 (** Cumulative access counts, and the number of pages present now:
-    pages materialized by an access or an image copy, less those that
+    pages materialized by a store or an image copy, less those that
     {!unmap} or {!drop_zero_page} released. *)

@@ -222,13 +222,72 @@ let pp_cache_op = function
   | Flush line -> Printf.sprintf "f%d" line
   | Invalidate -> "inv"
 
+let geometry = QCheck2.Gen.oneofl [ (1, 4); (2, 4); (4, 2); (8, 8); (16, 2) ]
+
+(* Three candidate lines per way keep sets conflicting. *)
+let line_gen (sets, ways) = QCheck2.Gen.int_range 0 ((3 * sets * ways) - 1)
+
+let print_stream ((sets, ways), ops) =
+  Printf.sprintf "%dx%d: %s" sets ways
+    (String.concat " " (List.map pp_cache_op ops))
+
+(* Does [Cache_level] give the reference model's result for every op,
+   with both counters equal to the model's after every op? *)
+let matches_reference ((sets, ways), ops) =
+  let c = Cache_level.create ~size_bytes:(ways * sets * 64) ~ways ~line_bits:6 in
+  let reference = Array.make sets [] in
+  let hits = ref 0 and misses = ref 0 in
+  let step op =
+    match op with
+    | Access (line, write) ->
+        let s = line mod sets in
+        let set = reference.(s) in
+        let expected =
+          match List.assoc_opt line set with
+          | Some dirty ->
+              incr hits;
+              reference.(s) <-
+                (line, dirty || write) :: List.remove_assoc line set;
+              Cache_level.hit
+          | None when List.length set < ways ->
+              incr misses;
+              reference.(s) <- (line, write) :: set;
+              Cache_level.miss_clean
+          | None ->
+              incr misses;
+              let lru, dirty = List.nth set (ways - 1) in
+              reference.(s) <-
+                (line, write) :: List.filteri (fun i _ -> i < ways - 1) set;
+              if dirty then lru * 64 else Cache_level.miss_clean
+        in
+        Cache_level.access c ~addr:(line * 64) ~write = expected
+    | Flush line ->
+        let s = line mod sets in
+        let expected =
+          Option.value ~default:false (List.assoc_opt line reference.(s))
+        in
+        reference.(s) <- List.remove_assoc line reference.(s);
+        Cache_level.flush_line c ~addr:(line * 64) = expected
+    | Invalidate ->
+        Array.fill reference 0 sets [];
+        Cache_level.invalidate_all c;
+        true
+  in
+  List.for_all
+    (fun op ->
+      step op
+      &&
+      let st = Cache_level.stats c in
+      st.Cache_level.hits = !hits && st.Cache_level.misses = !misses)
+    ops
+
 let prop_cache_matches_reference =
   let gen =
     QCheck2.Gen.(
-      oneofl [ (1, 4); (2, 4); (4, 2); (8, 8); (16, 2) ] >>= fun (sets, ways) ->
-      (* Three candidate lines per way keep sets conflicting; half the
-         streams never invalidate, so large sets fill up and evict. *)
-      let line = int_range 0 ((3 * sets * ways) - 1) in
+      geometry >>= fun g ->
+      let line = line_gen g in
+      (* Half the streams never invalidate, so large sets fill up and
+         evict. *)
       int_range 0 1 >>= fun invalidates ->
       let op =
         frequency
@@ -238,63 +297,46 @@ let prop_cache_matches_reference =
             (invalidates, pure Invalidate);
           ]
       in
-      map (fun ops -> ((sets, ways), ops)) (list_size (int_range 20 600) op))
-  in
-  let print ((sets, ways), ops) =
-    Printf.sprintf "%dx%d: %s" sets ways
-      (String.concat " " (List.map pp_cache_op ops))
+      map (fun ops -> (g, ops)) (list_size (int_range 20 600) op))
   in
   QCheck2.Test.make ~name:"cache level matches a reference LRU model"
-    ~count:300 ~print gen
-    (fun ((sets, ways), ops) ->
-      let c =
-        Cache_level.create ~size_bytes:(ways * sets * 64) ~ways ~line_bits:6
+    ~count:300 ~print:print_stream gen matches_reference
+
+(* The same-line hit path: most accesses repeat the previous line, and
+   flushes and invalidations fall between the repeats. A line of -1 in
+   the generated stream stands for the last line accessed. *)
+let prop_same_line_matches_reference =
+  let resolve ops =
+    let last = ref 0 in
+    let again l = if l < 0 then !last else l in
+    List.map
+      (function
+        | Access (l, w) ->
+            last := again l;
+            Access (!last, w)
+        | Flush l -> Flush (again l)
+        | Invalidate -> Invalidate)
+      ops
+  in
+  let gen =
+    QCheck2.Gen.(
+      geometry >>= fun g ->
+      let line = line_gen g in
+      let op =
+        frequency
+          [
+            (25, map2 (fun l w -> Access (l, w)) line bool);
+            (35, map (fun w -> Access (-1, w)) bool);
+            (3, map (fun l -> Flush l) line);
+            (3, pure (Flush (-1)));
+            (2, pure Invalidate);
+          ]
       in
-      let reference = Array.make sets [] in
-      let hits = ref 0 and misses = ref 0 in
-      let step op =
-        match op with
-        | Access (line, write) ->
-            let s = line mod sets in
-            let set = reference.(s) in
-            let expected =
-              match List.assoc_opt line set with
-              | Some dirty ->
-                  incr hits;
-                  reference.(s) <-
-                    (line, dirty || write) :: List.remove_assoc line set;
-                  Cache_level.hit
-              | None when List.length set < ways ->
-                  incr misses;
-                  reference.(s) <- (line, write) :: set;
-                  Cache_level.miss_clean
-              | None ->
-                  incr misses;
-                  let lru, dirty = List.nth set (ways - 1) in
-                  reference.(s) <-
-                    (line, write) :: List.filteri (fun i _ -> i < ways - 1) set;
-                  if dirty then lru * 64 else Cache_level.miss_clean
-            in
-            Cache_level.access c ~addr:(line * 64) ~write = expected
-        | Flush line ->
-            let s = line mod sets in
-            let expected =
-              Option.value ~default:false (List.assoc_opt line reference.(s))
-            in
-            reference.(s) <- List.remove_assoc line reference.(s);
-            Cache_level.flush_line c ~addr:(line * 64) = expected
-        | Invalidate ->
-            Array.fill reference 0 sets [];
-            Cache_level.invalidate_all c;
-            true
-      in
-      List.for_all
-        (fun op ->
-          step op
-          &&
-          let st = Cache_level.stats c in
-          st.Cache_level.hits = !hits && st.Cache_level.misses = !misses)
-        ops)
+      map (fun ops -> (g, resolve ops)) (list_size (int_range 20 600) op))
+  in
+  QCheck2.Test.make
+    ~name:"repeated lines match a reference LRU model"
+    ~count:300 ~print:print_stream gen matches_reference
 
 let () =
   Alcotest.run "cachesim"
@@ -313,6 +355,7 @@ let () =
           Alcotest.test_case "stats + invalidate" `Quick
             test_cache_stats_and_invalidate;
           QCheck_alcotest.to_alcotest prop_cache_matches_reference;
+          QCheck_alcotest.to_alcotest prop_same_line_matches_reference;
         ] );
       ( "timing",
         [

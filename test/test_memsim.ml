@@ -126,7 +126,9 @@ let test_stats () =
   ignore (Memsim.load64 m base);
   ignore (Memsim.load64 m (Vaddr.add base 0x1000));
   check "loads counted" (l0 + 2) s.Memsim.loads;
-  check_bool "pages materialized" true (s.Memsim.pages >= 2)
+  check "loads materialize no page" 0 s.Memsim.pages;
+  Memsim.store64 m base 1;
+  check "a store materializes its page" 1 s.Memsim.pages
 
 let test_high_addresses () =
   (* NV-space-like addresses near the top of the 62-bit space. *)
@@ -234,10 +236,11 @@ let prop_blit_arbitrary_bytes =
 (* The TLB'd fast path must be observationally identical to a reference
    slow path (a byte map plus a mapped-slot table) over arbitrary
    interleavings of map / unmap / store / load — unmap in particular
-   must invalidate the last-page cache. Four disjoint page-aligned
-   slots keep map overlap decidable per slot. *)
+   must invalidate the TLB. Four disjoint page-aligned slots keep map
+   overlap decidable per slot; they lie 64 pages apart, so their pages
+   contend for the same TLB entries. *)
 let prop_tlb_matches_reference =
-  let slot_base s = 0x4000 * (s + 1) in
+  let slot_base s = 0x40000 * (s + 1) in
   let slot_size = 0x2000 in
   let op_gen =
     QCheck2.Gen.(
@@ -333,7 +336,7 @@ let test_image_copies_present_pages () =
     (Int64.to_int (Page_image.get_int64_le img 8));
   let out = Page_image.create (1 lsl 20) in
   Memsim.extract m ~addr:base out;
-  check "extract keeps the touched pages" 3 (Page_image.present out);
+  check "extract keeps the stored pages" 2 (Page_image.present out);
   check "extracted word" 0x3333 (Int64.to_int (Page_image.get_int64_le out 8));
   (* ... and the image owns its pages: writing it does not reach memory. *)
   Page_image.set_int64_le out 8 0x4444L;
@@ -385,11 +388,59 @@ let test_drop_zero_page () =
   Memsim.store64 m base 0;
   Memsim.drop_zero_page m base;
   check "an all-zero page goes" 0 s.Memsim.pages;
-  (* The dropped page was the TLB's: a store after the drop must land
-     in a fresh page that later accesses find. *)
+  (* A store after the drop must land in a fresh page that later
+     accesses find ("drop_zero_page on an aliased page" forces the
+     TLB entry out in between). *)
   Memsim.store64 m base 7;
   ignore (Memsim.load64 m (Vaddr.add base page));
   check "store after the drop survives" 7 (Memsim.load64 m base)
+
+(* Pages [p] and [p + 64] share a TLB entry. *)
+let tlb_span = 64 * page
+
+let test_tlb_aliased_pages () =
+  let m, base = fresh ~size:(2 * tlb_span) () in
+  let a = Vaddr.add base 8 and b = Vaddr.add base (tlb_span + 8) in
+  for i = 1 to 10 do
+    Memsim.store64 m a i;
+    check "the other page keeps its word" (i - 1) (Memsim.load64 m b);
+    Memsim.store64 m b i;
+    check "this page keeps its word" i (Memsim.load64 m a)
+  done;
+  Memsim.unmap m ~addr:base;
+  Memsim.map m ~addr:base ~size:(2 * tlb_span);
+  check "remapped page reads zero" 0 (Memsim.load64 m a);
+  check "remapped alias reads zero" 0 (Memsim.load64 m b)
+
+let test_drop_aliased_zero_page () =
+  let m, base = fresh ~size:(2 * tlb_span) () in
+  let a = Vaddr.add base 8 and b = Vaddr.add base (tlb_span + 8) in
+  Memsim.store64 m a 0;
+  Memsim.store64 m b 5;
+  (* [b]'s page holds the shared entry: dropping [a]'s must leave it. *)
+  Memsim.drop_zero_page m a;
+  check "one page left" 1 (Memsim.stats m).Memsim.pages;
+  check "the alias keeps its word" 5 (Memsim.load64 m b);
+  Memsim.store64 m a 6;
+  check "store after the drop survives" 6 (Memsim.load64 m a);
+  Memsim.store64 m b 0;
+  Memsim.drop_zero_page m b;
+  check "the entry's own page goes" 1 (Memsim.stats m).Memsim.pages;
+  check "dropped alias reads zero" 0 (Memsim.load64 m b);
+  Memsim.store64 m b 9;
+  check "the other page survives" 6 (Memsim.load64 m a);
+  check "a store after dropping the entry's page survives" 9
+    (Memsim.load64 m b)
+
+let test_install_over_loaded_page () =
+  let m, base = fresh ~size:(2 * page) () in
+  let a = Vaddr.add base (page + 8) in
+  check "absent page reads zero" 0 (Memsim.load64 m a);
+  check "the load materialized nothing" 0 (Memsim.stats m).Memsim.pages;
+  let img = Page_image.create (2 * page) in
+  Page_image.set_int64_le img (page + 8) 42L;
+  Memsim.install m ~addr:base img;
+  check "install is visible to the next load" 42 (Memsim.load64 m a)
 
 (* Flat bytes with some zero pages, a size that is often not a multiple
    of the page size, and values with the high bit set. *)
@@ -459,6 +510,8 @@ let () =
           Alcotest.test_case "unmap drops pages" `Quick test_unmap;
           Alcotest.test_case "map after unmap of overlapping range" `Quick
             test_map_after_unmap_overlapping;
+          Alcotest.test_case "pages sharing a TLB entry" `Quick
+            test_tlb_aliased_pages;
         ] );
       ( "bulk",
         [
@@ -495,5 +548,9 @@ let () =
             test_image_counts;
           Alcotest.test_case "rejects" `Quick test_image_rejects;
           Alcotest.test_case "drop_zero_page" `Quick test_drop_zero_page;
+          Alcotest.test_case "drop_zero_page on an aliased page" `Quick
+            test_drop_aliased_zero_page;
+          Alcotest.test_case "install over a page only loaded" `Quick
+            test_install_over_loaded_page;
         ] );
     ]
