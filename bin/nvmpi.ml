@@ -454,13 +454,6 @@ let serve_cmd =
                    30/40/15/15 with deletes) or an explicit \
                    read:F,update:F,insert:F[,delete:F] list.")
   in
-  let churn =
-    Arg.(value & flag
-         & info [ "churn" ]
-             ~doc:"Shorthand for --mix churn: overwrite- and \
-                   delete-heavy traffic with value-size churn, driving \
-                   the allocator's free/reuse paths.")
-  in
   let ops =
     Arg.(value & opt int d.Server.ops
          & info [ "ops" ] ~docv:"N"
@@ -513,13 +506,12 @@ let serve_cmd =
                    domains. The report (and its JSON) is identical to a \
                    serial run; only wall-clock changes.")
   in
-  let run durability tenants theta mix churn ops seed shards resident
+  let run durability tenants theta mix ops seed shards resident
       keys value_bytes reprs json jobs =
     let fail msg =
       Printf.eprintf "serve: %s\n" msg;
       exit 2
     in
-    let mix = if churn then "churn" else mix in
     let mix =
       match Server.mix_of_string mix with Ok m -> m | Error msg -> fail msg
     in
@@ -555,7 +547,7 @@ let serve_cmd =
              deterministic request loop and drive a YCSB-style zipfian \
              workload across every pointer representation, with LRU \
              map/unmap residency churn.")
-    Term.(const run $ durability $ tenants $ theta $ mix $ churn
+    Term.(const run $ durability $ tenants $ theta $ mix
           $ ops $ seed $ shards
           $ resident $ keys $ value_bytes $ reprs $ json $ jobs)
 

@@ -1,5 +1,3 @@
-type stats = { mutable hits : int; mutable misses : int }
-
 (* Storage is allocated on first fill, one chunk of consecutive sets at a
    time, so a run pays for the chunks it touches and not for the
    modelled capacity (docs/PERF.md, "Cache-level storage"). A set is
@@ -19,7 +17,6 @@ type t = {
   mutable last_line : int;
   mutable last_chunk : int;
   mutable last_slot : int;
-  stats : stats;
 }
 
 (* Eight sets per chunk keep the chunk table of the default 32 MiB L3 at
@@ -55,15 +52,9 @@ let create ~size_bytes ~ways ~line_bits =
     last_line = -1;
     last_chunk = 0;
     last_slot = 0;
-    stats = { hits = 0; misses = 0 };
   }
 
 let sets t = t.set_mask + 1
-let stats t = t.stats
-
-let reset_stats t =
-  t.stats.hits <- 0;
-  t.stats.misses <- 0
 
 (* First slot of set [s] in its chunk. *)
 let base t s = (s land ((1 lsl t.chunk_bits) - 1)) * t.span
@@ -72,7 +63,6 @@ let base t s = (s land ((1 lsl t.chunk_bits) - 1)) * t.span
 let[@inline] hit_at t chunk i ~write =
   Array.unsafe_set chunk (i + 1) t.tick;
   if write then Array.unsafe_set chunk i (Array.unsafe_get chunk i lor 1);
-  t.stats.hits <- t.stats.hits + 1;
   hit
 
 (* Looks [line] up in its set; on a miss, fills it over the victim.
@@ -107,7 +97,6 @@ let probe t line ~write =
     hit_at t chunk i ~write
   end
   else begin
-    t.stats.misses <- t.stats.misses + 1;
     (* The victim is the first invalid way, else the least recently
        used. [tick] advances on every access, so valid ways carry
        distinct stamps and the LRU way is unique. *)

@@ -41,8 +41,3 @@ val invalidate_all : t -> unit
 (** Invalidates every line without writing anything back. *)
 
 val sets : t -> int
-
-type stats = { mutable hits : int; mutable misses : int }
-
-val stats : t -> stats
-val reset_stats : t -> unit

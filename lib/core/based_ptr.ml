@@ -24,7 +24,7 @@ let store m ~holder (target : Vaddr.t) =
     (* Encoding NULL is base-independent (Figure 8 stores the constant),
        so it must work before any based region is selected. *)
     Machine.bump m Machine.Cell.based_stores "repr.based.stores";
-    Machine.store64_fast m holder 0
+    Machine.store64 m holder 0
   end
   else begin
     let b = base_of m ~holder ~target in
@@ -35,12 +35,12 @@ let store m ~holder (target : Vaddr.t) =
     | _ -> raise (Machine.Cross_region_store { holder; target; repr = name }));
     Machine.bump m Machine.Cell.based_stores "repr.based.stores";
     Machine.alu m 1;
-    Machine.store64_fast m holder (Vaddr.offset_in target ~base:b)
+    Machine.store64 m holder (Vaddr.offset_in target ~base:b)
   end
 
 let load m ~holder =
   Machine.bump m Machine.Cell.based_loads "repr.based.loads";
   let b = base_of m ~holder ~target:Vaddr.null in
-  let v = Machine.load64_fast m holder in
+  let v = Machine.load64 m holder in
   Machine.alu m 1;
   if v = 0 then Vaddr.null else Vaddr.add b v

@@ -30,7 +30,7 @@ let translation_cycles = 2
 
 let store m ~holder (target : Vaddr.t) =
   Machine.bump m Machine.Cell.hw_oid_stores "repr.hw-oid.stores";
-  if Vaddr.is_null target then Machine.store64_fast m holder 0
+  if Vaddr.is_null target then Machine.store64 m holder 0
   else begin
     let rid = Machine.rid_of_addr_exn m target in
     Machine.alu m translation_cycles;
@@ -38,12 +38,12 @@ let store m ~holder (target : Vaddr.t) =
       K.riv_of_rid_off m.Machine.layout ~rid
         ~offset:(K.seg_offset m.Machine.layout target)
     in
-    Machine.store64_fast m holder (v :> int)
+    Machine.store64 m holder (v :> int)
   end
 
 let load m ~holder =
   Machine.bump m Machine.Cell.hw_oid_loads "repr.hw-oid.loads";
-  let v = Riv.v (Machine.load64_fast m holder) in
+  let v = Riv.v (Machine.load64 m holder) in
   if Riv.is_null v then Vaddr.null
   else begin
     Machine.alu m translation_cycles;

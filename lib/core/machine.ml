@@ -86,14 +86,13 @@ let create ?(layout = Layout.default) ?cfg ?metrics ?seed
   let metrics =
     match metrics with Some m -> m | None -> Metrics.create ()
   in
-  let mem = Memsim.create ~metrics () in
   let clock = Clock.create () in
   let timing =
     Timing.create ?cfg ~metrics ~clock
       ~is_nvm:(fun a -> Layout.in_nv_space layout a)
       ()
   in
-  Timing.attach timing mem;
+  let mem = Memsim.create ~metrics ~timing () in
   Memsim.map mem ~addr:(Vaddr.v dram_base) ~size:dram_size;
   let manager = Manager.create ?seed ~layout ~mem ~store () in
   let nvspace = Nvspace.create ~layout ~mem ~timing ~metrics () in
@@ -215,22 +214,13 @@ let dram_alloc t ?(align = 8) n =
 let lastid_addr t = ignore t; Vaddr.v (dram_base + globals_off)
 let lastaddr_addr t = ignore t; Vaddr.v (dram_base + globals_off + 8)
 
-let load64 t a = Memsim.load64 t.mem a
-let store64 t a v = Memsim.store64 t.mem a v
+let[@inline] load64 t a = Memsim.load64 t.mem a
+let[@inline] store64 t a v = Memsim.store64 t.mem a v
 let alu t n = Timing.alu t.timing n
 let cycles t = Clock.cycles t.clock
 let is_nvm t a = K.in_nv_space t.layout a
 let metrics t = t.metrics
 let count ?by t name = Metrics.incr ?by t.metrics name
-
-(* Staged fast paths. [create] attaches the timing model as observer 0
-   before anything else can register, so whenever [Memsim.solo_observed]
-   holds, the sole observer *is* [t.timing] and the fused data access
-   plus a direct [Timing.access_line] charge is exactly what the generic
-   path's observer dispatch would have done. Any second observer (the
-   fault-injection tracker) makes the guard false and falls back to the
-   generic path, preserving observer semantics and event order
-   bit-for-bit. *)
 
 let[@inline never] resolve_cell t i name =
   let c = Metrics.handle t.metrics name in
@@ -242,18 +232,3 @@ let[@inline] cell t i name =
   if Metrics.Handle.resolved c then c else resolve_cell t i name
 
 let[@inline] bump t i name = Metrics.Handle.bump (cell t i name)
-
-let[@inline] load64_fast t a =
-  if Memsim.solo_observed t.mem then begin
-    let v = Memsim.load64_fused t.mem a in
-    Timing.access_line t.timing ~addr:(a : Vaddr.t :> int) ~write:false;
-    v
-  end
-  else Memsim.load64 t.mem a
-
-let[@inline] store64_fast t a v =
-  if Memsim.solo_observed t.mem then begin
-    Memsim.store64_fused t.mem a v;
-    Timing.access_line t.timing ~addr:(a : Vaddr.t :> int) ~write:true
-  end
-  else Memsim.store64 t.mem a v

@@ -5,7 +5,8 @@
     A machine bundles:
     - a {!Nvmpi_memsim.Memsim.t} address space with the NV space mapped
       per a {!Nvmpi_addr.Layout.t};
-    - a {!Nvmpi_cachesim.Timing.t} cycle model attached to it;
+    - the {!Nvmpi_cachesim.Timing.t} cycle model that address space
+      charges every access to;
     - a {!Nvmpi_nvregion.Manager.t} that opens NVRegions from a shared
       {!Nvmpi_nvregion.Store.t} at randomized segments;
     - the RIV lookup tables ({!Nvspace}), populated on region open;
@@ -195,15 +196,12 @@ val count : ?by:int -> t -> string -> unit
     the hook the pointer representations use to report events at the
     point of cost. *)
 
-(** {1 Fast paths}
+(** {1 Pre-resolved counters}
 
-    The pre-resolved-counter and fused-access machinery behind the
-    pointer representations' store/load paths. Observational
-    contract: every entry point here is bit-for-bit equivalent to its
-    generic counterpart ([count] / [load64] / [store64]) — same
-    counters registered at the same moments, same cycles charged in the
-    same order — it only skips host-side indirections (the string
-    lookup, the observer closure). *)
+    The counter machinery behind the pointer representations'
+    store/load paths. Observational contract: {!bump} is bit-for-bit
+    equivalent to {!count} — the same counter registered at the same
+    moment — it only skips the string lookup. *)
 
 val cell : t -> int -> string -> Nvmpi_obs.Metrics.Handle.t
 (** [cell t i name] is the handle for counter [name] cached in cell
@@ -213,12 +211,3 @@ val cell : t -> int -> string -> Nvmpi_obs.Metrics.Handle.t
 val bump : t -> int -> string -> unit
 (** [bump t i name] increments the counter behind cell slot [i] —
     the pre-resolved equivalent of [count t name]. *)
-
-val load64_fast : t -> Nvmpi_addr.Kinds.Vaddr.t -> int
-val store64_fast : t -> Nvmpi_addr.Kinds.Vaddr.t -> int -> unit
-(** Fused 64-bit accesses: when the machine's timing model is the sole
-    observer (the steady state — [create] attaches it as observer 0),
-    the data access and the single-line cache charge are made directly,
-    skipping the observer closure. Otherwise (durability tracker
-    attached) they fall back to the generic [load64]/[store64], so
-    observer semantics and event order are preserved exactly. *)

@@ -66,20 +66,6 @@ let create ~layout ~mem ~timing ?metrics () =
 let layout t = t.layout
 let phases t = t.phases
 
-(* Fused table load. Nvspace is only constructed by
-   [Machine.create], where [timing] is the memory's observer 0 — so
-   whenever [solo_observed] holds, the sole observer is exactly
-   [t.timing], and a fused data load plus a direct single-line charge
-   (table entries are naturally aligned power-of-two words) matches the
-   generic observed load bit-for-bit. *)
-let[@inline] table_load t ~size entry =
-  if Memsim.solo_observed t.mem then begin
-    let v = Memsim.load_sized_fused t.mem ~size entry in
-    Timing.access_line t.timing ~addr:(entry : Vaddr.t :> int) ~write:false;
-    v
-  end
-  else Memsim.load_sized t.mem ~size entry
-
 let reset_phases t =
   t.phases.extract_cycles <- 0;
   t.phases.id2addr_cycles <- 0;
@@ -113,7 +99,7 @@ let id2addr t rid =
   Timing.alu t.timing 2;
   let entry = K.base_entry_vaddr l ~rid in
   incr t.c_base_loads;
-  let nvbase = table_load t ~size:t.base_entry entry in
+  let nvbase = Memsim.load_sized t.mem ~size:t.base_entry entry in
   if nvbase = 0 then raise (Unknown_region { rid });
   Timing.alu t.timing 1;
   K.vaddr_of_seg l (Seg.v nvbase)
@@ -124,7 +110,7 @@ let addr2id t a =
   Timing.alu t.timing 2;
   let entry = K.rid_entry_vaddr l a in
   incr t.c_rid_loads;
-  let rid = table_load t ~size:t.rid_entry entry in
+  let rid = Memsim.load_sized t.mem ~size:t.rid_entry entry in
   if rid = 0 then raise (Unknown_region { rid = Rid.none });
   Rid.v rid
 
@@ -152,7 +138,7 @@ let x2p t v =
     let entry = K.base_entry_vaddr l ~rid in
     let c2 = Clock.cycles clock in
     incr t.c_base_loads;
-    let nvbase = table_load t ~size:t.base_entry entry in
+    let nvbase = Memsim.load_sized t.mem ~size:t.base_entry entry in
     if nvbase = 0 then raise (Unknown_region { rid });
     Timing.alu t.timing 2;
     let addr =

@@ -18,7 +18,7 @@ let position_independent = true
 let store m ~holder (target : Vaddr.t) =
   if Vaddr.is_null target then begin
     Machine.bump m Machine.Cell.off_holder_stores "repr.off-holder.stores";
-    Machine.store64_fast m holder 0
+    Machine.store64 m holder 0
   end
   else begin
     (* Section 4.4's dynamic same-region check. It runs before any
@@ -30,12 +30,12 @@ let store m ~holder (target : Vaddr.t) =
     Machine.bump m Machine.Cell.off_holder_stores "repr.off-holder.stores";
     Machine.alu m 2;
     (* Figure 8, persistentI encode: i = target - holder. *)
-    Machine.store64_fast m holder (Off.to_int (K.off_of_vaddr ~holder target))
+    Machine.store64 m holder (Off.to_int (K.off_of_vaddr ~holder target))
   end
 
 let load m ~holder =
   Machine.bump m Machine.Cell.off_holder_loads "repr.off-holder.loads";
-  let v = Off.v (Machine.load64_fast m holder) in
+  let v = Off.v (Machine.load64 m holder) in
   Machine.alu m 2;
   (* Figure 8, persistentI decode: p = holder + i. *)
   if Off.is_null v then Vaddr.null else K.vaddr_of_off ~holder v

@@ -16,10 +16,10 @@ let position_independent = true
    the Figure 5 packing. *)
 let store m ~holder target =
   Machine.bump m Machine.Cell.riv_stores "repr.riv.stores";
-  Machine.store64_fast m holder (Nvspace.p2x m.Machine.nvspace target :> int)
+  Machine.store64 m holder (Nvspace.p2x m.Machine.nvspace target :> int)
 
 (* Figure 8, persistentX decode (p = x): Nvspace.x2p is the field
    extraction, id2addr and the final or. *)
 let load m ~holder =
   Machine.bump m Machine.Cell.riv_loads "repr.riv.loads";
-  Nvspace.x2p m.Machine.nvspace (Riv.v (Machine.load64_fast m holder))
+  Nvspace.x2p m.Machine.nvspace (Riv.v (Machine.load64 m holder))

@@ -26,27 +26,27 @@ let position_independent = false (* in its in-memory, swizzled form *)
 
 let store m ~holder (target : Vaddr.t) =
   Machine.bump m Machine.Cell.swizzle_stores "repr.swizzle.stores";
-  Machine.store64_fast m holder (target :> int)
+  Machine.store64 m holder (target :> int)
 
 let load m ~holder =
   Machine.bump m Machine.Cell.swizzle_loads "repr.swizzle.loads";
-  Vaddr.v (Machine.load64_fast m holder)
+  Vaddr.v (Machine.load64 m holder)
 
 (** [store_packed m ~holder target] writes the persisted (unswizzled)
     form directly; used when producing the on-NVM form a freshly opened
     structure starts from. *)
 let store_packed m ~holder target =
   Machine.bump m Machine.Cell.swizzle_packed_stores "swizzle.packed_stores";
-  Machine.store64_fast m holder (Nvspace.p2x m.Machine.nvspace target :> int)
+  Machine.store64 m holder (Nvspace.p2x m.Machine.nvspace target :> int)
 
 (** [swizzle_slot m ~holder] converts the packed slot at [holder] to an
     absolute address in place and returns that address (null for a
     stored null). *)
 let swizzle_slot m ~holder =
   Machine.bump m Machine.Cell.swizzle_swizzled "swizzle.swizzled_slots";
-  let v = Riv.v (Machine.load64_fast m holder) in
+  let v = Riv.v (Machine.load64 m holder) in
   let a = Nvspace.x2p m.Machine.nvspace v in
-  Machine.store64_fast m holder (a :> int);
+  Machine.store64 m holder (a :> int);
   a
 
 (** [unswizzle_slot m ~holder] converts the absolute slot at [holder]
@@ -54,6 +54,6 @@ let swizzle_slot m ~holder =
     held (so a walker can keep traversing). *)
 let unswizzle_slot m ~holder =
   Machine.bump m Machine.Cell.swizzle_unswizzled "swizzle.unswizzled_slots";
-  let a = Vaddr.v (Machine.load64_fast m holder) in
-  Machine.store64_fast m holder (Nvspace.p2x m.Machine.nvspace a :> int);
+  let a = Vaddr.v (Machine.load64 m holder) in
+  Machine.store64 m holder (Nvspace.p2x m.Machine.nvspace a :> int);
   a

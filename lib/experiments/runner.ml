@@ -142,7 +142,6 @@ let run cfg =
   if cfg.repr = Repr.Swizzle then inst.Instance.unswizzle ();
   let searches = Workload.search_sample ~keys ~n:cfg.searches ~seed:cfg.seed in
   Core.Nvspace.reset_phases machine.Machine.nvspace;
-  Nvmpi_cachesim.Timing.reset_stats machine.Machine.timing;
   if cfg.cold then
     Nvmpi_cachesim.Timing.invalidate_caches machine.Machine.timing;
   let nodes = ref 0 and checksum = ref 0 and found = ref 0 in

@@ -1,8 +1,7 @@
-type stats = { mutable loads : int; mutable stores : int; mutable pages : int }
-
 exception Fault of { addr : int; size : int; reason : string }
 
 module Metrics = Nvmpi_obs.Metrics
+module Timing = Nvmpi_cachesim.Timing
 
 type observer = write:bool -> addr:int -> size:int -> unit
 
@@ -110,18 +109,18 @@ module Page_image = struct
     grown
 end
 
+let page_bits = Page_image.page_bits
+let page_size = Page_image.page_size
+let page_mask = page_size - 1
+
 type t = {
-  page_bits : int;
-  page_mask : int; (* page_size - 1, precomputed for the access path *)
   pages : (int, Bytes.t) Hashtbl.t;
   mutable ranges : (int * int) array; (* (first_page, last_page) sorted *)
-  (* Observers live in a growable array: O(1) amortized registration and
-     index-loop dispatch with no list cells on the notify path. [obs0]
-     mirrors slot 0 so the common single-observer machine pays one
-     direct closure call per access. *)
+  timing : Timing.t; (* the cache model every access is charged to *)
+  (* Harness observers live in a growable array: O(1) amortized
+     registration and index-loop dispatch with no list cells. *)
   mutable obs : observer array;
   mutable n_obs : int;
-  mutable obs0 : observer;
   (* Direct-mapped TLB of [tlb_size] entries in front of [pages]: slot
      [p land tlb_mask] holds page [p] in [tlb_pages] when [tlb_tags]
      holds [p], and -1 when empty. Only pages of [pages] enter it, never
@@ -131,7 +130,6 @@ type t = {
   tlb_pages : Bytes.t array;
   (* What a load from an absent mapped page reads. Never written. *)
   zero_page : Bytes.t;
-  stats : stats;
   (* Counter cells resolved once at creation: the access path runs on
      every simulated load/store, so it must not pay a registry lookup. *)
   c_loads : int ref;
@@ -143,29 +141,24 @@ type t = {
 let tlb_size = 64
 let tlb_mask = tlb_size - 1
 
-let create ?(page_bits = 12) ?metrics () =
-  if page_bits < 4 || page_bits > 24 then invalid_arg "Memsim.create";
+let create ?metrics ~timing () =
   let metrics =
     match metrics with Some m -> m | None -> Metrics.create ()
   in
   {
-    page_bits;
-    page_mask = (1 lsl page_bits) - 1;
     pages = Hashtbl.create 1024;
     ranges = [||];
+    timing;
     obs = [||];
     n_obs = 0;
-    obs0 = no_observer;
     tlb_tags = Array.make tlb_size (-1);
     tlb_pages = Array.make tlb_size no_page;
-    zero_page = Bytes.make (1 lsl page_bits) '\000';
-    stats = { loads = 0; stores = 0; pages = 0 };
+    zero_page = Bytes.make page_size '\000';
     c_loads = Metrics.counter metrics "mem.loads";
     c_stores = Metrics.counter metrics "mem.stores";
   }
 
-let page_size t = 1 lsl t.page_bits
-let stats t = t.stats
+let pages t = Hashtbl.length t.pages
 
 let fault addr size reason = raise (Fault { addr; size; reason })
 
@@ -184,8 +177,8 @@ let page_in_ranges t p =
 
 let map t ~addr ~size =
   if addr < 0 || size <= 0 then invalid_arg "Memsim.map: bad range";
-  let first = addr lsr t.page_bits in
-  let last = (addr + size - 1) lsr t.page_bits in
+  let first = addr lsr page_bits in
+  let last = (addr + size - 1) lsr page_bits in
   Array.iter
     (fun (f, l) ->
       if not (last < f || first > l) then
@@ -200,7 +193,7 @@ let map t ~addr ~size =
   t.ranges <- ranges
 
 let unmap t ~addr =
-  let first = addr lsr t.page_bits in
+  let first = addr lsr page_bits in
   let found = ref None in
   Array.iter
     (fun (f, l) -> if f = first then found := Some (f, l))
@@ -210,10 +203,7 @@ let unmap t ~addr =
       invalid_arg (Printf.sprintf "Memsim.unmap: no mapping at 0x%x" addr)
   | Some (f, l) ->
       for p = f to l do
-        if Hashtbl.mem t.pages p then begin
-          Hashtbl.remove t.pages p;
-          t.stats.pages <- t.stats.pages - 1
-        end
+        Hashtbl.remove t.pages p
       done;
       (* Drop the range in place: [f] is unique among disjoint ranges. *)
       let n = Array.length t.ranges in
@@ -231,11 +221,10 @@ let unmap t ~addr =
       Array.fill t.tlb_pages 0 tlb_size no_page
 
 let drop_zero_page t a =
-  let p = a lsr t.page_bits in
+  let p = a lsr page_bits in
   match Hashtbl.find_opt t.pages p with
   | Some page when is_zero page 0 (Bytes.length page) ->
       Hashtbl.remove t.pages p;
-      t.stats.pages <- t.stats.pages - 1;
       let s = p land tlb_mask in
       if t.tlb_tags.(s) = p then begin
         t.tlb_tags.(s) <- -1;
@@ -243,12 +232,11 @@ let drop_zero_page t a =
       end
   | _ -> ()
 
-let is_mapped t a = a >= 0 && page_in_ranges t (a lsr t.page_bits)
+let is_mapped t a = a >= 0 && page_in_ranges t (a lsr page_bits)
 
 let mappings t =
   Array.to_list t.ranges
-  |> List.map (fun (f, l) ->
-         (f lsl t.page_bits, (l - f + 1) lsl t.page_bits))
+  |> List.map (fun (f, l) -> (f lsl page_bits, (l - f + 1) lsl page_bits))
 
 let add_observer t f =
   if t.n_obs = Array.length t.obs then begin
@@ -257,25 +245,30 @@ let add_observer t f =
     t.obs <- grown
   end;
   t.obs.(t.n_obs) <- f;
-  if t.n_obs = 0 then t.obs0 <- f;
   t.n_obs <- t.n_obs + 1
 
-let notify t write addr size =
-  if write then begin
-    t.stats.stores <- t.stats.stores + 1;
-    incr t.c_stores
-  end
-  else begin
-    t.stats.loads <- t.stats.loads + 1;
-    incr t.c_loads
-  end;
-  let n = t.n_obs in
-  if n = 1 then t.obs0 ~write ~addr ~size
-  else if n > 1 then
-    let obs = t.obs in
-    for i = 0 to n - 1 do
-      (Array.unsafe_get obs i) ~write ~addr ~size
-    done
+(* The one access path: every access is counted, charged to the cache
+   model, then shown to the harness observers in registration order. *)
+
+let[@inline] note t write = if write then incr t.c_stores else incr t.c_loads
+
+let[@inline never] observe t write addr size =
+  let obs = t.obs in
+  for i = 0 to t.n_obs - 1 do
+    (Array.unsafe_get obs i) ~write ~addr ~size
+  done
+
+(* A typed access is naturally aligned and at most 8 bytes, so it lies
+   in one cache line. *)
+let[@inline] charge_line t write addr size =
+  note t write;
+  Timing.access_line t.timing ~addr ~write;
+  if t.n_obs > 0 then observe t write addr size
+
+let charge t write addr size =
+  note t write;
+  Timing.access t.timing ~addr ~size ~write;
+  if t.n_obs > 0 then observe t write addr size
 
 let fill_tlb t p s page =
   t.tlb_tags.(s) <- p;
@@ -291,16 +284,15 @@ let[@inline never] walk t ~write p s addr size =
   | exception Not_found ->
       if not (page_in_ranges t p) then fault addr size "unmapped";
       if write then begin
-        let page = Bytes.make (t.page_mask + 1) '\000' in
+        let page = Bytes.make page_size '\000' in
         Hashtbl.add t.pages p page;
-        t.stats.pages <- t.stats.pages + 1;
         fill_tlb t p s page
       end
       else t.zero_page
 
 (* [s] is below [tlb_size], the length of both TLB arrays. *)
 let[@inline] get_page t ~write addr size =
-  let p = addr lsr t.page_bits in
+  let p = addr lsr page_bits in
   let s = p land tlb_mask in
   if Array.unsafe_get t.tlb_tags s = p then Array.unsafe_get t.tlb_pages s
   else walk t ~write p s addr size
@@ -308,55 +300,53 @@ let[@inline] get_page t ~write addr size =
 let check_align addr size =
   if addr land (size - 1) <> 0 then fault addr size "misaligned"
 
-let off t addr = addr land t.page_mask
-
 let load8 t a =
   if a < 0 then fault a 1 "negative address";
   let page = get_page t ~write:false a 1 in
-  notify t false a 1;
-  Char.code (Bytes.get page (a land t.page_mask))
+  charge_line t false a 1;
+  Char.code (Bytes.get page (a land page_mask))
 
 let load16 t a =
   check_align a 2;
   let page = get_page t ~write:false a 2 in
-  notify t false a 2;
-  Bytes.get_uint16_le page (a land t.page_mask)
+  charge_line t false a 2;
+  Bytes.get_uint16_le page (a land page_mask)
 
 let load32 t a =
   check_align a 4;
   let page = get_page t ~write:false a 4 in
-  notify t false a 4;
-  Int32.to_int (Bytes.get_int32_le page (a land t.page_mask)) land 0xFFFFFFFF
+  charge_line t false a 4;
+  Int32.to_int (Bytes.get_int32_le page (a land page_mask)) land 0xFFFFFFFF
 
 let load64 t a =
   check_align a 8;
   let page = get_page t ~write:false a 8 in
-  notify t false a 8;
-  Int64.to_int (Bytes.get_int64_le page (a land t.page_mask))
+  charge_line t false a 8;
+  Int64.to_int (Bytes.get_int64_le page (a land page_mask))
 
 let store8 t a v =
   if a < 0 then fault a 1 "negative address";
   let page = get_page t ~write:true a 1 in
-  notify t true a 1;
-  Bytes.set page (a land t.page_mask) (Char.chr (v land 0xFF))
+  charge_line t true a 1;
+  Bytes.set page (a land page_mask) (Char.chr (v land 0xFF))
 
 let store16 t a v =
   check_align a 2;
   let page = get_page t ~write:true a 2 in
-  notify t true a 2;
-  Bytes.set_uint16_le page (a land t.page_mask) (v land 0xFFFF)
+  charge_line t true a 2;
+  Bytes.set_uint16_le page (a land page_mask) (v land 0xFFFF)
 
 let store32 t a v =
   check_align a 4;
   let page = get_page t ~write:true a 4 in
-  notify t true a 4;
-  Bytes.set_int32_le page (a land t.page_mask) (Int32.of_int (v land 0xFFFFFFFF))
+  charge_line t true a 4;
+  Bytes.set_int32_le page (a land page_mask) (Int32.of_int (v land 0xFFFFFFFF))
 
 let store64 t a v =
   check_align a 8;
   let page = get_page t ~write:true a 8 in
-  notify t true a 8;
-  Bytes.set_int64_le page (a land t.page_mask) (Int64.of_int v)
+  charge_line t true a 8;
+  Bytes.set_int64_le page (a land page_mask) (Int64.of_int v)
 
 let load_sized t ~size a =
   match size with
@@ -374,69 +364,10 @@ let store_sized t ~size a v =
   | 8 -> store64 t a v
   | _ -> invalid_arg "Memsim.store_sized"
 
-(* Fused entry points: the full access pipeline minus observer
-   dispatch. A caller that *is* the sole observer — the machine's fused
-   paths hold its timing model directly —
-   performs the data access here and charges the cache model itself,
-   skipping one closure indirection per access. [solo_observed] is the
-   guard: it holds exactly when generic [load64] would have made a
-   single direct [obs0] call, so fused + caller-side charge is
-   observationally identical to the generic path. *)
-
-let[@inline] solo_observed t = t.n_obs = 1
-
-let[@inline] note t write =
-  if write then begin
-    t.stats.stores <- t.stats.stores + 1;
-    incr t.c_stores
-  end
-  else begin
-    t.stats.loads <- t.stats.loads + 1;
-    incr t.c_loads
-  end
-
-let load8_fused t a =
-  if a < 0 then fault a 1 "negative address";
-  let page = get_page t ~write:false a 1 in
-  note t false;
-  Char.code (Bytes.get page (a land t.page_mask))
-
-let load16_fused t a =
-  check_align a 2;
-  let page = get_page t ~write:false a 2 in
-  note t false;
-  Bytes.get_uint16_le page (a land t.page_mask)
-
-let load32_fused t a =
-  check_align a 4;
-  let page = get_page t ~write:false a 4 in
-  note t false;
-  Int32.to_int (Bytes.get_int32_le page (a land t.page_mask)) land 0xFFFFFFFF
-
-let load64_fused t a =
-  check_align a 8;
-  let page = get_page t ~write:false a 8 in
-  note t false;
-  Int64.to_int (Bytes.get_int64_le page (a land t.page_mask))
-
-let store64_fused t a v =
-  check_align a 8;
-  let page = get_page t ~write:true a 8 in
-  note t true;
-  Bytes.set_int64_le page (a land t.page_mask) (Int64.of_int v)
-
-let load_sized_fused t ~size a =
-  match size with
-  | 1 -> load8_fused t a
-  | 2 -> load16_fused t a
-  | 4 -> load32_fused t a
-  | 8 -> load64_fused t a
-  | _ -> invalid_arg "Memsim.load_sized_fused"
-
 (* Bulk transfers copy raw page chunks (so arbitrary byte patterns
    roundtrip exactly, including 64-bit words that would overflow a native
-   int) and report one observer access per chunk; the timing model
-   charges every cache line the chunk touches. *)
+   int) and count one access per chunk; the cache model charges every
+   line the chunk touches. *)
 
 let blit_from_bytes t ~addr b =
   let len = Bytes.length b in
@@ -444,10 +375,10 @@ let blit_from_bytes t ~addr b =
   while !i < len do
     let a = addr + !i in
     let page = get_page t ~write:true a 1 in
-    let poff = off t a in
-    let chunk = min (len - !i) (page_size t - poff) in
+    let poff = a land page_mask in
+    let chunk = min (len - !i) (page_size - poff) in
     Bytes.blit b !i page poff chunk;
-    notify t true a chunk;
+    charge t true a chunk;
     i := !i + chunk
   done
 
@@ -457,39 +388,33 @@ let blit_to_bytes t ~addr ~len =
   while !i < len do
     let a = addr + !i in
     let page = get_page t ~write:false a 1 in
-    let poff = off t a in
-    let chunk = min (len - !i) (page_size t - poff) in
+    let poff = a land page_mask in
+    let chunk = min (len - !i) (page_size - poff) in
     Bytes.blit page poff b !i chunk;
-    notify t false a chunk;
+    charge t false a chunk;
     i := !i + chunk
   done;
   b
-
-let fill t ~addr ~len c =
-  for i = 0 to len - 1 do
-    store8 t (addr + i) (Char.code c)
-  done
 
 (* Whole-image copies, slot by slot: slot [i] of an image at the
    page-aligned [addr] is memory page [addr / page + i]. [count] bumps
    one load or store per slot, present or not, as a chunked blit of the
    flat image does; the debug-port forms pass [false]. Neither
-   direction calls observers or touches the TLB: a page it writes is
-   either already in the table (and overwritten in place) or new. *)
+   direction charges the cache model, calls observers or touches the
+   TLB: a page it writes is either already in the table (and overwritten
+   in place) or new. *)
 
-let image_first_page t ~addr ~what =
-  if t.page_bits <> Page_image.page_bits then
-    invalid_arg (what ^ ": memory page size is not the image page size");
-  if addr < 0 || addr land t.page_mask <> 0 then
+let image_first_page ~addr ~what =
+  if addr < 0 || addr land page_mask <> 0 then
     invalid_arg (what ^ ": base not page-aligned");
-  addr lsr t.page_bits
+  addr lsr page_bits
 
 let check_slot_mapped t p len =
   if not (page_in_ranges t p) then
-    fault (p lsl t.page_bits) len "unmapped (image copy)"
+    fault (p lsl page_bits) len "unmapped (image copy)"
 
 let copy_in t ~addr ~count ~what (img : Page_image.t) =
-  let first = image_first_page t ~addr ~what in
+  let first = image_first_page ~addr ~what in
   Array.iteri
     (fun i src ->
       let p = first + i and len = Page_image.slot_len img i in
@@ -499,15 +424,12 @@ let copy_in t ~addr ~count ~what (img : Page_image.t) =
           if src == no_page then Bytes.fill dst 0 len '\000'
           else Bytes.blit src 0 dst 0 len
       | None ->
-          if src != no_page then begin
-            Hashtbl.add t.pages p (Bytes.copy src);
-            t.stats.pages <- t.stats.pages + 1
-          end);
+          if src != no_page then Hashtbl.add t.pages p (Bytes.copy src));
       if count then note t true)
     img.Page_image.pages
 
 let copy_out t ~addr ~count ~what (img : Page_image.t) =
-  let first = image_first_page t ~addr ~what in
+  let first = image_first_page ~addr ~what in
   let pages = img.Page_image.pages in
   Array.iteri
     (fun i dst ->
@@ -518,7 +440,7 @@ let copy_out t ~addr ~count ~what (img : Page_image.t) =
           let dst =
             if dst != no_page then dst
             else begin
-              let fresh = Bytes.make Page_image.page_size '\000' in
+              let fresh = Bytes.make page_size '\000' in
               pages.(i) <- fresh;
               fresh
             end
@@ -534,10 +456,10 @@ let install t ~addr img =
 let extract t ~addr img =
   copy_out t ~addr ~count:true ~what:"Memsim.extract" img
 
-(* Debug port: raw access that bypasses the access pipeline entirely —
-   no observers, no load/store statistics or counters. Harness-only
-   (the fault-injection subsystem's snapshot/restore machinery); never
-   use it to model a program access. *)
+(* Debug port: raw access that bypasses the access path entirely — no
+   charge, no observers, no counters. Harness-only (the fault-injection
+   subsystem's snapshot/restore machinery); never use it to model a
+   program access. *)
 
 let peek_bytes t ~addr ~len =
   if addr < 0 || len < 0 then invalid_arg "Memsim.peek_bytes";
@@ -545,9 +467,9 @@ let peek_bytes t ~addr ~len =
   let i = ref 0 in
   while !i < len do
     let a = addr + !i in
-    let p = a lsr t.page_bits in
-    let poff = off t a in
-    let chunk = min (len - !i) (page_size t - poff) in
+    let p = a lsr page_bits in
+    let poff = a land page_mask in
+    let chunk = min (len - !i) (page_size - poff) in
     (match Hashtbl.find_opt t.pages p with
     | Some page -> Bytes.blit page poff b !i chunk
     | None ->
@@ -564,8 +486,8 @@ let poke_bytes t ~addr b =
   while !i < len do
     let a = addr + !i in
     let page = get_page t ~write:true a 1 in
-    let poff = off t a in
-    let chunk = min (len - !i) (page_size t - poff) in
+    let poff = a land page_mask in
+    let chunk = min (len - !i) (page_size - poff) in
     Bytes.blit b !i page poff chunk;
     i := !i + chunk
   done
@@ -599,12 +521,8 @@ let store32 t (a : Vaddr.t) v = store32 t (a :> int) v
 let store64 t (a : Vaddr.t) v = store64 t (a :> int) v
 let load_sized t ~size (a : Vaddr.t) = load_sized t ~size (a :> int)
 let store_sized t ~size (a : Vaddr.t) v = store_sized t ~size (a :> int) v
-let load64_fused t (a : Vaddr.t) = load64_fused t (a :> int)
-let store64_fused t (a : Vaddr.t) v = store64_fused t (a :> int) v
-let load_sized_fused t ~size (a : Vaddr.t) = load_sized_fused t ~size (a :> int)
 let blit_from_bytes t ~addr:(a : Vaddr.t) b = blit_from_bytes t ~addr:(a :> int) b
 let blit_to_bytes t ~addr:(a : Vaddr.t) ~len = blit_to_bytes t ~addr:(a :> int) ~len
-let fill t ~addr:(a : Vaddr.t) ~len c = fill t ~addr:(a :> int) ~len c
 let peek_bytes t ~addr:(a : Vaddr.t) ~len = peek_bytes t ~addr:(a :> int) ~len
 let poke_bytes t ~addr:(a : Vaddr.t) b = poke_bytes t ~addr:(a :> int) b
 let install t ~addr:(a : Vaddr.t) img = install t ~addr:(a :> int) img

@@ -8,9 +8,9 @@
     raises {!Fault}, which is how the tests detect dangling
     (position-dependent) pointers after a region moves.
 
-    Every load and store is reported to registered observers; the timing
-    model ({!module:Nvmpi_cachesim}) attaches itself as an observer to
-    charge cycles organically. *)
+    Every load and store is counted, charged to the memory's cache model
+    ({!Nvmpi_cachesim.Timing}), and then reported to registered
+    observers. *)
 
 type t
 
@@ -19,19 +19,24 @@ type observer = write:bool -> addr:int -> size:int -> unit
     unboxed arguments — no record or variant is allocated per access.
     [write] is [true] for a store; [size] is in bytes (1, 2, 4 or 8 for
     typed accesses, up to a page for bulk-transfer chunks). The address
-    is deliberately a raw [int] — observers (the cache model) operate
+    is deliberately a raw [int] — observers (harness trackers) operate
     below the typed discipline, where every word is untyped bit
     traffic. *)
 
 exception Fault of { addr : int; size : int; reason : string }
 (** Raised on an access to unmapped memory or a misaligned access. *)
 
-val create : ?page_bits:int -> ?metrics:Nvmpi_obs.Metrics.t -> unit -> t
-(** Fresh, empty address space. [page_bits] defaults to 12 (4 KiB pages).
-    Every load and store increments [mem.loads] / [mem.stores] in
-    [metrics] (a private registry if none is given). *)
+val create :
+  ?metrics:Nvmpi_obs.Metrics.t -> timing:Nvmpi_cachesim.Timing.t -> unit -> t
+(** Fresh, empty address space of 4 KiB pages ({!Page_image.page_size})
+    whose accesses are charged to [timing]. Every load and store
+    increments [mem.loads] / [mem.stores] in [metrics] (a private
+    registry if none is given). *)
 
-val page_size : t -> int
+val pages : t -> int
+(** The number of pages present now: pages materialized by a store or
+    an image copy, less those that {!unmap} or {!drop_zero_page}
+    released. *)
 
 (** {1 Mappings} *)
 
@@ -56,20 +61,24 @@ val mappings : t -> (Nvmpi_addr.Kinds.Vaddr.t * int) list
 val drop_zero_page : t -> Nvmpi_addr.Kinds.Vaddr.t -> unit
 (** [drop_zero_page t a] releases the page holding [a] if it is present
     and all zero. An absent mapped page reads as zeros, so no access can
-    tell the difference; only {!stats}[.pages] and host memory do. *)
+    tell the difference; only {!pages} and host memory do. *)
 
 (** {1 Observers} *)
 
 val add_observer : t -> observer -> unit
 (** Registers a callback invoked on every load and store, after the
-    access has been validated. Registration is O(1) amortized; a memory
-    with a single observer (the common case: the timing model) pays one
-    direct closure call per access. *)
+    access has been validated and charged to the cache model, and
+    before a store writes its bytes. Observers run in registration
+    order; registration is O(1) amortized. Only the harness observes:
+    the fault-injection tracker, the snapshot discipline and the
+    experiments that count touched lines. *)
 
 (** {1 Typed accesses}
 
     All accesses must be naturally aligned ([addr] a multiple of the
-    access size), which guarantees they never straddle a page. 64-bit
+    access size), which guarantees they never straddle a page or a
+    cache line; each is charged as one line access
+    ({!Nvmpi_cachesim.Timing.access_line}). 64-bit
     stores accept any native [int] (including negative values, used by
     off-holder pointers for backward offsets); loads return exactly the
     stored [int]. *)
@@ -88,35 +97,14 @@ val load_sized : t -> size:int -> Nvmpi_addr.Kinds.Vaddr.t -> int
 
 val store_sized : t -> size:int -> Nvmpi_addr.Kinds.Vaddr.t -> int -> unit
 
-(** {1 Fused entry points}
-
-    The full access pipeline — alignment check, page walk through the
-    64-entry TLB, statistics and counter-cell bumps — minus observer
-    dispatch. Contract: call these only when {!solo_observed} holds and
-    you hold that sole observer's model (in practice: the machine's
-    timing model, attached as observer 0 at creation), and charge it
-    yourself via [Timing.access_line]. Under that contract the fused
-    path is observationally identical to the generic one: the generic
-    path would have made exactly one direct [obs0] call with the same
-    [(write, addr, size)], and every naturally aligned power-of-two
-    access of at most a cache line reduces observer-side to a single
-    line charge. *)
-
-val solo_observed : t -> bool
-(** True iff exactly one observer is registered — the precondition for
-    the fused entry points. *)
-
-val load64_fused : t -> Nvmpi_addr.Kinds.Vaddr.t -> int
-val store64_fused : t -> Nvmpi_addr.Kinds.Vaddr.t -> int -> unit
-val load_sized_fused : t -> size:int -> Nvmpi_addr.Kinds.Vaddr.t -> int
-
 (** {1 Bulk transfers}
 
     A bulk transfer splits at page boundaries and counts one access per
     piece: each chunk, at most a page long, bumps [mem.stores]
-    ([blit_from_bytes]) or [mem.loads] ([blit_to_bytes]) once and is
-    reported to every observer as a single access of its own address
-    and size. *)
+    ([blit_from_bytes]) or [mem.loads] ([blit_to_bytes]) once, is
+    charged for every cache line it touches
+    ({!Nvmpi_cachesim.Timing.access}), and is reported to every observer
+    as a single access of its own address and size. *)
 
 val blit_from_bytes : t -> addr:Nvmpi_addr.Kinds.Vaddr.t -> bytes -> unit
 (** Copies an OCaml [bytes] into simulated memory at [addr]. *)
@@ -124,8 +112,6 @@ val blit_from_bytes : t -> addr:Nvmpi_addr.Kinds.Vaddr.t -> bytes -> unit
 val blit_to_bytes : t -> addr:Nvmpi_addr.Kinds.Vaddr.t -> len:int -> bytes
 (** Copies [len] bytes of simulated memory starting at [addr] out into a
     fresh OCaml [bytes]. *)
-
-val fill : t -> addr:Nvmpi_addr.Kinds.Vaddr.t -> len:int -> char -> unit
 
 (** {1 Region images}
 
@@ -181,25 +167,25 @@ end
 val install : t -> addr:Nvmpi_addr.Kinds.Vaddr.t -> Page_image.t -> unit
 (** [install t ~addr img] writes [img] into memory at [addr]: the
     present pages are copied into pages of the memory's own, and the
-    memory's existing pages under absent ones are zeroed. No observer
-    fires. It counts one [mem.stores] per page the image spans, present
-    or not: as many as a {!blit_from_bytes} of the flat image counts.
-    [addr] must be page-aligned. Raises {!Fault} if the range leaves
-    mapped memory. *)
+    memory's existing pages under absent ones are zeroed. Nothing is
+    charged and no observer fires. It counts one [mem.stores] per page
+    the image spans, present or not: as many as a {!blit_from_bytes} of
+    the flat image counts. [addr] must be page-aligned. Raises {!Fault}
+    if the range leaves mapped memory. *)
 
 val extract : t -> addr:Nvmpi_addr.Kinds.Vaddr.t -> Page_image.t -> unit
 (** [extract t ~addr img] overwrites [img] with the [Page_image.size img]
     bytes of memory at [addr]; an untouched page of memory becomes an
     absent page of [img], and bytes of the last memory page past
-    [size img] stay behind. No observer fires; it counts one
-    [mem.loads] per page the image spans and materializes no page.
-    [addr] must be page-aligned. Raises {!Fault} if the range leaves
-    mapped memory. *)
+    [size img] stay behind. Nothing is charged and no observer fires; it
+    counts one [mem.loads] per page the image spans and materializes no
+    page. [addr] must be page-aligned. Raises {!Fault} if the range
+    leaves mapped memory. *)
 
 (** {1 Debug port}
 
-    Raw access below the access pipeline: no observers fire, no
-    statistics or counters move. The fault-injection harness uses these
+    Raw access below the access path: nothing is charged, no observers
+    fire, no counters move. The fault-injection harness uses these
     to snapshot line contents at flush time and to overwrite live memory
     with a materialized crash image; they must never stand in for a
     program access. *)
@@ -220,12 +206,3 @@ val peek_image :
 
 val poke_image : t -> addr:Nvmpi_addr.Kinds.Vaddr.t -> Page_image.t -> unit
 (** {!install} through the debug port: no counter moves. *)
-
-(** {1 Statistics} *)
-
-type stats = { mutable loads : int; mutable stores : int; mutable pages : int }
-
-val stats : t -> stats
-(** Cumulative access counts, and the number of pages present now:
-    pages materialized by a store or an image copy, less those that
-    {!unmap} or {!drop_zero_page} released. *)

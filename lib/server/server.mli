@@ -46,7 +46,7 @@ val mix_insert : mix
 
 val mix_churn : mix
 (** Allocator churn: 30% read / 40% update / 15% insert / 15% delete,
-    with value-size churn — the [nvmpi serve --churn] mix. *)
+    with value-size churn — the [nvmpi serve --mix churn] mix. *)
 
 val mix_of_string : string -> (mix, string) result
 (** Accepts a preset name ([a], [b], [c], [insert], [churn]) or an

@@ -130,7 +130,7 @@ let make machine region ~meta_off ~log_off ~log_cap ~gran =
   let m = Machine.metrics machine in
   let cfg = Timing.cfg machine.Machine.timing in
   let line_bits = cfg.Nvmpi_cachesim.Timing_config.line_bits in
-  let page = Memsim.page_size machine.Machine.mem in
+  let page = Memsim.Page_image.page_size in
   let t =
     {
       machine;
@@ -172,7 +172,7 @@ let create machine region ?granularity ?(log_cap = 64 * 1024) () =
     | Some g, _ | None, Snapshot g -> g
     | None, (Eager | Traverse) -> Line
   in
-  let page = Memsim.page_size machine.Machine.mem in
+  let page = Memsim.Page_image.page_size in
   let log_cap = Bitops.align_up log_cap page in
   let meta = Region.alloc region ~align:page page in
   let log = Region.alloc region ~align:page log_cap in

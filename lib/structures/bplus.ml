@@ -27,13 +27,13 @@ module Make (P : Core.Repr_sig.S) = struct
   let leaf_size t = arrays_off t + (8 * (t.order + 1)) + slot
   let internal_size t = arrays_off t + ((t.order + 2) * slot)
 
-  let is_leaf t a = Machine.load64_fast (m t) a = 1
-  let nkeys t a = Machine.load64_fast (m t) (Vaddr.add a 8)
-  let set_nkeys t a n = Machine.store64_fast (m t) (Vaddr.add a 8) n
-  let get_key t a i = Machine.load64_fast (m t) (key_addr a i)
-  let set_key t a i v = Machine.store64_fast (m t) (key_addr a i) v
-  let get_value t a i = Machine.load64_fast (m t) (value_addr t a i)
-  let set_value t a i v = Machine.store64_fast (m t) (value_addr t a i) v
+  let is_leaf t a = Machine.load64 (m t) a = 1
+  let nkeys t a = Machine.load64 (m t) (Vaddr.add a 8)
+  let set_nkeys t a n = Machine.store64 (m t) (Vaddr.add a 8) n
+  let get_key t a i = Machine.load64 (m t) (key_addr a i)
+  let set_key t a i v = Machine.store64 (m t) (key_addr a i) v
+  let get_value t a i = Machine.load64 (m t) (value_addr t a i)
+  let set_value t a i v = Machine.store64 (m t) (value_addr t a i) v
   let get_child t a i = P.load (m_ t) ~holder:(child_holder t a i)
   let set_child t a i v = P.store (m_ t) ~holder:(child_holder t a i) v
   let get_next t a = P.load (m_ t) ~holder:(next_holder t a)
@@ -53,14 +53,14 @@ module Make (P : Core.Repr_sig.S) = struct
 
   let new_leaf t =
     let a = Node.alloc_node t.node (leaf_size t) in
-    Machine.store64_fast (m t) a 1;
+    Machine.store64 (m t) a 1;
     set_nkeys t a 0;
     set_next t a Vaddr.null;
     a
 
   let new_internal t =
     let a = Node.alloc_node t.node (internal_size t) in
-    Machine.store64_fast (m t) a 0;
+    Machine.store64 (m t) a 0;
     set_nkeys t a 0;
     a
 
@@ -349,28 +349,21 @@ module Make (P : Core.Repr_sig.S) = struct
     if not (String.equal P.name Swizzle.name) then
       invalid_arg "Bplus: swizzle pass on a non-swizzle representation"
 
-  let swizzle t =
+  (* One walk for both passes: [slot] converts one slot in place and
+     returns the absolute address it held or now holds, so the walk
+     follows it either way. *)
+  let walk t slot =
     check_swizzle ();
     let rec go a =
-      if is_leaf t a then ignore (Swizzle.swizzle_slot (m_ t) ~holder:(next_holder t a))
+      if is_leaf t a then ignore (slot (m_ t) ~holder:(next_holder t a))
       else
         for i = 0 to nkeys t a do
-          go (Swizzle.swizzle_slot (m_ t) ~holder:(child_holder t a i))
+          go (slot (m_ t) ~holder:(child_holder t a i))
         done
     in
-    let root = Swizzle.swizzle_slot (m_ t) ~holder:(root_holder t) in
+    let root = slot (m_ t) ~holder:(root_holder t) in
     if not (Vaddr.is_null root) then go root
 
-  let unswizzle t =
-    check_swizzle ();
-    let rec go a =
-      if is_leaf t a then
-        ignore (Swizzle.unswizzle_slot (m_ t) ~holder:(next_holder t a))
-      else
-        for i = 0 to nkeys t a do
-          go (Swizzle.unswizzle_slot (m_ t) ~holder:(child_holder t a i))
-        done
-    in
-    let root = Swizzle.unswizzle_slot (m_ t) ~holder:(root_holder t) in
-    if not (Vaddr.is_null root) then go root
+  let swizzle t = walk t Swizzle.swizzle_slot
+  let unswizzle t = walk t Swizzle.unswizzle_slot
 end

@@ -61,7 +61,7 @@ module Make (P : Core.Repr_sig.S) = struct
     let a = Node.alloc_node t.node (node_size t) in
     P.store (m t) ~holder:(Vaddr.add a left_off) Vaddr.null;
     P.store (m t) ~holder:(Vaddr.add a right_off) Vaddr.null;
-    Machine.store64_fast (m t) (Vaddr.add a key_off) key;
+    Machine.store64 (m t) (Vaddr.add a key_off) key;
     Node.write_payload t.node ~addr:(Vaddr.add a payload_off) ~seed:key;
     a
 
@@ -73,7 +73,7 @@ module Make (P : Core.Repr_sig.S) = struct
       if Vaddr.is_null cur then `Slot holder
       else begin
         Node.touch t.node;
-        let k = Machine.load64_fast (m t) (Vaddr.add cur key_off) in
+        let k = Machine.load64 (m t) (Vaddr.add cur key_off) in
         if key = k then `Found cur
         else if key < k then go (Vaddr.add cur left_off)
         else go (Vaddr.add cur right_off)
@@ -95,11 +95,11 @@ module Make (P : Core.Repr_sig.S) = struct
       invalid_arg "Bstree.insert_count: payload too small for a counter";
     match locate t ~key with
     | `Found cur ->
-        let c = Machine.load64_fast (m t) (Vaddr.add cur payload_off) in
-        Machine.store64_fast (m t) (Vaddr.add cur payload_off) (c + 1)
+        let c = Machine.load64 (m t) (Vaddr.add cur payload_off) in
+        Machine.store64 (m t) (Vaddr.add cur payload_off) (c + 1)
     | `Slot holder ->
         let a = new_node t ~key in
-        Machine.store64_fast (m t) (Vaddr.add a payload_off) 1;
+        Machine.store64 (m t) (Vaddr.add a payload_off) 1;
         persist_fresh t [ a ];
         store_link t ~holder a
 
@@ -109,8 +109,8 @@ module Make (P : Core.Repr_sig.S) = struct
     let a = Node.alloc_node t.node (node_size t) in
     P.store (m t) ~holder:(Vaddr.add a left_off) left;
     P.store (m t) ~holder:(Vaddr.add a right_off) right;
-    Machine.store64_fast (m t) (Vaddr.add a key_off)
-      (Machine.load64_fast (m t) (Vaddr.add src key_off));
+    Machine.store64 (m t) (Vaddr.add a key_off)
+      (Machine.load64 (m t) (Vaddr.add src key_off));
     Node.copy_payload t.node ~src:(Vaddr.add src payload_off)
       ~dst:(Vaddr.add a payload_off);
     a
@@ -156,7 +156,7 @@ module Make (P : Core.Repr_sig.S) = struct
       if Vaddr.is_null cur then false
       else begin
         Node.touch t.node;
-        let k = Machine.load64_fast (m t) (Vaddr.add cur key_off) in
+        let k = Machine.load64 (m t) (Vaddr.add cur key_off) in
         if key = k then begin
           unlink t ~holder ~cur;
           true
@@ -169,7 +169,7 @@ module Make (P : Core.Repr_sig.S) = struct
 
   let count t ~key =
     match locate t ~key with
-    | `Found cur -> Machine.load64_fast (m t) (Vaddr.add cur payload_off)
+    | `Found cur -> Machine.load64 (m t) (Vaddr.add cur payload_off)
     | `Slot _ -> 0
 
   let search t ~key =
@@ -179,7 +179,7 @@ module Make (P : Core.Repr_sig.S) = struct
     let rec go cur =
       if not (Vaddr.is_null cur) then begin
         Node.touch t.node;
-        f ~addr:cur ~key:(Machine.load64_fast (m t) (Vaddr.add cur key_off));
+        f ~addr:cur ~key:(Machine.load64 (m t) (Vaddr.add cur key_off));
         go (load_link t ~holder:(Vaddr.add cur left_off));
         go (load_link t ~holder:(Vaddr.add cur right_off))
       end
@@ -208,7 +208,7 @@ module Make (P : Core.Repr_sig.S) = struct
       if not (Vaddr.is_null cur) then begin
         Node.touch t.node;
         incr n;
-        sum := !sum + Machine.load64_fast (m t) (Vaddr.add cur key_off);
+        sum := !sum + Machine.load64 (m t) (Vaddr.add cur key_off);
         sum := !sum + Node.read_payload t.node ~addr:(Vaddr.add cur payload_off);
         go (load_link t ~holder:(Vaddr.add cur left_off));
         go (load_link t ~holder:(Vaddr.add cur right_off))
@@ -223,23 +223,19 @@ module Make (P : Core.Repr_sig.S) = struct
     if not (String.equal P.name Swizzle.name) then
       invalid_arg "Bstree: swizzle pass on a non-swizzle representation"
 
-  let swizzle t =
+  (* One walk for both passes: [slot] converts one slot in place and
+     returns the absolute address it held or now holds, so the walk
+     follows it either way. *)
+  let walk t slot =
     check_swizzle ();
     let rec go cur =
       if not (Vaddr.is_null cur) then begin
-        go (Swizzle.swizzle_slot (m t) ~holder:(Vaddr.add cur left_off));
-        go (Swizzle.swizzle_slot (m t) ~holder:(Vaddr.add cur right_off))
+        go (slot (m t) ~holder:(Vaddr.add cur left_off));
+        go (slot (m t) ~holder:(Vaddr.add cur right_off))
       end
     in
-    go (Swizzle.swizzle_slot (m t) ~holder:(head_holder t))
+    go (slot (m t) ~holder:(head_holder t))
 
-  let unswizzle t =
-    check_swizzle ();
-    let rec go cur =
-      if not (Vaddr.is_null cur) then begin
-        go (Swizzle.unswizzle_slot (m t) ~holder:(Vaddr.add cur left_off));
-        go (Swizzle.unswizzle_slot (m t) ~holder:(Vaddr.add cur right_off))
-      end
-    in
-    go (Swizzle.unswizzle_slot (m t) ~holder:(head_holder t))
+  let swizzle t = walk t Swizzle.swizzle_slot
+  let unswizzle t = walk t Swizzle.unswizzle_slot
 end

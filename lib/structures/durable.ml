@@ -1,5 +1,5 @@
 (* Link-and-persist durability discipline (NVTraverse / "Efficient
-   Lock-Free Durable Sets"): traversals issue plain fused loads with no
+   Lock-Free Durable Sets"): traversals issue plain loads with no
    persistence actions; only the modification window pays clwb+fence.
 
    A link made durable in the modification window is published with a
@@ -73,19 +73,19 @@ let flush_range m ~addr ~len =
     done
   end
 
-(* The traversal-side read barrier: one plain fused load of the raw slot
+(* The traversal-side read barrier: one plain load of the raw slot
    word to test the mark. Almost always clean (one extra load per link
    followed); on a marked link — a crash image whose clear store never
    landed — helper-flush the line, fence, and clear the mark before the
    representation decodes the word. *)
 let check_mark m ~holder =
   Machine.bump m Machine.Cell.dur_traversal_loads "dur.traversal_loads";
-  let raw = Machine.load64_fast m holder in
+  let raw = Machine.load64 m holder in
   if raw land mark_bit <> 0 then begin
     Timing.flush m.Machine.timing ~addr:(holder : Vaddr.t :> int);
     Timing.fence m.Machine.timing;
     Machine.bump m Machine.Cell.dur_helper_flushes "dur.helper_flushes";
-    Machine.store64_fast m holder (raw land lnot mark_bit);
+    Machine.store64 m holder (raw land lnot mark_bit);
     Machine.bump m Machine.Cell.dur_marks_cleared "dur.marks_cleared"
   end
 
@@ -97,11 +97,11 @@ let check_mark m ~holder =
    carries the marked link (which {!check_mark} repairs on first read),
    so the link transition is failure-atomic. *)
 let persist_link m ~holder =
-  let raw = Machine.load64_fast m holder in
-  Machine.store64_fast m holder (raw lor mark_bit);
+  let raw = Machine.load64 m holder in
+  Machine.store64 m holder (raw lor mark_bit);
   Machine.bump m Machine.Cell.dur_marks_set "dur.marks_set";
   window_flush m ~addr:(holder : Vaddr.t :> int);
   fence m;
-  let marked = Machine.load64_fast m holder in
-  Machine.store64_fast m holder (marked land lnot mark_bit);
+  let marked = Machine.load64 m holder in
+  Machine.store64 m holder (marked land lnot mark_bit);
   Machine.bump m Machine.Cell.dur_marks_cleared "dur.marks_cleared"

@@ -43,7 +43,7 @@ module Make (P : Core.Repr_sig.S) = struct
       if Vaddr.is_null cur then Vaddr.null
       else begin
         Node.touch t.node;
-        if Machine.load64_fast (m t) (Vaddr.add cur key_off) = key then cur
+        if Machine.load64 (m t) (Vaddr.add cur key_off) = key then cur
         else go (P.load (m t) ~holder:(Vaddr.add cur vnext_off))
       end
     in
@@ -58,7 +58,7 @@ module Make (P : Core.Repr_sig.S) = struct
       P.store (m t) ~holder:(Vaddr.add v vnext_off)
         (P.load (m t) ~holder:(head_holder t));
       P.store (m t) ~holder:(Vaddr.add v adj_off) Vaddr.null;
-      Machine.store64_fast (m t) (Vaddr.add v key_off) key;
+      Machine.store64 (m t) (Vaddr.add v key_off) key;
       Node.write_payload t.node ~addr:(Vaddr.add v payload_off) ~seed:key;
       P.store (m t) ~holder:(head_holder t) v;
       true
@@ -109,7 +109,7 @@ module Make (P : Core.Repr_sig.S) = struct
           (fold_edges t v
              (fun acc e ->
                let dv = P.load (m t) ~holder:(Vaddr.add e target_off) in
-               Machine.load64_fast (m t) (Vaddr.add dv key_off) :: acc)
+               Machine.load64 (m t) (Vaddr.add dv key_off) :: acc)
              [])
 
   let reachable t ~from =
@@ -141,13 +141,13 @@ module Make (P : Core.Repr_sig.S) = struct
     fold_vertices t
       (fun () v ->
         incr n;
-        sum := !sum + Machine.load64_fast (m t) (Vaddr.add v key_off);
+        sum := !sum + Machine.load64 (m t) (Vaddr.add v key_off);
         sum := !sum + Node.read_payload t.node ~addr:(Vaddr.add v payload_off);
         fold_edges t v
           (fun () e ->
             incr n;
             let dv = P.load (m t) ~holder:(Vaddr.add e target_off) in
-            sum := !sum + Machine.load64_fast (m t) (Vaddr.add dv key_off))
+            sum := !sum + Machine.load64 (m t) (Vaddr.add dv key_off))
           ())
       ();
     (!n, !sum)
@@ -156,37 +156,26 @@ module Make (P : Core.Repr_sig.S) = struct
     if not (String.equal P.name Swizzle.name) then
       invalid_arg "Graph: swizzle pass on a non-swizzle representation"
 
-  (* Every slot is visited exactly once: each vertex's vnext and adj,
-     each edge's enext and target. *)
-  let swizzle t =
+  (* One walk for both passes, visiting every slot exactly once: each
+     vertex's vnext and adj, each edge's enext and target. [slot]
+     converts one slot in place and returns the absolute address it held
+     or now holds. *)
+  let walk t slot =
     check_swizzle ();
     let rec go_edges e =
       if not (Vaddr.is_null e) then begin
-        ignore (Swizzle.swizzle_slot (m t) ~holder:(Vaddr.add e target_off));
-        go_edges (Swizzle.swizzle_slot (m t) ~holder:(Vaddr.add e enext_off))
+        ignore (slot (m t) ~holder:(Vaddr.add e target_off));
+        go_edges (slot (m t) ~holder:(Vaddr.add e enext_off))
       end
     in
     let rec go_vertices v =
       if not (Vaddr.is_null v) then begin
-        go_edges (Swizzle.swizzle_slot (m t) ~holder:(Vaddr.add v adj_off));
-        go_vertices (Swizzle.swizzle_slot (m t) ~holder:(Vaddr.add v vnext_off))
+        go_edges (slot (m t) ~holder:(Vaddr.add v adj_off));
+        go_vertices (slot (m t) ~holder:(Vaddr.add v vnext_off))
       end
     in
-    go_vertices (Swizzle.swizzle_slot (m t) ~holder:(head_holder t))
+    go_vertices (slot (m t) ~holder:(head_holder t))
 
-  let unswizzle t =
-    check_swizzle ();
-    let rec go_edges e =
-      if not (Vaddr.is_null e) then begin
-        ignore (Swizzle.unswizzle_slot (m t) ~holder:(Vaddr.add e target_off));
-        go_edges (Swizzle.unswizzle_slot (m t) ~holder:(Vaddr.add e enext_off))
-      end
-    in
-    let rec go_vertices v =
-      if not (Vaddr.is_null v) then begin
-        go_edges (Swizzle.unswizzle_slot (m t) ~holder:(Vaddr.add v adj_off));
-        go_vertices (Swizzle.unswizzle_slot (m t) ~holder:(Vaddr.add v vnext_off))
-      end
-    in
-    go_vertices (Swizzle.unswizzle_slot (m t) ~holder:(head_holder t))
+  let swizzle t = walk t Swizzle.swizzle_slot
+  let unswizzle t = walk t Swizzle.unswizzle_slot
 end

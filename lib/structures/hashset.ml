@@ -71,7 +71,7 @@ module Make (P : Core.Repr_sig.S) = struct
       if Vaddr.is_null cur then `Slot holder
       else begin
         Node.touch t.node;
-        if Machine.load64_fast (m t) (Vaddr.add cur key_off) = key then `Found cur
+        if Machine.load64 (m t) (Vaddr.add cur key_off) = key then `Found cur
         else go cur
       end
     in
@@ -83,7 +83,7 @@ module Make (P : Core.Repr_sig.S) = struct
     | `Slot holder ->
         let a = Node.alloc_node t.node (node_size t) in
         P.store (m t) ~holder:a Vaddr.null;
-        Machine.store64_fast (m t) (Vaddr.add a key_off) key;
+        Machine.store64 (m t) (Vaddr.add a key_off) key;
         Node.write_payload t.node ~addr:(Vaddr.add a payload_off) ~seed:key;
         (* Modification window: the fresh node must be durable before it
            becomes reachable, so its lines are flushed (and fenced) ahead
@@ -105,7 +105,7 @@ module Make (P : Core.Repr_sig.S) = struct
       if Vaddr.is_null cur then false
       else begin
         Node.touch t.node;
-        if Machine.load64_fast (m t) (Vaddr.add cur key_off) = key then begin
+        if Machine.load64 (m t) (Vaddr.add cur key_off) = key then begin
           store_link t ~holder (load_link t ~holder:cur);
           (* Node storage is leaked: region heaps are bump allocators. *)
           true
@@ -121,7 +121,7 @@ module Make (P : Core.Repr_sig.S) = struct
       let rec go cur =
         if not (Vaddr.is_null cur) then begin
           Node.touch t.node;
-          f ~addr:cur ~key:(Machine.load64_fast (m t) (Vaddr.add cur key_off));
+          f ~addr:cur ~key:(Machine.load64 (m t) (Vaddr.add cur key_off));
           go (load_link t ~holder:cur)
         end
       in
@@ -143,7 +143,7 @@ module Make (P : Core.Repr_sig.S) = struct
         if not (Vaddr.is_null cur) then begin
           Node.touch t.node;
           incr n;
-          sum := !sum + Machine.load64_fast (m t) (Vaddr.add cur key_off);
+          sum := !sum + Machine.load64 (m t) (Vaddr.add cur key_off);
           sum := !sum + Node.read_payload t.node ~addr:(Vaddr.add cur payload_off);
           go (load_link t ~holder:cur)
         end
@@ -158,24 +158,19 @@ module Make (P : Core.Repr_sig.S) = struct
     if not (String.equal P.name Swizzle.name) then
       invalid_arg "Hashset: swizzle pass on a non-swizzle representation"
 
-  let swizzle t =
+  (* One walk for both passes: [slot] converts one slot in place and
+     returns the absolute address it held or now holds, so the walk
+     follows it either way. *)
+  let walk t slot =
     check_swizzle ();
-    let tbl = Swizzle.swizzle_slot (m t) ~holder:(table_holder t) in
+    let tbl = slot (m t) ~holder:(table_holder t) in
     for i = 0 to t.buckets - 1 do
       let rec go cur =
-        if not (Vaddr.is_null cur) then go (Swizzle.swizzle_slot (m t) ~holder:cur)
+        if not (Vaddr.is_null cur) then go (slot (m t) ~holder:cur)
       in
-      go (Swizzle.swizzle_slot (m t) ~holder:(bucket_holder tbl i))
+      go (slot (m t) ~holder:(bucket_holder tbl i))
     done
 
-  let unswizzle t =
-    check_swizzle ();
-    (* Read the table address before unswizzling its holder. *)
-    let tbl = Swizzle.unswizzle_slot (m t) ~holder:(table_holder t) in
-    for i = 0 to t.buckets - 1 do
-      let rec go cur =
-        if not (Vaddr.is_null cur) then go (Swizzle.unswizzle_slot (m t) ~holder:cur)
-      in
-      go (Swizzle.unswizzle_slot (m t) ~holder:(bucket_holder tbl i))
-    done
+  let swizzle t = walk t Swizzle.swizzle_slot
+  let unswizzle t = walk t Swizzle.unswizzle_slot
 end

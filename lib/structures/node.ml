@@ -63,7 +63,7 @@ let payload_word ~seed i =
 let write_payload t ~addr ~seed =
   let words = t.payload / 8 in
   for i = 0 to words - 1 do
-    Machine.store64_fast t.machine (Vaddr.add addr (i * 8)) (payload_word ~seed i)
+    Machine.store64 t.machine (Vaddr.add addr (i * 8)) (payload_word ~seed i)
   done;
   for j = words * 8 to t.payload - 1 do
     Memsim.store8 (mem t) (Vaddr.add addr j) ((seed + j) land 0xFF)
@@ -73,7 +73,7 @@ let read_payload t ~addr =
   let words = t.payload / 8 in
   let sum = ref 0 in
   for i = 0 to words - 1 do
-    sum := !sum + Machine.load64_fast t.machine (Vaddr.add addr (i * 8))
+    sum := !sum + Machine.load64 t.machine (Vaddr.add addr (i * 8))
   done;
   for j = words * 8 to t.payload - 1 do
     sum := !sum + Memsim.load8 (mem t) (Vaddr.add addr j)
@@ -87,9 +87,9 @@ let read_payload t ~addr =
 let copy_payload t ~src ~dst =
   let words = t.payload / 8 in
   for i = 0 to words - 1 do
-    Machine.store64_fast t.machine
+    Machine.store64 t.machine
       (Vaddr.add dst (i * 8))
-      (Machine.load64_fast t.machine (Vaddr.add src (i * 8)))
+      (Machine.load64 t.machine (Vaddr.add src (i * 8)))
   done;
   for j = words * 8 to t.payload - 1 do
     Memsim.store8 (mem t) (Vaddr.add dst j) (Memsim.load8 (mem t) (Vaddr.add src j))

@@ -41,7 +41,7 @@ module Make (P : Core.Repr_sig.S) = struct
     for c = 0 to fanout - 1 do
       P.store (m t) ~holder:(child_holder a c) Vaddr.null
     done;
-    Machine.store64_fast (m t) (Vaddr.add a flag_off) 0;
+    Machine.store64 (m t) (Vaddr.add a flag_off) 0;
     Node.write_payload t.node ~addr:(Vaddr.add a payload_off) ~seed;
     a
 
@@ -59,8 +59,8 @@ module Make (P : Core.Repr_sig.S) = struct
     if String.length word = 0 then invalid_arg "Trie.insert: empty word";
     let rec go a i =
       if i = String.length word then begin
-        let fresh = Machine.load64_fast (m t) (Vaddr.add a flag_off) = 0 in
-        Machine.store64_fast (m t) (Vaddr.add a flag_off) 1;
+        let fresh = Machine.load64 (m t) (Vaddr.add a flag_off) = 0 in
+        Machine.store64 (m t) (Vaddr.add a flag_off) 1;
         fresh
       end
       else begin
@@ -88,7 +88,7 @@ module Make (P : Core.Repr_sig.S) = struct
       &&
       if i = String.length word then (
         Node.touch t.node;
-        Machine.load64_fast (m t) (Vaddr.add a flag_off) = 1)
+        Machine.load64 (m t) (Vaddr.add a flag_off) = 1)
       else begin
         Node.touch t.node;
         go (P.load (m t) ~holder:(child_holder a (letter word i))) (i + 1)
@@ -103,7 +103,7 @@ module Make (P : Core.Repr_sig.S) = struct
       else begin
         Node.touch t.node;
         let acc =
-          if Machine.load64_fast (m t) (Vaddr.add a flag_off) = 1 then
+          if Machine.load64 (m t) (Vaddr.add a flag_off) = 1 then
             f acc (Buffer.contents buf)
           else acc
         in
@@ -143,7 +143,7 @@ module Make (P : Core.Repr_sig.S) = struct
       if not (Vaddr.is_null a) then begin
         Node.touch t.node;
         incr n;
-        sum := !sum + Machine.load64_fast (m t) (Vaddr.add a flag_off);
+        sum := !sum + Machine.load64 (m t) (Vaddr.add a flag_off);
         sum := !sum + Node.read_payload t.node ~addr:(Vaddr.add a payload_off);
         for c = 0 to fanout - 1 do
           go (P.load (m t) ~holder:(child_holder a c))
@@ -159,23 +159,19 @@ module Make (P : Core.Repr_sig.S) = struct
     if not (String.equal P.name Swizzle.name) then
       invalid_arg "Trie: swizzle pass on a non-swizzle representation"
 
-  let swizzle t =
+  (* One walk for both passes: [slot] converts one slot in place and
+     returns the absolute address it held or now holds, so the walk
+     follows it either way. *)
+  let walk t slot =
     check_swizzle ();
     let rec go a =
       if not (Vaddr.is_null a) then
         for c = 0 to fanout - 1 do
-          go (Swizzle.swizzle_slot (m t) ~holder:(child_holder a c))
+          go (slot (m t) ~holder:(child_holder a c))
         done
     in
-    go (Swizzle.swizzle_slot (m t) ~holder:(head_holder t))
+    go (slot (m t) ~holder:(head_holder t))
 
-  let unswizzle t =
-    check_swizzle ();
-    let rec go a =
-      if not (Vaddr.is_null a) then
-        for c = 0 to fanout - 1 do
-          go (Swizzle.unswizzle_slot (m t) ~holder:(child_holder a c))
-        done
-    in
-    go (Swizzle.unswizzle_slot (m t) ~holder:(head_holder t))
+  let swizzle t = walk t Swizzle.swizzle_slot
+  let unswizzle t = walk t Swizzle.unswizzle_slot
 end

@@ -10,8 +10,15 @@ let ia (a : Vaddr.t) = (a :> int)
 let check = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
+(* A bare memory charging a cache model of its own. *)
+let memory () =
+  let timing =
+    Core.Timing.create ~clock:(Core.Clock.create ()) ~is_nvm:(fun _ -> false) ()
+  in
+  Memsim.create ~timing ()
+
 let fresh ?(size = 64 * 1024) () =
-  let mem = Memsim.create () in
+  let mem = memory () in
   Memsim.map mem ~addr:(va 0x1000) ~size;
   (mem, Freelist.init mem ~lo:(va 0x1000) ~hi:(va (0x1000 + size)))
 
@@ -91,7 +98,7 @@ let test_bogus_free_detected () =
 let test_attach_after_move () =
   (* Format a heap, copy its bytes elsewhere (as if the region were
      remapped), re-attach: all offsets must still make sense. *)
-  let mem = Memsim.create () in
+  let mem = memory () in
   Memsim.map mem ~addr:(va 0x1000) ~size:8192;
   Memsim.map mem ~addr:(va 0x100000) ~size:8192;
   let fl = Freelist.init mem ~lo:(va 0x1000) ~hi:(va (0x1000 + 8192)) in

@@ -3,6 +3,7 @@ module Cache_level = Core.Cache_level
 module Timing = Core.Timing
 module Timing_config = Core.Timing_config
 module Memsim = Core.Memsim
+module Metrics = Core.Metrics
 module Vaddr = Core.Kinds.Vaddr
 
 (* Tests bless literal addresses at the Figure 8 trust boundary. *)
@@ -78,30 +79,25 @@ let test_cache_dirty_eviction () =
   ignore (Cache_level.access c ~addr:64 ~write:true);
   check_bool "dirty flush" true (Cache_level.flush_line c ~addr:64)
 
-let test_cache_stats_and_invalidate () =
+let test_cache_invalidate () =
   let c = Cache_level.create ~size_bytes:1024 ~ways:2 ~line_bits:6 in
   ignore (Cache_level.access c ~addr:0 ~write:false);
-  ignore (Cache_level.access c ~addr:0 ~write:false);
-  let s = Cache_level.stats c in
-  check "hits" 1 s.Cache_level.hits;
-  check "misses" 1 s.Cache_level.misses;
+  check_bool "resident line hits" true
+    (is_hit (Cache_level.access c ~addr:0 ~write:false));
   Cache_level.invalidate_all c;
   check_bool "hit after invalidate_all" true
-    (is_miss (Cache_level.access c ~addr:0 ~write:false));
-  Cache_level.reset_stats c;
-  check "stats reset" 0 (Cache_level.stats c).Cache_level.hits
+    (is_miss (Cache_level.access c ~addr:0 ~write:false))
 
-(* Timing over memsim *)
+(* Timing under memsim *)
 
 let layout = Core.Layout.default
 
-let machine_parts () =
-  let mem = Memsim.create () in
+let machine_parts ?metrics () =
   let clock = Clock.create () in
   let timing =
-    Timing.create ~clock ~is_nvm:(Core.Layout.in_nv_space layout) ()
+    Timing.create ?metrics ~clock ~is_nvm:(Core.Layout.in_nv_space layout) ()
   in
-  Timing.attach timing mem;
+  let mem = Memsim.create ~timing () in
   (mem, clock, timing)
 
 let cfg = Timing_config.default
@@ -149,19 +145,20 @@ let test_alu_flush_fence () =
   let (), d = Clock.delta clock (fun () -> Timing.flush timing ~addr:(nvm :> int)) in
   check "clean flush" cfg.Timing_config.clflush d
 
-let test_mem_stats () =
-  let mem, _, timing = machine_parts () in
+let test_memory_counters () =
+  let metrics = Metrics.create () in
+  let mem, _, _ = machine_parts ~metrics () in
   let nvm = va (Core.Layout.nv_start layout) in
   Memsim.map mem ~addr:(va 0x10000) ~size:0x1000;
   Memsim.map mem ~addr:nvm ~size:0x1000;
   ignore (Memsim.load64 mem (va 0x10000));
   ignore (Memsim.load64 mem nvm);
   ignore (Memsim.load64 mem nvm);
-  let s = Timing.mem_stats timing in
-  check "dram reads" 1 s.Timing.dram_reads;
-  check "nvm reads" 1 s.Timing.nvm_reads;
-  Timing.reset_stats timing;
-  check "reset" 0 (Timing.mem_stats timing).Timing.nvm_reads
+  let get = Metrics.get metrics in
+  check "dram reads" 1 (get "mem.dram_reads");
+  check "nvm reads" 1 (get "mem.nvm_reads");
+  check "l1 hits" 1 (get "cache.l1.hits");
+  check "l1 misses" 2 (get "cache.l1.misses")
 
 let test_working_set_behaviour () =
   (* A working set larger than L1 but within L2 should mostly hit L2 on a
@@ -186,20 +183,16 @@ let test_working_set_behaviour () =
 let test_dirty_writeback_charged () =
   (* Write enough distinct NVM lines to force dirty evictions through
      L1/L2/L3; the model must charge NVM writes for them. *)
-  let mem, _, timing = machine_parts () in
+  let metrics = Metrics.create () in
+  let mem, _, _ = machine_parts ~metrics () in
   let nvm = va (Core.Layout.nv_start layout) in
   let lines = (2 * cfg.Timing_config.l3_size) / 64 in
   Memsim.map mem ~addr:nvm ~size:(lines * 64);
   for i = 0 to lines - 1 do
     Memsim.store64 mem (Vaddr.add nvm (i * 64)) i
   done;
-  let s = Timing.mem_stats timing in
-  check_bool "dirty evictions reached NVM" true (s.Timing.nvm_writes > 0)
-
-let test_pp_stats_renders () =
-  let _, _, timing = machine_parts () in
-  let out = Format.asprintf "%a" Timing.pp_stats timing in
-  check_bool "stats render" true (String.length out > 0)
+  check_bool "dirty evictions reached NVM" true
+    (Metrics.get metrics "mem.nvm_writes" > 0)
 
 let test_invalidate_caches_forces_misses () =
   let mem, clock, timing = machine_parts () in
@@ -231,12 +224,10 @@ let print_stream ((sets, ways), ops) =
   Printf.sprintf "%dx%d: %s" sets ways
     (String.concat " " (List.map pp_cache_op ops))
 
-(* Does [Cache_level] give the reference model's result for every op,
-   with both counters equal to the model's after every op? *)
+(* Does [Cache_level] give the reference model's result for every op? *)
 let matches_reference ((sets, ways), ops) =
   let c = Cache_level.create ~size_bytes:(ways * sets * 64) ~ways ~line_bits:6 in
   let reference = Array.make sets [] in
-  let hits = ref 0 and misses = ref 0 in
   let step op =
     match op with
     | Access (line, write) ->
@@ -245,16 +236,13 @@ let matches_reference ((sets, ways), ops) =
         let expected =
           match List.assoc_opt line set with
           | Some dirty ->
-              incr hits;
               reference.(s) <-
                 (line, dirty || write) :: List.remove_assoc line set;
               Cache_level.hit
           | None when List.length set < ways ->
-              incr misses;
               reference.(s) <- (line, write) :: set;
               Cache_level.miss_clean
           | None ->
-              incr misses;
               let lru, dirty = List.nth set (ways - 1) in
               reference.(s) <-
                 (line, write) :: List.filteri (fun i _ -> i < ways - 1) set;
@@ -273,13 +261,7 @@ let matches_reference ((sets, ways), ops) =
         Cache_level.invalidate_all c;
         true
   in
-  List.for_all
-    (fun op ->
-      step op
-      &&
-      let st = Cache_level.stats c in
-      st.Cache_level.hits = !hits && st.Cache_level.misses = !misses)
-    ops
+  List.for_all step ops
 
 let prop_cache_matches_reference =
   let gen =
@@ -352,8 +334,7 @@ let () =
           Alcotest.test_case "LRU eviction" `Quick test_cache_lru_eviction;
           Alcotest.test_case "dirty eviction + flush" `Quick
             test_cache_dirty_eviction;
-          Alcotest.test_case "stats + invalidate" `Quick
-            test_cache_stats_and_invalidate;
+          Alcotest.test_case "invalidate" `Quick test_cache_invalidate;
           QCheck_alcotest.to_alcotest prop_cache_matches_reference;
           QCheck_alcotest.to_alcotest prop_same_line_matches_reference;
         ] );
@@ -363,12 +344,11 @@ let () =
             test_dram_vs_nvm_latency;
           Alcotest.test_case "warm hit cost" `Quick test_warm_hit_cost;
           Alcotest.test_case "alu/flush/fence" `Quick test_alu_flush_fence;
-          Alcotest.test_case "memory stats" `Quick test_mem_stats;
+          Alcotest.test_case "memory stats" `Quick test_memory_counters;
           Alcotest.test_case "working-set behaviour" `Quick
             test_working_set_behaviour;
           Alcotest.test_case "dirty write-back charged" `Quick
             test_dirty_writeback_charged;
-          Alcotest.test_case "pp_stats" `Quick test_pp_stats_renders;
           Alcotest.test_case "invalidate forces misses" `Quick
             test_invalidate_caches_forces_misses;
         ] );

@@ -202,7 +202,7 @@ let test_crash_zeroes_page_touched_after_arm () =
   let a = Region.addr_of_offset r (512 * 1024) in
   let tr = Tracker.attach m in
   Tracker.arm tr;
-  let pages () = (Memsim.stats m.Machine.mem).Memsim.pages in
+  let pages () = Memsim.pages m.Machine.mem in
   let p0 = pages () in
   Machine.store64 m a 77;
   check "the store materialized a page" (p0 + 1) (pages ());

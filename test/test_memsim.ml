@@ -1,4 +1,5 @@
 module Memsim = Core.Memsim
+module Metrics = Core.Metrics
 module Vaddr = Core.Kinds.Vaddr
 
 (* Tests bless literal addresses at the Figure 8 trust boundary. *)
@@ -7,8 +8,15 @@ let va = Vaddr.v
 let check = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-let fresh ?(base = 0x1000) ?(size = 0x10000) () =
-  let m = Memsim.create () in
+(* A bare memory charging a cache model of its own. *)
+let memory ?metrics () =
+  let timing =
+    Core.Timing.create ~clock:(Core.Clock.create ()) ~is_nvm:(fun _ -> false) ()
+  in
+  Memsim.create ?metrics ~timing ()
+
+let fresh ?metrics ?(base = 0x1000) ?(size = 0x10000) () =
+  let m = memory ?metrics () in
   let base = va base in
   Memsim.map m ~addr:base ~size;
   (m, base)
@@ -101,7 +109,7 @@ let test_blit_unaligned () =
   Alcotest.(check string) "unaligned blit" "abcdefghijk" (Bytes.to_string out)
 
 let test_blit_cross_page () =
-  let m = Memsim.create () in
+  let m = memory () in
   Memsim.map m ~addr:(va 0x1000) ~size:0x3000;
   let src = Bytes.make 0x1800 'x' in
   Bytes.set src 0x17FF 'y';
@@ -120,29 +128,24 @@ let test_observers () =
   check "loads" 2 !loads
 
 let test_stats () =
-  let m, base = fresh () in
-  let s = Memsim.stats m in
-  let l0 = s.Memsim.loads in
+  let metrics = Metrics.create () in
+  let m, base = fresh ~metrics () in
+  let loads () = Metrics.get metrics "mem.loads" in
+  let l0 = loads () in
   ignore (Memsim.load64 m base);
   ignore (Memsim.load64 m (Vaddr.add base 0x1000));
-  check "loads counted" (l0 + 2) s.Memsim.loads;
-  check "loads materialize no page" 0 s.Memsim.pages;
+  check "loads counted" (l0 + 2) (loads ());
+  check "loads materialize no page" 0 (Memsim.pages m);
   Memsim.store64 m base 1;
-  check "a store materializes its page" 1 s.Memsim.pages
+  check "a store materializes its page" 1 (Memsim.pages m)
 
 let test_high_addresses () =
   (* NV-space-like addresses near the top of the 62-bit space. *)
-  let m = Memsim.create () in
+  let m = memory () in
   let base = va (Core.Layout.nv_start Core.Layout.default) in
   Memsim.map m ~addr:base ~size:0x2000;
   Memsim.store64 m (Vaddr.add base 0x100) 0xCAFE;
   check "high addr" 0xCAFE (Memsim.load64 m (Vaddr.add base 0x100))
-
-let test_fill () =
-  let m, base = fresh () in
-  Memsim.fill m ~addr:base ~len:32 'z';
-  check "fill" (Char.code 'z') (Memsim.load8 m (Vaddr.add base 31));
-  check "fill end" 0 (Memsim.load8 m (Vaddr.add base 32))
 
 let test_sized_dispatch () =
   let m, base = fresh () in
@@ -186,7 +189,7 @@ let test_many_observers_in_order () =
 let test_map_after_unmap_overlapping () =
   (* Regression: unmap must really drop the range (and its pages), so an
      overlapping range can be mapped afterwards and reads back zeroed. *)
-  let m = Memsim.create () in
+  let m = memory () in
   Memsim.map m ~addr:(va 0x4000) ~size:0x3000;
   Memsim.store64 m (va 0x5000) 0xFEED;
   Memsim.unmap m ~addr:(va 0x4000);
@@ -202,14 +205,14 @@ let test_map_after_unmap_overlapping () =
      with Memsim.Fault _ -> true)
 
 let test_mappings_listing () =
-  let m = Memsim.create () in
+  let m = memory () in
   Memsim.map m ~addr:(va 0x1000) ~size:0x1000;
   Memsim.map m ~addr:(va 0x10000) ~size:0x2000;
   Alcotest.(check (list (pair int int)))
     "sorted ranges"
     [ (0x1000, 0x1000); (0x10000, 0x2000) ]
     (List.map (fun (a, n) -> ((a : Vaddr.t :> int), n)) (Memsim.mappings m));
-  check "page size" 4096 (Memsim.page_size m)
+  check "page size" 4096 Memsim.Page_image.page_size
 
 let prop_store_load_64 =
   QCheck2.Test.make ~name:"64-bit store/load roundtrip at random offsets"
@@ -226,7 +229,7 @@ let prop_blit_arbitrary_bytes =
     ~count:200
     QCheck2.Gen.(pair (string_size (int_range 1 9000)) (int_range 0 64))
     (fun (payload, off) ->
-      let m = Memsim.create () in
+      let m = memory () in
       Memsim.map m ~addr:(va 0x1000) ~size:0x4000;
       let b = Bytes.of_string payload in
       Memsim.blit_from_bytes m ~addr:(va (0x1000 + off)) b;
@@ -259,7 +262,7 @@ let prop_tlb_matches_reference =
     ~count:300
     QCheck2.Gen.(list_size (int_range 10 200) op_gen)
     (fun ops ->
-      let m = Memsim.create () in
+      let m = memory () in
       let mapped = Array.make 4 false in
       let model : (int, int) Hashtbl.t = Hashtbl.create 64 in
       List.for_all
@@ -326,7 +329,7 @@ let test_image_copies_present_pages () =
   check "two pages present" 2 (Page_image.present img);
   Memsim.install m ~addr:base img;
   check "install materializes the present pages only" 2
-    (Memsim.stats m).Memsim.pages;
+    (Memsim.pages m);
   check "first word" 0x1111 (Memsim.load64 m (Vaddr.add base 8));
   check "second word" 0x2222 (Memsim.load64 m (Vaddr.add base 700_000));
   check "absent page reads zero" 0 (Memsim.load64 m (Vaddr.add base 0x8000));
@@ -351,18 +354,20 @@ let test_image_install_zeroes_absent () =
     (Memsim.load64 m (Vaddr.add base (page + 16)))
 
 let test_image_counts () =
-  let m, base = fresh ~size:(4 * page) () in
-  let s = Memsim.stats m in
+  let metrics = Metrics.create () in
+  let m, base = fresh ~metrics ~size:(4 * page) () in
+  let stores () = Metrics.get metrics "mem.stores" in
+  let loads () = Metrics.get metrics "mem.loads" in
   let img = Page_image.create ((3 * page) + 100) in
   Page_image.set_int64_le img 0 7L;
   Memsim.install m ~addr:base img;
   Memsim.extract m ~addr:base img;
-  check "install counts one store per slot" 4 s.Memsim.stores;
-  check "extract counts one load per slot" 4 s.Memsim.loads;
+  check "install counts one store per slot" 4 (stores ());
+  check "extract counts one load per slot" 4 (loads ());
   Memsim.poke_image m ~addr:base img;
   ignore (Memsim.peek_image m ~addr:base ~size:(Page_image.size img));
-  check "debug port counts no store" 4 s.Memsim.stores;
-  check "debug port counts no load" 4 s.Memsim.loads
+  check "debug port counts no store" 4 (stores ());
+  check "debug port counts no load" 4 (loads ())
 
 let test_image_rejects () =
   let m, base = fresh () in
@@ -381,13 +386,12 @@ let test_image_rejects () =
 
 let test_drop_zero_page () =
   let m, base = fresh () in
-  let s = Memsim.stats m in
   Memsim.store64 m base 5;
   Memsim.drop_zero_page m base;
-  check "a page holding data stays" 1 s.Memsim.pages;
+  check "a page holding data stays" 1 (Memsim.pages m);
   Memsim.store64 m base 0;
   Memsim.drop_zero_page m base;
-  check "an all-zero page goes" 0 s.Memsim.pages;
+  check "an all-zero page goes" 0 (Memsim.pages m);
   (* A store after the drop must land in a fresh page that later
      accesses find ("drop_zero_page on an aliased page" forces the
      TLB entry out in between). *)
@@ -419,13 +423,13 @@ let test_drop_aliased_zero_page () =
   Memsim.store64 m b 5;
   (* [b]'s page holds the shared entry: dropping [a]'s must leave it. *)
   Memsim.drop_zero_page m a;
-  check "one page left" 1 (Memsim.stats m).Memsim.pages;
+  check "one page left" 1 (Memsim.pages m);
   check "the alias keeps its word" 5 (Memsim.load64 m b);
   Memsim.store64 m a 6;
   check "store after the drop survives" 6 (Memsim.load64 m a);
   Memsim.store64 m b 0;
   Memsim.drop_zero_page m b;
-  check "the entry's own page goes" 1 (Memsim.stats m).Memsim.pages;
+  check "the entry's own page goes" 1 (Memsim.pages m);
   check "dropped alias reads zero" 0 (Memsim.load64 m b);
   Memsim.store64 m b 9;
   check "the other page survives" 6 (Memsim.load64 m a);
@@ -436,7 +440,7 @@ let test_install_over_loaded_page () =
   let m, base = fresh ~size:(2 * page) () in
   let a = Vaddr.add base (page + 8) in
   check "absent page reads zero" 0 (Memsim.load64 m a);
-  check "the load materialized nothing" 0 (Memsim.stats m).Memsim.pages;
+  check "the load materialized nothing" 0 (Memsim.pages m);
   let img = Page_image.create (2 * page) in
   Page_image.set_int64_le img (page + 8) 42L;
   Memsim.install m ~addr:base img;
@@ -497,7 +501,6 @@ let () =
           Alcotest.test_case "demand-zero pages" `Quick test_zero_fill;
           Alcotest.test_case "narrow stores truncate" `Quick test_truncation;
           Alcotest.test_case "high addresses" `Quick test_high_addresses;
-          Alcotest.test_case "fill" `Quick test_fill;
         ] );
       ( "faults",
         [

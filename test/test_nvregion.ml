@@ -19,9 +19,16 @@ let check = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let layout = Layout.default
 
+(* A bare memory charging a cache model of its own. *)
+let memory ?metrics () =
+  let timing =
+    Core.Timing.create ~clock:(Core.Clock.create ()) ~is_nvm:(fun _ -> false) ()
+  in
+  Memsim.create ?metrics ~timing ()
+
 let manager ?seed () =
   let store = Store.create () in
-  let mem = Memsim.create () in
+  let mem = memory () in
   let mgr = Manager.create ?seed ~layout ~mem ~store () in
   (store, mgr)
 
@@ -202,7 +209,7 @@ let test_persistence_across_runs () =
   let store = Store.create () in
   (* Run 1: create, populate, close. *)
   let base1 =
-    let mem = Memsim.create () in
+    let mem = memory () in
     let mgr = Manager.create ~seed:10 ~layout ~mem ~store () in
     let rid = Manager.create_region mgr ~size:65536 in
     let r = Manager.open_region mgr rid in
@@ -213,7 +220,7 @@ let test_persistence_across_runs () =
     Region.base r
   in
   (* Run 2: reopen under a different placement seed. *)
-  let mem = Memsim.create () in
+  let mem = memory () in
   let mgr = Manager.create ~seed:11 ~layout ~mem ~store () in
   let r = Manager.open_region mgr (ri 1) in
   check_bool "different base across runs" true
@@ -258,7 +265,7 @@ let test_open_close_counts () =
   List.iter
     (fun (size, chunks) ->
       let metrics = Metrics.create () in
-      let mem = Memsim.create ~metrics () in
+      let mem = memory ~metrics () in
       let store = Store.create () in
       let mgr = Manager.create ~seed:9 ~layout ~mem ~store () in
       let rid = Manager.create_region mgr ~size in
@@ -271,9 +278,7 @@ let test_open_close_counts () =
       let s1 = stores () and l1 = loads () in
       Manager.close_region mgr rid;
       check (Printf.sprintf "%d-byte close stores" size) 0 (stores () - s1);
-      check (Printf.sprintf "%d-byte close loads" size) chunks (loads () - l1);
-      check "stats agree with the counters" (stores ())
-        (Memsim.stats mem).Memsim.stores)
+      check (Printf.sprintf "%d-byte close loads" size) chunks (loads () - l1))
     [ (4096, 1); (3 * 4096, 3); (1 lsl 20, 256); (5000, 2) ]
 
 (* The last mapped page of a region whose size is not a page multiple
@@ -327,7 +332,7 @@ let test_too_large_region_rejected () =
      layout; use the small layout instead. *)
   let small = Layout.small in
   let store = Store.create () in
-  let mem = Memsim.create () in
+  let mem = memory () in
   let mgr2 = Manager.create ~seed:8 ~layout:small ~mem ~store () in
   let rid =
     Manager.create_region mgr2 ~size:(Layout.segment_size small + 4096)

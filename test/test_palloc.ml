@@ -16,14 +16,14 @@ let ia (a : Vaddr.t) = (a :> int)
 let check = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-(* A bare heap over raw simulated memory (no Machine): memsim + a
-   timing model for the clwb/fence traffic palloc issues. *)
+(* A bare heap over raw simulated memory (no Machine): memsim charging
+   a timing model, which also takes the clwb/fence traffic palloc
+   issues. *)
 let fresh ?(size = 256 * 1024) ?(base = 0x1000) () =
-  let mem = Memsim.create () in
-  Memsim.map mem ~addr:(va base) ~size;
   let clock = Clock.create () in
   let timing = Timing.create ~clock ~is_nvm:(fun _ -> true) () in
-  Timing.attach timing mem;
+  let mem = Memsim.create ~timing () in
+  Memsim.map mem ~addr:(va base) ~size;
   let metrics = Metrics.create () in
   let t =
     Palloc.init ~mem ~timing ~metrics ~lo:(va base) ~hi:(va (base + size))

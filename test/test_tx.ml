@@ -271,11 +271,11 @@ let test_persist_costs_charged () =
   let _, m, _, os = with_store () in
   let a = Objstore.alloc os ~size:16 () in
   let tx = Tx.create os in
-  let stats = Core.Timing.mem_stats m.Machine.timing in
-  let fences_before = stats.Core.Timing.fences in
+  let fences () = Core.Metrics.get (Machine.metrics m) "timing.fences" in
+  let fences_before = fences () in
   Tx.run tx (fun () -> Tx.store64 tx a 1);
   check_bool "fences issued for log + commit" true
-    (stats.Core.Timing.fences >= fences_before + 2)
+    (fences () >= fences_before + 2)
 
 let test_log_full_detected () =
   let store = Store.create () in
