@@ -182,6 +182,10 @@ let put t ~key data =
 
 let write_path t = t.write_path
 
+let close t =
+  if Tx.active t.tx then invalid_arg "Kvstore.close: transaction active";
+  Objstore.close t.os
+
 let simulate_crash_during_put t ~key data =
   if t.write_path <> `Tx then
     invalid_arg "Kvstore.simulate_crash_during_put: plain write path";

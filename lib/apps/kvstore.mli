@@ -39,6 +39,12 @@ val attach :
 
 val write_path : t -> [ `Tx | `Plain ]
 
+val close : t -> unit
+(** Clean close before the region is closed ({!Nvmpi_tx.Objstore.close}):
+    the next {!attach} reopens the heap without a sweep. The handle must
+    not be used afterwards.
+    @raise Invalid_argument if a transaction is active. *)
+
 val put : t -> key:int -> string -> unit
 (** Inserts or replaces, atomically w.r.t. crashes. *)
 

@@ -34,6 +34,8 @@ type t = {
 }
 
 let create ?(cfg = Timing_config.default) ?metrics ~clock ~is_nvm () =
+  if cfg.line_bits < 3 then
+    invalid_arg "Timing.create: line_bits < 3 (an 8-byte access spans lines)";
   let lvl size ways =
     Cache_level.create ~size_bytes:size ~ways ~line_bits:cfg.line_bits
   in

@@ -33,7 +33,10 @@ val create :
     [mem.dram_reads]/[mem.dram_writes]/[mem.nvm_reads]/[mem.nvm_writes]
     line transfers, and [timing.alu_cycles]/[timing.flushes]/
     [timing.fences]. The counters are cumulative; attribute a phase by
-    snapshot and diff ({!Nvmpi_obs.Metrics.diff}). *)
+    snapshot and diff ({!Nvmpi_obs.Metrics.diff}).
+    @raise Invalid_argument if [cfg.line_bits < 3]: memory charges each
+    typed access of up to 8 bytes as one line ({!access_line}), which a
+    shorter line would undercharge. *)
 
 val cfg : t -> Timing_config.t
 val clock : t -> Clock.t

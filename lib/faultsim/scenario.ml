@@ -468,24 +468,58 @@ let verify_palloc _expected machine' region' =
                   offsets"
                  (List.length live) (List.length rooted)))
 
+(* Pre-arm history, so the churn frees real blocks. *)
+let palloc_seeded machine region =
+  let t = palloc_over machine region ~fresh:true in
+  ignore (Palloc.alloc_into t ~root:0 24);
+  ignore (Palloc.alloc_into t ~root:1 5000);
+  t
+
+(* [ops] seeded steps over six roots: free an occupied root, else
+   allocate into it. *)
+let churn t rng ~ops =
+  let sizes = [| 16; 4000; 200; 9000; 24; 120; 4096; 48; 1500; 600 |] in
+  for i = 1 to ops do
+    let root = i mod 6 in
+    if Palloc.root_get t root <> 0 then Palloc.free_from t ~root
+    else
+      ignore
+        (Palloc.alloc_into t ~root
+           sizes.(Random.State.int rng (Array.length sizes)))
+  done
+
 let alloc_scenario ?(ops = 14) () =
   scenario "palloc-churn" (fun ~seed machine region ->
-      let t = palloc_over machine region ~fresh:true in
-      (* A little pre-arm history so the churn frees real blocks. *)
-      ignore (Palloc.alloc_into t ~root:0 24);
-      ignore (Palloc.alloc_into t ~root:1 5000);
+      let t = palloc_seeded machine region in
       let record h =
         settle h ();
-        let rng = Random.State.make [| seed; 0xA110C |] in
-        let sizes = [| 16; 4000; 200; 9000; 24; 120; 4096; 48; 1500; 600 |] in
-        for i = 1 to ops do
-          let root = i mod 6 in
-          if Palloc.root_get t root <> 0 then Palloc.free_from t ~root
-          else
-            ignore
-              (Palloc.alloc_into t ~root
-                 sizes.(Random.State.int rng (Array.length sizes)))
-        done
+        churn t (Random.State.make [| seed; 0xA110C |]) ~ops
+      in
+      { record; check = verify_palloc })
+
+(* Large blocks between allocated neighbours, so the churn leaves
+   several free large blocks, with links and merged sizes, for a close
+   to make durable. Root 6, which the churn never touches, keeps them
+   apart from the heap's free tail. *)
+let palloc_fragmented machine region =
+  let t = palloc_seeded machine region in
+  List.iter
+    (fun (root, n) -> ignore (Palloc.alloc_into t ~root n))
+    [ (2, 9000); (3, 200); (4, 6000); (6, 9000) ];
+  t
+
+(* Churn, a clean close, a reattach in place (the O(1) reopen of a
+   closed heap) and more churn: every crash point from the list flushes
+   of the close to the reopened heap's first ops must recover. *)
+let alloc_reopen_scenario () =
+  scenario "palloc-reopen" (fun ~seed machine region ->
+      let t = palloc_fragmented machine region in
+      let record h =
+        settle h ();
+        let rng = Random.State.make [| seed; 0xC105E |] in
+        churn t rng ~ops:10;
+        Palloc.close t;
+        churn (palloc_over machine region ~fresh:false) rng ~ops:10
       in
       { record; check = verify_palloc })
 
@@ -505,6 +539,24 @@ let alloc_leak_selftest () =
         Timing.fence timing;
         (* The block is now unreachable but still allocated: leaked. *)
         Palloc.free t p
+      in
+      { record; check = verify_palloc })
+
+(* Selftest double: a close that skips the list flushes. The [closed]
+   mark becomes durable over lists the churn left stale, and the
+   recovery that trusts them must fail the check. *)
+let alloc_close_selftest () =
+  scenario ~expect_fail:true "selftest-unflushed-close-palloc"
+    (fun ~seed machine region ->
+      let t = palloc_fragmented machine region in
+      let record h =
+        settle h ();
+        churn t (Random.State.make [| seed; 0xC105E |]) ~ops:10;
+        let timing = machine.Machine.timing in
+        let mark = Palloc.log_state_addr t in
+        Memsim.store64 machine.Machine.mem mark Palloc.log_closed;
+        Timing.flush timing ~addr:(mark :> int);
+        Timing.fence timing
       in
       { record; check = verify_palloc })
 

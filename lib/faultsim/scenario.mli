@@ -75,6 +75,18 @@ val alloc_scenario : ?ops:int -> unit -> t
     set equals the rooted set — no leaked block, no double-mapped byte,
     no reachable-but-unbacked object. *)
 
+val alloc_reopen_scenario : unit -> t
+(** [palloc-reopen]: ten steps of the churn of {!alloc_scenario} over a
+    heap whose large blocks sit between allocated neighbours, a clean
+    {!Nvmpi_palloc.Palloc.close}, a reattach in place through
+    {!Nvmpi_palloc.Palloc.recover} (the O(1) reopen of a closed heap)
+    and ten more steps, under the same oracle. Not in {!defaults}. *)
+
+val alloc_close_selftest : unit -> t
+(** Selftest double: writes the [closed] log mark durably without
+    flushing the free lists, so a recovery that trusts the lists finds
+    them stale ([expect_fail]). Not in {!selftests}. *)
+
 val alloc_leak_selftest : unit -> t
 (** Selftest double: durably clears a root before freeing its block,
     opening a window where a live block is unreachable. The sweep must

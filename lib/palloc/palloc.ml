@@ -14,9 +14,13 @@ module Vaddr = Nvmpi_addr.Kinds.Vaddr
    - durable, with explicit clwb+fence ordering: the per-block state
      (large-block header tags/sizes, small-block state words), the
      single-slot operation log, and the root cells;
-   - volatile by design: the free-list links and heads. Recovery never
-     reads them — {!recover} rebuilds every list from a physical sweep
-     of the block headers — so ordinary list surgery needs no flushes.
+   - volatile by design: the free-list links and heads, and the merged
+     sizes of coalesced blocks. Crash recovery never reads them —
+     {!recover} rebuilds every list from a physical sweep of the block
+     headers — so ordinary list surgery needs no flushes. A clean
+     {!close} makes them durable (it flushes every line such a store
+     wrote since palloc last flushed it) before it marks the log
+     [closed]; {!recover} trusts the lists only under that mark.
 
    Each mutating operation follows the commit-record discipline the
    object store's undo log uses: write the log payload, flush, fence;
@@ -34,7 +38,12 @@ type t = {
   lo : int;
   hi : int;
   line : int;
+  line_bits : int;
   mutable frag : int; (* free small payload bytes, mirrored to c_frag *)
+  dirty : Bytes.t;
+      (* one bit per heap line (from the line holding [lo]): a volatile
+         list store wrote it since palloc last flushed it *)
+  mutable closed : bool;
   c_allocs : int ref;
   c_frees : int ref;
   c_splits : int ref;
@@ -95,12 +104,15 @@ let sm_alloc w = w land 1 <> 0
    big classes). *)
 let slab_blocks c = max 4 (4096 / (8 + class_sizes.(c)))
 
-(* Log states. *)
+(* Log states. [op_closed] is no operation: {!close} leaves it, with
+   the free-small-payload count in the aux word, to say the lists are
+   durable. *)
 let op_idle = 0
 let op_alloc_small = 1
 let op_alloc_large = 2
 let op_free_small = 3
 let op_free_large = 4
+let op_closed = 5
 
 let align16 n = Bitops.align_up n 16
 
@@ -112,24 +124,44 @@ let set64 t off v = Memsim.store64 t.mem (abs t off) v
 let heap_size t = t.hi - t.lo
 let data_lo = superblock_bytes
 let data_hi t = data_lo + ((heap_size t - data_lo) land lnot 15)
+
+(* Sets ([on]) or clears the [t.dirty] bit of the line holding absolute
+   address [a]. *)
+let mark t a on =
+  let i = (a lsr t.line_bits) - (t.lo lsr t.line_bits) in
+  let byte = Char.code (Bytes.get t.dirty (i lsr 3)) in
+  let bit = 1 lsl (i land 7) in
+  Bytes.set t.dirty (i lsr 3)
+    (Char.chr (if on then byte lor bit else byte land lnot bit))
+
+(* A volatile list store: a head, a link or a merged size. Its line is
+   noted for {!close}, which must make it durable. *)
+let set_list t off v =
+  set64 t off v;
+  mark t (t.lo + off) true
+
 let get_size t b = get64 t b
 let set_size t b v = set64 t b v
 let get_tag t b = get64 t (b + 8)
 let set_tag t b v = set64 t (b + 8) v
 let get_head t c = get64 t (o_heads + (8 * c))
-let set_head t c v = set64 t (o_heads + (8 * c)) v
+let set_head t c v = set_list t (o_heads + (8 * c)) v
 let get_large t = get64 t o_large
-let set_large t v = set64 t o_large v
+let set_large t v = set_list t o_large v
 let root_cell i = o_roots + (8 * i)
 
 (* {1 Persistence primitives} *)
 
+(* Every flush here is fenced before the operation returns, so a line
+   it flushes needs no flush at {!close} until a list store dirties it
+   again. *)
 let flush_range t off len =
   let first = (t.lo + off) land lnot (t.line - 1) in
   let last = (t.lo + off + len - 1) land lnot (t.line - 1) in
   let a = ref first in
   while !a <= last do
     Timing.flush t.timing ~addr:!a;
+    mark t !a false;
     a := !a + t.line
   done
 
@@ -168,7 +200,7 @@ let validate_block t b ctx =
    first payload word (header + 16). *)
 
 let get_link t b = get64 t (b + header_bytes)
-let set_link t b v = set64 t (b + header_bytes) v
+let set_link t b v = set_list t (b + header_bytes) v
 
 let set_large_link t prev v =
   if prev = 0 then set_large t v else set_link t prev v
@@ -258,11 +290,11 @@ let free_large t b ~dest =
   set_link t b next;
   set_large_link t prev b;
   if next <> 0 && b + get_size t b = next then begin
-    set_size t b (get_size t b + get_size t next);
+    set_list t b (get_size t b + get_size t next);
     set_link t b (get_link t next)
   end;
   if prev <> 0 && prev + get_size t prev = b then begin
-    set_size t prev (get_size t prev + get_size t b);
+    set_list t prev (get_size t prev + get_size t b);
     set_link t prev (get_link t b)
   end;
   incr t.c_frees;
@@ -311,7 +343,7 @@ let refill t c =
   else set_large_link t prev next;
   for i = count - 1 downto 0 do
     let p = b + header_bytes + (i * stride) + 8 in
-    set64 t p (get_head t c);
+    set_list t p (get_head t c);
     set_head t c p
   done;
   t.frag <- t.frag + (count * cs);
@@ -347,7 +379,7 @@ let free_small t p c ~dest =
   end;
   fence t;
   log_disarm t;
-  set64 t p (get_head t c);
+  set_list t p (get_head t c);
   set_head t c p;
   t.frag <- t.frag + class_sizes.(c);
   incr t.c_frees;
@@ -373,7 +405,11 @@ let classify t off ctx =
     corrupt "%s: block 0x%x is not allocated (double free?)" ctx off
   else corrupt "%s: 0x%x is not a payload offset" ctx off
 
+let check_open t ctx =
+  if t.closed then invalid_arg (Printf.sprintf "Palloc.%s: heap is closed" ctx)
+
 let free_off t off ~dest =
+  check_open t "free";
   match classify t off "free" with
   | `Small (_, false) ->
       corrupt "free: block 0x%x is not allocated (double free?)" off
@@ -385,6 +421,7 @@ let free_off t off ~dest =
 (* {1 Public allocation API} *)
 
 let alloc_off t n ~dest =
+  check_open t "alloc";
   if n <= 0 then invalid_arg "Palloc.alloc: non-positive size";
   if n <= max_small then alloc_small t (class_of n) ~dest
   else begin
@@ -501,7 +538,8 @@ let allocated_payloads t =
 (* {1 Lifecycle} *)
 
 let make ~mem ~timing ~metrics ~lo ~hi =
-  let line = 1 lsl (Timing.cfg timing).Timing_config.line_bits in
+  let line_bits = (Timing.cfg timing).Timing_config.line_bits in
+  let lines = ((hi - 1) lsr line_bits) - (lo lsr line_bits) + 1 in
   let c_allocs = Metrics.counter metrics "alloc.allocs" in
   let c_frees = Metrics.counter metrics "alloc.frees" in
   let c_splits = Metrics.counter metrics "alloc.splits" in
@@ -514,8 +552,11 @@ let make ~mem ~timing ~metrics ~lo ~hi =
     timing;
     lo;
     hi;
-    line;
+    line = 1 lsl line_bits;
+    line_bits;
     frag = 0;
+    dirty = Bytes.make ((lines + 7) / 8) '\000';
+    closed = false;
     c_allocs;
     c_frees;
     c_splits;
@@ -567,24 +608,12 @@ let validate_super t ctx =
     corrupt "%s: heap formatted for %d bytes, attached over %d" ctx
       (get64 t o_size) (heap_size t)
 
-let attach ~mem ~timing ~metrics ~lo:(lo : Vaddr.t) ~hi:(hi : Vaddr.t) =
-  let lo = (lo :> int) and hi = (hi :> int) in
-  check_range ~lo ~hi;
-  let t = make ~mem ~timing ~metrics ~lo ~hi in
-  validate_super t "attach";
-  if get64 t o_log_state <> op_idle then
-    corrupt "attach: operation log is armed; use recover on a crash image";
-  t.frag <- frag_bytes t;
-  gauge t;
-  t
-
 (* Resolve the pending logged operation: allocations roll back (the
    caller cannot have durably published the block anywhere but the
    logged destination cell, which is cleared with it), frees roll
    forward (the intent was durably logged). Every branch is idempotent
    — recover can itself crash and be re-run. *)
-let resolve_log t =
-  let state = get64 t o_log_state in
+let resolve_log t state =
   if state <> op_idle then begin
     let block = get64 t o_log_block in
     let dest = get64 t o_log_dest in
@@ -608,17 +637,23 @@ let resolve_log t =
     log_disarm t
   end
 
-let recover ~mem ~timing ~metrics ~lo:(lo : Vaddr.t) ~hi:(hi : Vaddr.t) =
-  let lo = (lo :> int) and hi = (hi :> int) in
-  check_range ~lo ~hi;
-  let t = make ~mem ~timing ~metrics ~lo ~hi in
-  validate_super t "recover";
-  resolve_log t;
-  (* Rebuild every free list from the physical tiling. The links and
-     heads written here are volatile (a later crash re-runs this
-     sweep); adjacent free large blocks are re-merged by growing the
-     first header over its neighbours — any partial durability of
-     those plain stores is again a consistent tiling. *)
+(* A cleanly closed heap: its lists and merged sizes are durable and
+   the aux word holds [frag]. Disarm the mark durably before any
+   mutation, so a crash from here on takes the sweep. *)
+let reopen_closed t =
+  t.frag <- get64 t o_log_aux;
+  log_disarm t;
+  gauge t;
+  t
+
+(* Rebuild every free list from the physical tiling, after resolving
+   the pending logged operation. *)
+let sweep t state =
+  resolve_log t state;
+  (* The links and heads written here are volatile (a later crash
+     re-runs this sweep); adjacent free large blocks are re-merged by
+     growing the first header over its neighbours — any partial
+     durability of those plain stores is again a consistent tiling. *)
   let class_frees = Array.make nclasses [] in
   let larges = ref [] in
   let blocks = ref 0 in
@@ -633,7 +668,7 @@ let recover ~mem ~timing ~metrics ~lo:(lo : Vaddr.t) ~hi:(hi : Vaddr.t) =
        match !larges with
        | prev :: rest when prev + get_size t prev = !b ->
            (* merge the run in place *)
-           set_size t prev (get_size t prev + size);
+           set_list t prev (get_size t prev + size);
            larges := prev :: rest
        | _ -> larges := !b :: !larges
      end
@@ -665,7 +700,7 @@ let recover ~mem ~timing ~metrics ~lo:(lo : Vaddr.t) ~hi:(hi : Vaddr.t) =
     let rec chain next = function
       | [] -> set_head t c next
       | p :: rest ->
-          set64 t p next;
+          set_list t p next;
           frag := !frag + class_sizes.(c);
           chain p rest
     in
@@ -684,6 +719,41 @@ let recover ~mem ~timing ~metrics ~lo:(lo : Vaddr.t) ~hi:(hi : Vaddr.t) =
   t.c_recovered := !(t.c_recovered) + !blocks;
   gauge t;
   t
+
+let recover ~mem ~timing ~metrics ~lo:(lo : Vaddr.t) ~hi:(hi : Vaddr.t) =
+  let lo = (lo :> int) and hi = (hi :> int) in
+  check_range ~lo ~hi;
+  let t = make ~mem ~timing ~metrics ~lo ~hi in
+  validate_super t "recover";
+  let state = get64 t o_log_state in
+  if state = op_closed then reopen_closed t else sweep t state
+
+(* Make every volatile list store durable, then [frag], then the mark:
+   each group is fenced before the next, so a durable [closed] mark
+   always finds durable lists and a durable [frag] beside it. *)
+let close t =
+  check_open t "close";
+  let line0 = t.lo land lnot (t.line - 1) in
+  Bytes.iteri
+    (fun i byte ->
+      let byte = Char.code byte in
+      if byte <> 0 then
+        for j = 0 to 7 do
+          if byte land (1 lsl j) <> 0 then
+            Timing.flush t.timing ~addr:(line0 + ((8 * i) + j) * t.line)
+        done)
+    t.dirty;
+  fence t;
+  set64 t o_log_aux t.frag;
+  flush_range t o_log_aux 8;
+  fence t;
+  set64 t o_log_state op_closed;
+  flush_range t o_log_state 8;
+  fence t;
+  t.closed <- true
+
+let log_state_addr t = abs t o_log_state
+let log_closed = op_closed
 
 (* {1 Invariant check} *)
 

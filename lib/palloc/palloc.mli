@@ -16,7 +16,9 @@
     list from a physical sweep of the block headers, so no crash point
     can leak a block that was being handed out through a root cell,
     map one byte into two blocks, or leave a root cell pointing at
-    unbacked bytes. *)
+    unbacked bytes. A heap left by {!close} skips that sweep: close
+    makes the lists durable and marks the log [closed], and {!recover}
+    trusts the lists only under that mark. *)
 
 type t
 
@@ -54,16 +56,6 @@ val init :
 (** Format [\[lo, hi)] as an empty heap (durably: the superblock and
     the initial free-block header are flushed and fenced). *)
 
-val attach :
-  mem:Nvmpi_memsim.Memsim.t ->
-  timing:Nvmpi_cachesim.Timing.t ->
-  metrics:Nvmpi_obs.Metrics.t ->
-  lo:Nvmpi_addr.Kinds.Vaddr.t ->
-  hi:Nvmpi_addr.Kinds.Vaddr.t ->
-  t
-(** Re-open a cleanly closed heap, possibly at a different base. Trusts
-    the persisted free lists; for a post-crash image use {!recover}. *)
-
 val recover :
   mem:Nvmpi_memsim.Memsim.t ->
   timing:Nvmpi_cachesim.Timing.t ->
@@ -71,9 +63,30 @@ val recover :
   lo:Nvmpi_addr.Kinds.Vaddr.t ->
   hi:Nvmpi_addr.Kinds.Vaddr.t ->
   t
-(** Post-crash attach: resolve the pending logged operation, then
-    rebuild every free list from a physical sweep of the block
-    headers. Idempotent, and also valid on a clean image. *)
+(** Re-open a heap, possibly at a different base: the only way back
+    into a formatted range. On a heap {!close} left, restore the free
+    lists and the {!frag_bytes} count as persisted, in O(1) accesses,
+    after durably disarming the [closed] mark. On any other image
+    (a crash, or a heap never closed), resolve the pending logged
+    operation, then rebuild every free list from a physical sweep of
+    the block headers, counting each block in
+    [alloc.recovered_blocks]. Idempotent either way. *)
+
+val close : t -> unit
+(** Clean close: flush every line a volatile list store wrote that
+    palloc has not flushed since, fence; persist {!frag_bytes} in the
+    log's aux word, fence; mark the log [closed], fence. The next
+    {!recover} then trusts the lists. The handle is dead afterwards:
+    [alloc], [alloc_into], [free], [free_from] and [close] raise
+    [Invalid_argument]. *)
+
+val log_state_addr : t -> Nvmpi_addr.Kinds.Vaddr.t
+(** Absolute address of the operation log's state word. A faultsim
+    selftest double writes {!log_closed} there by hand, skipping the
+    list flushes of {!close}. *)
+
+val log_closed : int
+(** The log state {!close} leaves. *)
 
 val alloc : t -> int -> Nvmpi_addr.Kinds.Vaddr.t
 (** Allocate [n] bytes; returns the payload address. The allocation is

@@ -70,6 +70,15 @@ let touch t e =
 let pinned_seg t ~tenant =
   K.Seg.v (Layout.data_nvbase_min t.machine.Machine.layout + 1 + tenant)
 
+(* A clean close of the tenant's heap first, so its next reopen skips
+   the heap sweep, then the region. *)
+let close_tenant t e =
+  Option.iter Kvstore.close e.kv;
+  Machine.close_region t.machine e.rid;
+  e.kv <- None;
+  t.resident <- t.resident - 1;
+  incr t.c_unmaps
+
 (* The LRU victim: the resident entry with the smallest stamp. Stamps
    are unique (the clock is strictly increasing), so the minimum is
    unique and the fold is deterministic whatever the hashtable's
@@ -87,10 +96,7 @@ let evict_lru t =
   match victim with
   | None -> failwith "Residency.evict_lru: no resident tenant"
   | Some e ->
-      Machine.close_region t.machine e.rid;
-      e.kv <- None;
-      t.resident <- t.resident - 1;
-      incr t.c_unmaps;
+      close_tenant t e;
       incr t.c_evictions
 
 let make_room t = if t.resident >= t.cap then evict_lru t
@@ -174,9 +180,5 @@ let close_all t =
       t.tenants []
   in
   List.iter
-    (fun (_, e) ->
-      Machine.close_region t.machine e.rid;
-      e.kv <- None;
-      t.resident <- t.resident - 1;
-      incr t.c_unmaps)
+    (fun (_, e) -> close_tenant t e)
     (List.sort (fun (a, _) (b, _) -> compare a b) resident)

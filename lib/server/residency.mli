@@ -3,7 +3,9 @@
 
     This is the mechanism that turns the server workload into a
     cross-region pointer-machinery stress: every residency miss closes
-    the least-recently-used tenant's region (persisting its image,
+    the least-recently-used tenant's kvstore cleanly
+    ({!Nvmpi_apps.Kvstore.close}, so its next reopen skips the heap
+    sweep) and then its region (persisting its image,
     dropping it from the RIV tables and the fat-pointer runtime,
     invalidating the one-entry fat cache) and opens the requested one —
     at a {e fresh randomized segment} for the self-contained
@@ -62,5 +64,6 @@ val region_base : t -> tenant:int -> Nvmpi_addr.Kinds.Vaddr.t option
     pinned representations, really did not). *)
 
 val close_all : t -> unit
-(** Drains the residency set (shutdown): closes every resident region,
-    counting [server.unmaps] but not [server.evictions]. *)
+(** Drains the residency set (shutdown): closes every resident tenant as
+    an eviction does, counting [server.unmaps] but not
+    [server.evictions]. *)

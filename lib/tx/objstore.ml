@@ -134,8 +134,8 @@ let attach machine region =
       let heap_lo = Vaddr.add base (Memsim.load64 mem (Vaddr.add meta m_heap_lo)) in
       let heap_hi = Vaddr.add base (Memsim.load64 mem (Vaddr.add meta m_heap_hi)) in
       (* The heap window self-describes its backend. Palloc heaps go
-         through [recover] — a no-op resolve plus list rebuild on a
-         clean image, and the only correct entry after a crash. *)
+         through [recover]: O(1) on a heap [close] left, a resolve plus
+         list rebuild on any other image. *)
       let heap =
         if Palloc.is_formatted mem ~lo:heap_lo then
           Pa
@@ -193,6 +193,8 @@ let heap_block_count t =
 
 let heap_check t =
   match t.heap with Fl h -> Freelist.check h | Pa h -> Palloc.check h
+
+let close t = match t.heap with Fl _ -> () | Pa h -> Palloc.close h
 
 let alloc t ?(tag = 0) ~size () =
   if size <= 0 then invalid_arg "Objstore.alloc: non-positive size";

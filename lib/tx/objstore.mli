@@ -38,10 +38,17 @@ val attach : Core.Machine.t -> Nvmpi_nvregion.Region.t -> t
     The heap backend is self-describing (palloc heaps start with their
     superblock magic); palloc heaps are re-opened through
     {!Nvmpi_palloc.Palloc.recover}, so attaching a post-crash image
-    yields a consistent heap. If the persisted undo log is non-empty —
-    a crash interrupted a transaction — it is rolled back after the
-    heap recovery.
+    yields a consistent heap, and attaching one {!close} left costs no
+    heap sweep. If the persisted undo log is non-empty — a crash
+    interrupted a transaction — it is rolled back after the heap
+    recovery.
     @raise Failure if the region holds no object store. *)
+
+val close : t -> unit
+(** Clean close before the region is closed: a palloc heap is closed
+    with {!Nvmpi_palloc.Palloc.close}, so the next {!attach} skips its
+    sweep; a freelist heap needs nothing. The handle must not allocate
+    or free afterwards. *)
 
 val heap_kind : t -> [ `Palloc | `Freelist ]
 

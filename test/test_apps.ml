@@ -275,9 +275,47 @@ let test_kv_survives_remap () =
   Alcotest.(check (option string)) "value survives" (Some "twenty")
     (Kvstore.get kv2 ~key:20);
   check "size survives" 2 (Kvstore.size kv2);
+  check_bool "closed without Kvstore.close: the heap is swept" true
+    (Core.Metrics.get (Machine.metrics m2) "alloc.recovered_blocks" > 0);
   (* Still writable in the new run. *)
   Kvstore.put kv2 ~key:30 "thirty";
   check "extended" 3 (Kvstore.size kv2)
+
+let test_kv_clean_close () =
+  let store = Store.create () in
+  let m1 = Machine.create ~seed:96 ~store () in
+  let rid = Machine.create_region m1 ~size:(1 lsl 16) in
+  let os1 = Objstore.create m1 (Machine.open_region m1 rid) ~log_cap:2048 () in
+  let kv1 = Kvstore.create os1 ~repr:Repr.Riv ~name:"kv" ~buckets:8 () in
+  for k = 1 to 20 do
+    Kvstore.put kv1 ~key:k (String.make (k * 5) 'v')
+  done;
+  for k = 1 to 20 do
+    if k mod 3 = 0 then ignore (Kvstore.delete kv1 ~key:k)
+  done;
+  Kvstore.close kv1;
+  check_bool "a closed store refuses puts" true
+    (try Kvstore.put kv1 ~key:1 "late"; false with Invalid_argument _ -> true);
+  Machine.close_region m1 rid;
+  let m2 = Machine.create ~seed:97 ~store () in
+  let os2 = Objstore.attach m2 (Machine.open_region m2 rid) in
+  let kv2 = Kvstore.attach os2 ~repr:Repr.Riv ~name:"kv" in
+  check "no heap sweep" 0
+    (Core.Metrics.get (Machine.metrics m2) "alloc.recovered_blocks");
+  Objstore.heap_check os2;
+  for k = 1 to 20 do
+    Alcotest.(check (option string))
+      (Printf.sprintf "key %d" k)
+      (if k mod 3 = 0 then None else Some (String.make (k * 5) 'v'))
+      (Kvstore.get kv2 ~key:k)
+  done;
+  (* An allocation that fails inside put leaves its transaction open:
+     the store cannot be closed cleanly over it. *)
+  check_bool "put beyond the heap fails" true
+    (try Kvstore.put kv2 ~key:99 (String.make 100_000 'x'); false
+     with Nvmpi_palloc.Palloc.Out_of_memory _ -> true);
+  check_bool "close inside a transaction raises" true
+    (try Kvstore.close kv2; false with Invalid_argument _ -> true)
 
 let test_kv_crash_recovery () =
   let store = Store.create () in
@@ -410,6 +448,7 @@ let () =
           Alcotest.test_case "overwrite storm reclaims" `Quick
             test_kv_overwrite_storm;
           Alcotest.test_case "survives remap" `Quick test_kv_survives_remap;
+          Alcotest.test_case "clean close" `Quick test_kv_clean_close;
           Alcotest.test_case "crash recovery" `Quick test_kv_crash_recovery;
           Alcotest.test_case "all representations" `Quick test_kv_all_reprs;
           Alcotest.test_case "iterate complete" `Quick test_kv_iterate_complete;

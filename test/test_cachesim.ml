@@ -102,6 +102,20 @@ let machine_parts ?metrics () =
 
 let cfg = Timing_config.default
 
+let test_line_bits_floor () =
+  (* A line shorter than 8 bytes would undercharge typed accesses. *)
+  let make line_bits =
+    Timing.create
+      ~cfg:{ cfg with Timing_config.line_bits }
+      ~clock:(Clock.create ()) ~is_nvm:(fun _ -> false) ()
+  in
+  Alcotest.check_raises "line_bits 2"
+    (Invalid_argument
+       "Timing.create: line_bits < 3 (an 8-byte access spans lines)")
+    (fun () -> ignore (make 2));
+  let t = make 3 in
+  check "8-byte lines accepted" 3 (Timing.cfg t).Timing_config.line_bits
+
 let test_dram_vs_nvm_latency () =
   let mem, clock, _ = machine_parts () in
   let dram = va 0x10000 in
@@ -340,6 +354,8 @@ let () =
         ] );
       ( "timing",
         [
+          Alcotest.test_case "line_bits below 3 rejected" `Quick
+            test_line_bits_floor;
           Alcotest.test_case "DRAM vs NVM latency" `Quick
             test_dram_vs_nvm_latency;
           Alcotest.test_case "warm hit cost" `Quick test_warm_hit_cost;

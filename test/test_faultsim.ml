@@ -361,6 +361,41 @@ let test_sweep_alloc_leak_caught () =
   check_bool "leak observed at some crash point" true (r.Sweep.failures <> []);
   check_bool "inverted verdict passes" true (Sweep.scenario_ok r)
 
+let test_sweep_alloc_reopen_exhaustive () =
+  (* Crash at every event of churn → clean close → reattach in place →
+     churn: before the [closed] mark is durable recovery sweeps, after
+     it recovery trusts the flushed lists, and both must pass. *)
+  List.iter
+    (fun seed ->
+      let r =
+        Sweep.run_scenario ~metrics:(Metrics.create ()) ~seed
+          ~mode:Sweep.Exhaustive
+          (Scenario.alloc_reopen_scenario ())
+      in
+      check_bool "close and reopen generate many crash points" true
+        (r.Sweep.points > 100);
+      if r.Sweep.failures <> [] then
+        Alcotest.failf "seed %d: %d violations, first at %d: %s" seed
+          (List.length r.Sweep.failures)
+          (List.hd r.Sweep.failures).Sweep.seq
+          (List.hd r.Sweep.failures).Sweep.detail)
+    [ 1; 2; 3; 7; 11; 42; 99; 1625; 2024 ]
+
+let test_sweep_alloc_close_double_caught () =
+  (* A [closed] mark over unflushed lists must not pass for a clean
+     close: the default plan catches the double at every seed. *)
+  List.iter
+    (fun seed ->
+      let r =
+        Sweep.run_scenario ~metrics:(Metrics.create ()) ~seed
+          ~mode:Sweep.Transitions
+          (Scenario.alloc_close_selftest ())
+      in
+      check_bool "double is marked expect_fail" true r.Sweep.expect_fail;
+      if r.Sweep.failures = [] then
+        Alcotest.failf "seed %d: unflushed close went uncaught" seed)
+    [ 1; 2; 3; 7; 11; 42; 99; 1625; 2024 ]
+
 let test_sweep_durable_sets_clean () =
   (* Link-and-persist hashset/bstree (docs/DURABLE.md): at every crash
      point the recovered set must equal the durable commit prefix of the
@@ -513,6 +548,10 @@ let () =
             test_sweep_alloc_exhaustive;
           Alcotest.test_case "allocator leak double caught" `Quick
             test_sweep_alloc_leak_caught;
+          Alcotest.test_case "allocator close and reopen, exhaustive" `Quick
+            test_sweep_alloc_reopen_exhaustive;
+          Alcotest.test_case "allocator unflushed-close double caught" `Quick
+            test_sweep_alloc_close_double_caught;
           Alcotest.test_case "durable sets exhaustive" `Quick
             test_sweep_durable_sets_clean;
           Alcotest.test_case "durable drop-flush double caught" `Quick

@@ -18,21 +18,20 @@ let check_bool = Alcotest.(check bool)
 
 (* A bare heap over raw simulated memory (no Machine): memsim charging
    a timing model, which also takes the clwb/fence traffic palloc
-   issues. *)
+   issues. Memory and heap count into one registry. *)
 let fresh ?(size = 256 * 1024) ?(base = 0x1000) () =
   let clock = Clock.create () in
   let timing = Timing.create ~clock ~is_nvm:(fun _ -> true) () in
-  let mem = Memsim.create ~timing () in
-  Memsim.map mem ~addr:(va base) ~size;
   let metrics = Metrics.create () in
+  let mem = Memsim.create ~metrics ~timing () in
+  Memsim.map mem ~addr:(va base) ~size;
   let t =
     Palloc.init ~mem ~timing ~metrics ~lo:(va base) ~hi:(va (base + size))
   in
   (mem, timing, metrics, t)
 
-let reattach mem timing metrics ?(recover = false) ~base ~size () =
-  (if recover then Palloc.recover else Palloc.attach)
-    ~mem ~timing ~metrics ~lo:(va base) ~hi:(va (base + size))
+let reattach mem timing metrics ~base ~size =
+  Palloc.recover ~mem ~timing ~metrics ~lo:(va base) ~hi:(va (base + size))
 
 (* {1 Small path} *)
 
@@ -176,8 +175,11 @@ let test_attach_preserves_state () =
   let a = Palloc.alloc t 64 in
   let b = Palloc.alloc t 9000 in
   Palloc.free t a;
-  let t' = reattach mem timing m ~base:0x1000 ~size:(256 * 1024) () in
+  Palloc.close t;
+  let t' = reattach mem timing m ~base:0x1000 ~size:(256 * 1024) in
   Palloc.check t';
+  check "a closed heap is not swept" 0
+    (Metrics.get m "alloc.recovered_blocks");
   let c = Palloc.alloc t' 64 in
   check "clean attach reuses the freed small block" (ia a) (ia c);
   Palloc.free t' b;
@@ -185,13 +187,17 @@ let test_attach_preserves_state () =
   Palloc.check t'
 
 let test_recover_on_clean_image () =
+  (* Never closed: the lists were never made durable, so recover sweeps
+     even though no operation was in flight. *)
   let mem, timing, m, t = fresh () in
   let a = Palloc.alloc t 64 in
   let b = Palloc.alloc t 9000 in
   Palloc.free t a;
   let before = Palloc.allocated_payloads t in
-  let t' = reattach mem timing m ~recover:true ~base:0x1000 ~size:(256 * 1024) () in
+  let t' = reattach mem timing m ~base:0x1000 ~size:(256 * 1024) in
   Palloc.check t';
+  check_bool "a never-closed image is swept" true
+    (Metrics.get m "alloc.recovered_blocks" > 0);
   Alcotest.(check (list int))
     "recover preserves the allocated set" before
     (Palloc.allocated_payloads t');
@@ -211,10 +217,13 @@ let test_attach_after_move () =
   Memsim.store64 mem large 0xCAFE;
   let gone = Palloc.alloc t 128 in
   Palloc.free t gone;
+  Palloc.close t;
   let image = Memsim.blit_to_bytes mem ~addr:(va 0x1000) ~len:size in
   Memsim.blit_from_bytes mem ~addr:(va 0x100000) image;
-  let t' = reattach mem timing m ~base:0x100000 ~size () in
+  let t' = reattach mem timing m ~base:0x100000 ~size in
   Palloc.check t';
+  check "the moved closed heap is not swept" 0
+    (Metrics.get m "alloc.recovered_blocks");
   let move a = va (ia a - 0x1000 + 0x100000) in
   check "small payload moved intact" 0xBEEF (Memsim.load64 mem (move small));
   check "large payload moved intact" 0xCAFE (Memsim.load64 mem (move large));
@@ -230,8 +239,8 @@ let test_attach_after_move () =
    alloc_into roots, then move the region the way that representation
    would see it move (self-contained reprs ride Machine.remap_region to
    a guaranteed-fresh segment; normal/swizzle — pinned in the server
-   for exactly this reason — close and reopen in place), re-attach and
-   keep allocating. *)
+   for exactly this reason — close and reopen in place), after a clean
+   close, re-attach and keep allocating. *)
 let test_position_independence_all_reprs () =
   List.iteri
     (fun i kind ->
@@ -253,6 +262,7 @@ let test_position_independence_all_reprs () =
           Memsim.store64 mem a (0xA110C + root))
         sizes;
       Palloc.check t;
+      Palloc.close t;
       let r' =
         match Repr.remap_safety kind with
         | `Self_contained | `Via_passes -> Machine.remap_region m rid
@@ -268,8 +278,12 @@ let test_position_independence_all_reprs () =
         (Printf.sprintf "%s: magic found at the new base" (Repr.to_string kind))
         true
         (Palloc.is_formatted mem ~lo:lo');
-      let t' = Palloc.attach ~mem ~timing ~metrics ~lo:lo' ~hi:hi' in
+      let t' = Palloc.recover ~mem ~timing ~metrics ~lo:lo' ~hi:hi' in
       Palloc.check t';
+      check
+        (Printf.sprintf "%s: closed heap not swept" (Repr.to_string kind))
+        0
+        (Metrics.get metrics "alloc.recovered_blocks");
       Array.iteri
         (fun root n ->
           let p = Palloc.payload_of_offset t' (Palloc.root_get t' root) in
@@ -288,6 +302,70 @@ let test_position_independence_all_reprs () =
       ignore (Palloc.alloc_into t' ~root:1 64);
       Palloc.check t')
     Repr.all
+
+(* {1 Clean close} *)
+
+(* Closes a heap, then counts the loads its reattach makes. *)
+let reattach_loads mem timing m t =
+  Palloc.close t;
+  let before = Metrics.get m "mem.loads" in
+  let t' = reattach mem timing m ~base:0x1000 ~size:(256 * 1024) in
+  (t', Metrics.get m "mem.loads" - before)
+
+let test_closed_reattach_constant () =
+  let mem, timing, m, t = fresh () in
+  let _, empty = reattach_loads mem timing m t in
+  let mem, timing, m, t = fresh () in
+  let small = Array.init 300 (fun i -> Palloc.alloc t (16 lsl (i mod 4))) in
+  let large = Array.init 12 (fun _ -> Palloc.alloc t 5000) in
+  Array.iteri (fun i a -> if i mod 2 = 0 then Palloc.free t a) small;
+  Array.iteri (fun i a -> if i mod 2 = 0 then Palloc.free t a) large;
+  let _, free_blocks = Palloc.block_count t in
+  check_bool "hundreds of free blocks" true (free_blocks >= 200);
+  let t', busy = reattach_loads mem timing m t in
+  check "reattach loads do not grow with the heap" empty busy;
+  Palloc.check t';
+  check "no block swept" 0 (Metrics.get m "alloc.recovered_blocks")
+
+let test_closed_reattach_gauge () =
+  let mem, timing, m, t = fresh () in
+  let blocks = Array.init 40 (fun i -> Palloc.alloc t (24 + (i * 7))) in
+  Array.iteri (fun i a -> if i mod 3 = 0 then Palloc.free t a) blocks;
+  let frag = Palloc.frag_bytes t in
+  let t', _ = reattach_loads mem timing m t in
+  check "frag restored" frag (Palloc.frag_bytes t');
+  check "gauge equals frag_bytes" (Palloc.frag_bytes t')
+    (Metrics.get m "alloc.frag_bytes");
+  (* The restored count keeps tracking: one more small free. *)
+  Palloc.free t' blocks.(1);
+  check "gauge tracks after reattach" (Palloc.frag_bytes t')
+    (Metrics.get m "alloc.frag_bytes")
+
+let test_closed_handle_raises () =
+  let _, _, _, t = fresh () in
+  let a = Palloc.alloc t 64 in
+  ignore (Palloc.alloc_into t ~root:0 64);
+  Palloc.close t;
+  let raises what f =
+    check_bool what true (try f (); false with Invalid_argument _ -> true)
+  in
+  raises "alloc" (fun () -> ignore (Palloc.alloc t 64));
+  raises "alloc_into" (fun () -> ignore (Palloc.alloc_into t ~root:1 64));
+  raises "free" (fun () -> Palloc.free t a);
+  raises "free_from" (fun () -> Palloc.free_from t ~root:0);
+  raises "close" (fun () -> Palloc.close t)
+
+let test_closed_reopen_then_crash_sweeps () =
+  (* A closed heap reopened, used and never closed again is an ordinary
+     unclosed image: the reopen disarmed the mark, so recover sweeps. *)
+  let mem, timing, m, t = fresh () in
+  let a = Palloc.alloc t 64 in
+  let t', _ = reattach_loads mem timing m t in
+  Palloc.free t' a;
+  let t'' = reattach mem timing m ~base:0x1000 ~size:(256 * 1024) in
+  Palloc.check t'';
+  check_bool "swept" true (Metrics.get m "alloc.recovered_blocks" > 0);
+  check "nothing allocated" 0 (fst (Palloc.block_count t''))
 
 (* {1 Randomized differential model}
 
@@ -363,6 +441,17 @@ let () =
           Alcotest.test_case "reattach after move" `Quick test_attach_after_move;
           Alcotest.test_case "all nine representations" `Quick
             test_position_independence_all_reprs;
+        ] );
+      ( "clean close",
+        [
+          Alcotest.test_case "reattach loads independent of the heap" `Quick
+            test_closed_reattach_constant;
+          Alcotest.test_case "frag gauge restored" `Quick
+            test_closed_reattach_gauge;
+          Alcotest.test_case "closed handle raises" `Quick
+            test_closed_handle_raises;
+          Alcotest.test_case "reopened then unclosed heap is swept" `Quick
+            test_closed_reopen_then_crash_sweeps;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_random_ops ]);
     ]

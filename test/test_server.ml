@@ -355,6 +355,58 @@ let test_lru_order () =
   check_bool "tenant 0 survived" true (Residency.is_resident res ~tenant:0);
   check_bool "tenant 2 resident" true (Residency.is_resident res ~tenant:2)
 
+(* Churn across evictions: each reopen finds a heap its eviction
+   closed cleanly, so no heap is ever swept, and every value survives. *)
+let test_evictions_close_cleanly () =
+  List.iter
+    (fun repr ->
+      let name = Repr.to_string repr in
+      let machine = Machine.create ~seed:41 ~store:(Core.Store.create ()) () in
+      let res =
+        Residency.create ~machine ~repr ~cap:2 ~region_size:(64 * 1024)
+          ~buckets:8 ~log_cap:2048 ()
+      in
+      let reference = Hashtbl.create 64 in
+      let rng = Random.State.make [| 41 |] in
+      for i = 1 to 600 do
+        let tenant = Random.State.int rng 5 and key = Random.State.int rng 12 in
+        let kv, _ = Residency.kv res ~tenant in
+        match Random.State.int rng 4 with
+        | 0 ->
+            check
+              Alcotest.(option string)
+              (Printf.sprintf "%s: get %d/%d" name tenant key)
+              (Hashtbl.find_opt reference (tenant, key))
+              (Nvmpi_apps.Kvstore.get kv ~key)
+        | 1 ->
+            check_bool
+              (Printf.sprintf "%s: delete %d/%d" name tenant key)
+              (Hashtbl.mem reference (tenant, key))
+              (Nvmpi_apps.Kvstore.delete kv ~key);
+            Hashtbl.remove reference (tenant, key)
+        | _ ->
+            let v = String.make (1 + (i * 7 mod 90)) (Char.chr (97 + tenant)) in
+            Nvmpi_apps.Kvstore.put kv ~key v;
+            Hashtbl.replace reference (tenant, key) v
+      done;
+      let get = Nvmpi_obs.Metrics.get (Machine.metrics machine) in
+      check_bool (name ^ ": evictions happened") true
+        (get "server.evictions" > 100);
+      check_int (name ^ ": no heap swept") 0 (get "alloc.recovered_blocks");
+      for tenant = 0 to 4 do
+        let kv, _ = Residency.kv res ~tenant in
+        for key = 0 to 11 do
+          check
+            Alcotest.(option string)
+            (Printf.sprintf "%s: final %d/%d" name tenant key)
+            (Hashtbl.find_opt reference (tenant, key))
+            (Nvmpi_apps.Kvstore.get kv ~key)
+        done
+      done;
+      Residency.close_all res;
+      check_int (name ^ ": still none swept") 0 (get "alloc.recovered_blocks"))
+    Repr.[ Riv; Off_holder; Fat_cached; Normal ]
+
 let () =
   Alcotest.run "server"
     [
@@ -393,5 +445,7 @@ let () =
           Alcotest.test_case "evict then reaccess" `Quick
             test_evict_then_reaccess;
           Alcotest.test_case "lru order" `Quick test_lru_order;
+          Alcotest.test_case "evictions close cleanly" `Quick
+            test_evictions_close_cleanly;
         ] );
     ]
