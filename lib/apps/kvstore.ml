@@ -167,9 +167,7 @@ let put_body t ~key data =
 let put t ~key data =
   match t.write_path with
   | `Tx ->
-      Tx.begin_tx t.tx;
-      let old = put_body t ~key data in
-      Tx.commit t.tx;
+      let old = Tx.run t.tx (fun () -> put_body t ~key data) in
       (* Reclaim the replaced value only after the commit is durable. *)
       if not (Vaddr.is_null old) then Objstore.free t.os old
   | `Plain ->
@@ -197,10 +195,10 @@ let delete t ~key =
   match locate t ~key with
   | `Missing _ -> false
   | `Found (prev_holder, entry) ->
-      if t.write_path = `Tx then Tx.begin_tx t.tx;
-      let next = load_slot t (Vaddr.add entry next_off) in
-      store_slot_tx t prev_holder next;
-      if t.write_path = `Tx then Tx.commit t.tx;
+      let unlink () =
+        store_slot_tx t prev_holder (load_slot t (Vaddr.add entry next_off))
+      in
+      if t.write_path = `Tx then Tx.run t.tx unlink else unlink ();
       let v = load_slot t (Vaddr.add entry (val_off t)) in
       if not (Vaddr.is_null v) then Objstore.free t.os v;
       Objstore.free t.os entry;

@@ -46,13 +46,18 @@ val close : t -> unit
     @raise Invalid_argument if a transaction is active. *)
 
 val put : t -> key:int -> string -> unit
-(** Inserts or replaces, atomically w.r.t. crashes. *)
+(** Inserts or replaces, atomically w.r.t. crashes. On the [`Tx] path
+    an exception inside the update, such as
+    [Nvmpi_palloc.Palloc.Out_of_memory], aborts its transaction and is
+    re-raised: the store keeps its previous contents and stays usable
+    and closable. *)
 
 val get : t -> key:int -> string option
 val mem : t -> key:int -> bool
 
 val delete : t -> key:int -> bool
-(** Atomically removes; [false] if absent. *)
+(** Atomically removes; [false] if absent. Aborts on an exception as
+    {!put} does. *)
 
 val size : t -> int
 val keys : t -> int list

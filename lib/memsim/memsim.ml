@@ -115,7 +115,15 @@ let page_mask = page_size - 1
 
 type t = {
   pages : (int, Bytes.t) Hashtbl.t;
-  mutable ranges : (int * int) array; (* (first_page, last_page) sorted *)
+  (* Pages that unmap, evict and drop_zero_page took out of [pages],
+     taken again before a page is allocated. Every taker overwrites the
+     whole page. *)
+  mutable spares : Bytes.t list;
+  (* The mapped ranges, page [firsts.(i)] to page [lasts.(i)] for [i]
+     below [n_ranges]: disjoint and sorted by first page. *)
+  mutable firsts : int array;
+  mutable lasts : int array;
+  mutable n_ranges : int;
   timing : Timing.t; (* the cache model every access is charged to *)
   (* Harness observers live in a growable array: O(1) amortized
      registration and index-loop dispatch with no list cells. *)
@@ -124,8 +132,8 @@ type t = {
   (* Direct-mapped TLB of [tlb_size] entries in front of [pages]: slot
      [p land tlb_mask] holds page [p] in [tlb_pages] when [tlb_tags]
      holds [p], and -1 when empty. Only pages of [pages] enter it, never
-     [zero_page]; unmap and drop_zero_page, the operations that drop
-     pages, clear their slots. *)
+     [zero_page]; unmap, evict and drop_zero_page, the operations that
+     drop pages, clear their slots. *)
   tlb_tags : int array;
   tlb_pages : Bytes.t array;
   (* What a load from an absent mapped page reads. Never written. *)
@@ -147,7 +155,10 @@ let create ?metrics ~timing () =
   in
   {
     pages = Hashtbl.create 1024;
-    ranges = [||];
+    spares = [];
+    firsts = [||];
+    lasts = [||];
+    n_ranges = 0;
     timing;
     obs = [||];
     n_obs = 0;
@@ -162,69 +173,89 @@ let pages t = Hashtbl.length t.pages
 
 let fault addr size reason = raise (Fault { addr; size; reason })
 
-(* Binary search: does page index [p] fall inside a mapped range? *)
-let page_in_ranges t p =
-  let ranges = t.ranges in
-  let lo = ref 0 and hi = ref (Array.length ranges - 1) and found = ref false in
-  while !lo <= !hi && not !found do
-    let mid = (!lo + !hi) / 2 in
-    let first, last = ranges.(mid) in
-    if p < first then hi := mid - 1
-    else if p > last then lo := mid + 1
-    else found := true
+(* The index of the last range whose first page is at most [p], or -1:
+   a binary search. *)
+let range_before t p =
+  let lo = ref 0 and hi = ref t.n_ranges in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if Array.unsafe_get t.firsts mid <= p then lo := mid + 1 else hi := mid
   done;
-  !found
+  !lo - 1
+
+(* Does page index [p] fall inside a mapped range? *)
+let page_in_ranges t p =
+  let i = range_before t p in
+  i >= 0 && p <= t.lasts.(i)
 
 let map t ~addr ~size =
   if addr < 0 || size <= 0 then invalid_arg "Memsim.map: bad range";
   let first = addr lsr page_bits in
   let last = (addr + size - 1) lsr page_bits in
-  Array.iter
-    (fun (f, l) ->
-      if not (last < f || first > l) then
-        invalid_arg
-          (Printf.sprintf "Memsim.map: range at 0x%x overlaps existing mapping"
-             addr))
-    t.ranges;
-  let ranges = Array.append t.ranges [| (first, last) |] in
-  (* Ranges are disjoint, so ordering by first page is a total order;
-     the monomorphic comparator avoids polymorphic compare. *)
-  Array.sort (fun (a, _) (b, _) -> Int.compare a b) ranges;
-  t.ranges <- ranges
+  (* The ranges are disjoint and sorted, so only the two neighbours of
+     the insertion point can overlap the new one. *)
+  let i = range_before t first + 1 in
+  if
+    (i > 0 && t.lasts.(i - 1) >= first)
+    || (i < t.n_ranges && t.firsts.(i) <= last)
+  then
+    invalid_arg
+      (Printf.sprintf "Memsim.map: range at 0x%x overlaps existing mapping"
+         addr);
+  let n = t.n_ranges in
+  if n = Array.length t.firsts then begin
+    let grow a =
+      let b = Array.make (max 8 (2 * n)) 0 in
+      Array.blit a 0 b 0 n;
+      b
+    in
+    t.firsts <- grow t.firsts;
+    t.lasts <- grow t.lasts
+  end;
+  Array.blit t.firsts i t.firsts (i + 1) (n - i);
+  Array.blit t.lasts i t.lasts (i + 1) (n - i);
+  t.firsts.(i) <- first;
+  t.lasts.(i) <- last;
+  t.n_ranges <- n + 1
+
+(* The index of the range that starts at [addr]'s page. *)
+let mapping_at t ~addr ~what =
+  let first = addr lsr page_bits in
+  let i = range_before t first in
+  if i < 0 || t.firsts.(i) <> first then
+    invalid_arg (Printf.sprintf "%s: no mapping at 0x%x" what addr);
+  i
+
+(* Moves page [p], if present, from [pages] to the spares. The caller
+   clears the TLB. *)
+let release t p =
+  match Hashtbl.find t.pages p with
+  | page ->
+      Hashtbl.remove t.pages p;
+      t.spares <- page :: t.spares
+  | exception Not_found -> ()
+
+(* Removes range [i], releasing its pages from page [from] on. *)
+let remove_range t i ~from =
+  for p = from to t.lasts.(i) do
+    release t p
+  done;
+  let n = t.n_ranges - 1 in
+  Array.blit t.firsts (i + 1) t.firsts i (n - i);
+  Array.blit t.lasts (i + 1) t.lasts i (n - i);
+  t.n_ranges <- n;
+  Array.fill t.tlb_tags 0 tlb_size (-1);
+  Array.fill t.tlb_pages 0 tlb_size no_page
 
 let unmap t ~addr =
-  let first = addr lsr page_bits in
-  let found = ref None in
-  Array.iter
-    (fun (f, l) -> if f = first then found := Some (f, l))
-    t.ranges;
-  match !found with
-  | None ->
-      invalid_arg (Printf.sprintf "Memsim.unmap: no mapping at 0x%x" addr)
-  | Some (f, l) ->
-      for p = f to l do
-        Hashtbl.remove t.pages p
-      done;
-      (* Drop the range in place: [f] is unique among disjoint ranges. *)
-      let n = Array.length t.ranges in
-      let out = Array.make (n - 1) (0, 0) in
-      let j = ref 0 in
-      Array.iter
-        (fun ((rf, _) as r) ->
-          if rf <> f then begin
-            out.(!j) <- r;
-            incr j
-          end)
-        t.ranges;
-      t.ranges <- out;
-      Array.fill t.tlb_tags 0 tlb_size (-1);
-      Array.fill t.tlb_pages 0 tlb_size no_page
+  let i = mapping_at t ~addr ~what:"Memsim.unmap" in
+  remove_range t i ~from:t.firsts.(i)
 
 let drop_zero_page t a =
   let p = a lsr page_bits in
   match Hashtbl.find_opt t.pages p with
   | Some page when is_zero page 0 (Bytes.length page) ->
-      Hashtbl.remove t.pages p;
+      release t p;
       let s = p land tlb_mask in
       if t.tlb_tags.(s) = p then begin
         t.tlb_tags.(s) <- -1;
@@ -235,8 +266,18 @@ let drop_zero_page t a =
 let is_mapped t a = a >= 0 && page_in_ranges t (a lsr page_bits)
 
 let mappings t =
-  Array.to_list t.ranges
-  |> List.map (fun (f, l) -> (f lsl page_bits, (l - f + 1) lsl page_bits))
+  List.init t.n_ranges (fun i ->
+      let first = t.firsts.(i) in
+      (first lsl page_bits, (t.lasts.(i) - first + 1) lsl page_bits))
+
+(* A page for memory to materialize: a spare if there is one, else a new
+   one. Its bytes are arbitrary, so the caller overwrites all of them. *)
+let take_page t =
+  match t.spares with
+  | page :: rest ->
+      t.spares <- rest;
+      page
+  | [] -> Bytes.create page_size
 
 let add_observer t f =
   if t.n_obs = Array.length t.obs then begin
@@ -284,7 +325,8 @@ let[@inline never] walk t ~write p s addr size =
   | exception Not_found ->
       if not (page_in_ranges t p) then fault addr size "unmapped";
       if write then begin
-        let page = Bytes.make page_size '\000' in
+        let page = take_page t in
+        Bytes.fill page 0 page_size '\000';
         Hashtbl.add t.pages p page;
         fill_tlb t p s page
       end
@@ -396,13 +438,13 @@ let blit_to_bytes t ~addr ~len =
   done;
   b
 
-(* Whole-image copies, slot by slot: slot [i] of an image at the
+(* Whole-image transfers, slot by slot: slot [i] of an image at the
    page-aligned [addr] is memory page [addr / page + i]. [count] bumps
    one load or store per slot, present or not, as a chunked blit of the
-   flat image does; the debug-port forms pass [false]. Neither
-   direction charges the cache model, calls observers or touches the
-   TLB: a page it writes is either already in the table (and overwritten
-   in place) or new. *)
+   flat image does; the debug-port forms pass [false]. None charges the
+   cache model or calls observers. The copies leave the TLB as it was: a
+   page they write is either already in the table (and overwritten in
+   place) or new. *)
 
 let image_first_page ~addr ~what =
   if addr < 0 || addr land page_mask <> 0 then
@@ -413,18 +455,24 @@ let check_slot_mapped t p len =
   if not (page_in_ranges t p) then
     fault (p lsl page_bits) len "unmapped (image copy)"
 
+(* An image page's bytes past the image are 0, so a present slot
+   overwrites the whole memory page, and an absent one zeroes it. *)
 let copy_in t ~addr ~count ~what (img : Page_image.t) =
   let first = image_first_page ~addr ~what in
   Array.iteri
     (fun i src ->
-      let p = first + i and len = Page_image.slot_len img i in
-      check_slot_mapped t p len;
-      (match Hashtbl.find_opt t.pages p with
-      | Some dst ->
-          if src == no_page then Bytes.fill dst 0 len '\000'
-          else Bytes.blit src 0 dst 0 len
-      | None ->
-          if src != no_page then Hashtbl.add t.pages p (Bytes.copy src));
+      let p = first + i in
+      check_slot_mapped t p (Page_image.slot_len img i);
+      (match Hashtbl.find t.pages p with
+      | dst ->
+          if src == no_page then Bytes.fill dst 0 page_size '\000'
+          else Bytes.blit src 0 dst 0 page_size
+      | exception Not_found ->
+          if src != no_page then begin
+            let dst = take_page t in
+            Bytes.blit src 0 dst 0 page_size;
+            Hashtbl.add t.pages p dst
+          end);
       if count then note t true)
     img.Page_image.pages
 
@@ -455,6 +503,35 @@ let install t ~addr img =
 
 let extract t ~addr img =
   copy_out t ~addr ~count:true ~what:"Memsim.extract" img
+
+(* Each present memory page becomes the image's slot, its bytes past the
+   image zeroed, and the slot's old page becomes a spare; a slot over an
+   absent memory page becomes absent and its old page is dropped, so
+   memory never owns more pages than it held at its peak. *)
+let evict t ~addr (img : Page_image.t) =
+  let first = image_first_page ~addr ~what:"Memsim.evict" in
+  let r = mapping_at t ~addr ~what:"Memsim.evict" in
+  let pages = img.Page_image.pages in
+  let n = Array.length pages in
+  let past = t.lasts.(r) + 1 in
+  if first + n > past then
+    fault (past lsl page_bits)
+      (Page_image.slot_len img (past - first))
+      "unmapped (image copy)";
+  Array.iteri
+    (fun i old ->
+      let p = first + i in
+      (match Hashtbl.find t.pages p with
+      | page ->
+          Hashtbl.remove t.pages p;
+          let len = Page_image.slot_len img i in
+          if len < page_size then Bytes.fill page len (page_size - len) '\000';
+          if old != no_page then t.spares <- old :: t.spares;
+          pages.(i) <- page
+      | exception Not_found -> pages.(i) <- no_page);
+      note t false)
+    pages;
+  remove_range t r ~from:(first + n)
 
 (* Debug port: raw access that bypasses the access path entirely — no
    charge, no observers, no counters. Harness-only (the fault-injection
@@ -527,5 +604,6 @@ let peek_bytes t ~addr:(a : Vaddr.t) ~len = peek_bytes t ~addr:(a :> int) ~len
 let poke_bytes t ~addr:(a : Vaddr.t) b = poke_bytes t ~addr:(a :> int) b
 let install t ~addr:(a : Vaddr.t) img = install t ~addr:(a :> int) img
 let extract t ~addr:(a : Vaddr.t) img = extract t ~addr:(a :> int) img
+let evict t ~addr:(a : Vaddr.t) img = evict t ~addr:(a :> int) img
 let peek_image t ~addr:(a : Vaddr.t) ~size = peek_image t ~addr:(a :> int) ~size
 let poke_image t ~addr:(a : Vaddr.t) img = poke_image t ~addr:(a :> int) img

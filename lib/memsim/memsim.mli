@@ -31,12 +31,18 @@ val create :
 (** Fresh, empty address space of 4 KiB pages ({!Page_image.page_size})
     whose accesses are charged to [timing]. Every load and store
     increments [mem.loads] / [mem.stores] in [metrics] (a private
-    registry if none is given). *)
+    registry if none is given).
+
+    Memory recycles its pages: the pages that {!unmap}, {!evict} and
+    {!drop_zero_page} release become spares, and a page is materialized
+    from a spare, overwritten whole, before one is allocated. A page is
+    allocated only when there is no spare, so memory never owns more
+    pages than it held at its peak. *)
 
 val pages : t -> int
 (** The number of pages present now: pages materialized by a store or
-    an image copy, less those that {!unmap} or {!drop_zero_page}
-    released. *)
+    an image copy, less those that {!unmap}, {!evict} or
+    {!drop_zero_page} released. *)
 
 (** {1 Mappings} *)
 
@@ -47,8 +53,8 @@ val map : t -> addr:Nvmpi_addr.Kinds.Vaddr.t -> size:int -> unit
 
 val unmap : t -> addr:Nvmpi_addr.Kinds.Vaddr.t -> unit
 (** [unmap t ~addr] removes the mapping that was created at exactly
-    [addr] and drops its backing pages. Raises [Invalid_argument] if no
-    mapping starts at [addr]. *)
+    [addr] and releases its backing pages. Raises [Invalid_argument] if
+    no mapping starts at [addr]. *)
 
 val is_mapped : t -> Nvmpi_addr.Kinds.Vaddr.t -> bool
 (** [is_mapped t a] is [true] iff address [a] falls inside a mapped
@@ -119,9 +125,11 @@ val blit_to_bytes : t -> addr:Nvmpi_addr.Kinds.Vaddr.t -> len:int -> bytes
     canonical image, a tracker's durable image — are kept as
     {!Page_image.t}s: arrays of 4 KiB pages where a missing page reads
     as zeros, just as an untouched mapped page of simulated memory
-    does. Copies between memory and an image move only the pages that
-    are present. Memory and image never share a page: every copy
-    allocates or overwrites a page of the destination's own. *)
+    does. Transfers between memory and an image move only the pages
+    that are present. Memory and image never share a page: a copy
+    writes a page of the destination's own, which memory takes from its
+    spares when it has one, and {!evict} moves pages, so a page belongs
+    to memory or to the image, never to both. *)
 
 module Page_image : sig
   type t
@@ -165,22 +173,38 @@ module Page_image : sig
 end
 
 val install : t -> addr:Nvmpi_addr.Kinds.Vaddr.t -> Page_image.t -> unit
-(** [install t ~addr img] writes [img] into memory at [addr]: the
-    present pages are copied into pages of the memory's own, and the
-    memory's existing pages under absent ones are zeroed. Nothing is
-    charged and no observer fires. It counts one [mem.stores] per page
-    the image spans, present or not: as many as a {!blit_from_bytes} of
-    the flat image counts. [addr] must be page-aligned. Raises {!Fault}
-    if the range leaves mapped memory. *)
+(** [install t ~addr img] writes [img] into memory at [addr]: each
+    present page is copied whole into a page of the memory's own (a
+    spare if there is one), and the memory's existing pages under absent
+    ones are zeroed, so bytes of the last page past [size img] read
+    zeros. Nothing is charged and no observer fires. It counts one
+    [mem.stores] per page the image spans, present or not: as many as a
+    {!blit_from_bytes} of the flat image counts. [addr] must be
+    page-aligned. Raises {!Fault} if the range leaves mapped memory. *)
 
 val extract : t -> addr:Nvmpi_addr.Kinds.Vaddr.t -> Page_image.t -> unit
-(** [extract t ~addr img] overwrites [img] with the [Page_image.size img]
-    bytes of memory at [addr]; an untouched page of memory becomes an
+(** [extract t ~addr img] overwrites [img] with a copy of the
+    [Page_image.size img] bytes of memory at [addr] (a checkpoint:
+    memory keeps its pages); an untouched page of memory becomes an
     absent page of [img], and bytes of the last memory page past
     [size img] stay behind. Nothing is charged and no observer fires; it
     counts one [mem.loads] per page the image spans and materializes no
     page. [addr] must be page-aligned. Raises {!Fault} if the range
     leaves mapped memory. *)
+
+val evict : t -> addr:Nvmpi_addr.Kinds.Vaddr.t -> Page_image.t -> unit
+(** [evict t ~addr img] saves the memory at [addr] into [img] and
+    unmaps the mapping that starts at [addr], by moving pages instead of
+    copying them: each present memory page becomes [img]'s slot, with
+    its bytes past [size img] zeroed, and the slot's old page becomes a
+    spare of the memory; an untouched page of memory becomes an absent
+    slot. Afterwards [img] reads as {!extract} would have left it, and
+    the memory as {!unmap} would have; the TLB is cleared as [unmap]
+    clears it. Nothing is charged and no observer fires; it counts one
+    [mem.loads] per page the image spans, as [extract] does. [addr] must
+    be page-aligned. Raises [Invalid_argument] if no mapping starts at
+    [addr], and {!Fault} if the image does not fit in that mapping; in
+    both cases nothing has moved. *)
 
 (** {1 Debug port}
 

@@ -102,10 +102,12 @@ let save_region t rid =
   let blob = Store.find_exn t.store rid in
   Memsim.extract t.mem ~addr:(Region.base r) blob.Store.data
 
+(* Closing moves memory's pages into the image instead of copying
+   them: the region is unmapped anyway. *)
 let close_region t (rid : Rid.t) =
   let r = region_exn t rid in
-  save_region t rid;
-  Memsim.unmap t.mem ~addr:(Region.base r);
+  let blob = Store.find_exn t.store rid in
+  Memsim.evict t.mem ~addr:(Region.base r) blob.Store.data;
   Hashtbl.remove t.open_tbl (rid :> int);
   Hashtbl.remove t.used_nvbases
     (Seg.to_int (K.seg_of_vaddr t.layout (Region.base r)));

@@ -6,12 +6,16 @@
     virtual address from one run to the next. Closing a region writes
     the (possibly modified) image back to the store and unmaps it.
 
-    The manager's image copies ({!Nvmpi_memsim.Memsim.install} and
-    {!Nvmpi_memsim.Memsim.extract}) call no memory observer: mapping is
-    an OS-level operation whose cost is not part of any of the paper's
-    measured pointer operations. They move only the pages the image or
+    The manager's image transfers call no memory observer: mapping is an
+    OS-level operation whose cost is not part of any of the paper's
+    measured pointer operations. They touch only the pages the image or
     the memory holds, and count one [mem.stores] (open) or [mem.loads]
-    (save, close) per page the region spans. *)
+    (save, close) per page the region spans. Open copies the image into
+    memory ({!Nvmpi_memsim.Memsim.install}), so the store's image stays
+    canonical while the region is open, for another machine over the
+    same store and for {!Store.save_file}; a checkpoint copies memory
+    out ({!Nvmpi_memsim.Memsim.extract}); close moves memory's pages
+    into the image ({!Nvmpi_memsim.Memsim.evict}). *)
 
 type t
 
@@ -40,10 +44,13 @@ val open_region :
     a segment, or [at_nvbase] is occupied/not in the data area. *)
 
 val close_region : t -> Nvmpi_addr.Kinds.Rid.t -> unit
-(** Persists the image back to the store and unmaps it. *)
+(** Persists the image back to the store and unmaps it, in one
+    {!Nvmpi_memsim.Memsim.evict}: memory's pages become the image's, and
+    the image's old pages become memory's spares. *)
 
 val save_region : t -> Nvmpi_addr.Kinds.Rid.t -> unit
-(** Persists without unmapping (a checkpoint). *)
+(** Persists without unmapping (a checkpoint): the image is overwritten
+    with a copy of memory ({!Nvmpi_memsim.Memsim.extract}). *)
 
 val close_all : t -> unit
 

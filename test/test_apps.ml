@@ -309,13 +309,27 @@ let test_kv_clean_close () =
       (if k mod 3 = 0 then None else Some (String.make (k * 5) 'v'))
       (Kvstore.get kv2 ~key:k)
   done;
-  (* An allocation that fails inside put leaves its transaction open:
-     the store cannot be closed cleanly over it. *)
+  (* An allocation that fails inside put aborts its transaction: the
+     store still closes cleanly and reopens without a sweep. *)
   check_bool "put beyond the heap fails" true
     (try Kvstore.put kv2 ~key:99 (String.make 100_000 'x'); false
      with Nvmpi_palloc.Palloc.Out_of_memory _ -> true);
-  check_bool "close inside a transaction raises" true
-    (try Kvstore.close kv2; false with Invalid_argument _ -> true)
+  Kvstore.close kv2;
+  Machine.close_region m2 rid;
+  let m3 = Machine.create ~seed:98 ~store () in
+  let os3 = Objstore.attach m3 (Machine.open_region m3 rid) in
+  let kv3 = Kvstore.attach os3 ~repr:Repr.Riv ~name:"kv" in
+  check "no heap sweep after the failed put" 0
+    (Core.Metrics.get (Machine.metrics m3) "alloc.recovered_blocks");
+  Objstore.heap_check os3;
+  for k = 1 to 20 do
+    Alcotest.(check (option string))
+      (Printf.sprintf "key %d after the failed put" k)
+      (if k mod 3 = 0 then None else Some (String.make (k * 5) 'v'))
+      (Kvstore.get kv3 ~key:k)
+  done;
+  Alcotest.(check (option string)) "the failed put left no key" None
+    (Kvstore.get kv3 ~key:99)
 
 let test_kv_crash_recovery () =
   let store = Store.create () in

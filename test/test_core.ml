@@ -730,14 +730,10 @@ let test_deterministic_placement_with_seed () =
 
 (* A machine costs what a run touches, not what it models: the default
    32 MiB 16-way L3 alone would take 1.5 Mi words as capacity-sized
-   arrays. [Gc.allocated_bytes] is exact for a given build. *)
+   arrays. *)
 let test_create_allocation () =
   let store = Store.create () in
-  let before = Gc.allocated_bytes () in
-  ignore (Sys.opaque_identity (Machine.create ~seed:1 ~store ()));
-  let words =
-    int_of_float (Gc.allocated_bytes () -. before) / (Sys.word_size / 8)
-  in
+  let words = Gc_words.allocated (fun () -> Machine.create ~seed:1 ~store ()) in
   check_bool
     (Printf.sprintf "create allocates %d words, fewer than 64 Ki" words)
     true (words < 65536)

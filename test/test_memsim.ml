@@ -446,6 +446,109 @@ let test_install_over_loaded_page () =
   Memsim.install m ~addr:base img;
   check "install is visible to the next load" 42 (Memsim.load64 m a)
 
+(* Closing a region moves memory's pages into its image. *)
+
+let test_evict_moves_pages () =
+  let metrics = Metrics.create () in
+  let m, base = fresh ~metrics ~size:((2 * page) + 100) () in
+  Memsim.store64 m (Vaddr.add base 8) 0x1111;
+  Memsim.store64 m (Vaddr.add base (2 * page)) 0x2222;
+  let img = Page_image.create ((2 * page) + 100) in
+  let l0 = Metrics.get metrics "mem.loads" in
+  Memsim.evict m ~addr:base img;
+  check "one load per slot" 3 (Metrics.get metrics "mem.loads" - l0);
+  check "memory keeps no page" 0 (Memsim.pages m);
+  check "the touched pages moved" 2 (Page_image.present img);
+  check "first word" 0x1111 (Int64.to_int (Page_image.get_int64_le img 8));
+  check "last word" 0x2222
+    (Int64.to_int (Page_image.get_int64_le img (2 * page)));
+  check_bool "the range is unmapped" false (Memsim.is_mapped m base)
+
+let test_evict_rejects () =
+  let m, base = fresh ~size:(2 * page) () in
+  Memsim.store64 m base 5;
+  Alcotest.check_raises "needs a mapping that starts at the base"
+    (Invalid_argument
+       (Printf.sprintf "Memsim.evict: no mapping at 0x%x"
+          ((Vaddr.add base page : Vaddr.t) :> int)))
+    (fun () ->
+      Memsim.evict m ~addr:(Vaddr.add base page) (Page_image.create 8));
+  check_bool "an image larger than the mapping faults" true
+    (try
+       Memsim.evict m ~addr:base (Page_image.create ((2 * page) + 1));
+       false
+     with Memsim.Fault _ -> true);
+  check "nothing moved" 5 (Memsim.load64 m base);
+  check_bool "still mapped" true (Memsim.is_mapped m base)
+
+(* Pages come back from the spares with whatever an earlier owner left
+   in them; every path that materializes one must overwrite all of it. *)
+let test_recycled_page_reads_zero () =
+  let m, base = fresh ~size:(2 * page) () in
+  let fill a n =
+    for i = 0 to (n / 8) - 1 do
+      Memsim.store64 m (Vaddr.add a (8 * i)) (-1)
+    done
+  in
+  fill base (2 * page);
+  Memsim.unmap m ~addr:base;
+  (* Both pages are spares now; a store takes one. *)
+  let other = va 0x200000 in
+  Memsim.map m ~addr:other ~size:(2 * page);
+  Memsim.store8 m (Vaddr.add other 1) 1;
+  for i = 0 to (page / 8) - 1 do
+    check "a store's recycled page reads zero" (if i = 0 then 0x100 else 0)
+      (Memsim.load64 m (Vaddr.add other (8 * i)))
+  done;
+  (* An image copy takes the other one, tail included. *)
+  let img = Page_image.create ((2 * page) + 100) in
+  Page_image.set_int64_le img ((2 * page) + 8) 7L;
+  let third = va 0x400000 in
+  Memsim.map m ~addr:third ~size:(3 * page);
+  Memsim.install m ~addr:third img;
+  for i = 0 to (page / 8) - 1 do
+    check "an installed recycled page reads the image, zeros past it"
+      (if i = 1 then 7 else 0)
+      (Memsim.load64 m (Vaddr.add third ((2 * page) + (8 * i))))
+  done;
+  (* A close hands the image's old pages to memory: they are reused
+     zeroed too. *)
+  fill third (3 * page);
+  let img = Page_image.of_bytes (Bytes.make (3 * page) '\xff') in
+  Memsim.evict m ~addr:third img;
+  Memsim.map m ~addr:third ~size:(3 * page);
+  for p = 0 to 2 do
+    Memsim.store8 m (Vaddr.add third (p * page)) 0
+  done;
+  for i = 0 to (3 * page / 8) - 1 do
+    check "a page the image gave up reads zero" 0
+      (Memsim.load64 m (Vaddr.add third (8 * i)))
+  done
+
+(* A closed region's pages belong to its image: a new mapping at the
+   same address, whose pages share the old ones' TLB entries, must not
+   reach them. *)
+let test_store_after_evict_spares_image () =
+  let m, base = fresh ~size:(2 * page) () in
+  Memsim.store64 m base 1;
+  Memsim.store64 m (Vaddr.add base page) 2;
+  let img = Page_image.create (2 * page) in
+  Memsim.evict m ~addr:base img;
+  check_bool "the old address faults" true
+    (try
+       ignore (Memsim.load64 m base);
+       false
+     with Memsim.Fault _ -> true);
+  Memsim.map m ~addr:base ~size:(2 * page);
+  check "the new mapping reads zero" 0 (Memsim.load64 m base);
+  Memsim.store64 m base 3;
+  Memsim.store64 m (Vaddr.add base page) 4;
+  check "first image word untouched" 1
+    (Int64.to_int (Page_image.get_int64_le img 0));
+  check "second image word untouched" 2
+    (Int64.to_int (Page_image.get_int64_le img page));
+  check "the new mapping keeps its own word" 3 (Memsim.load64 m base)
+
 (* Flat bytes with some zero pages, a size that is often not a multiple
    of the page size, and values with the high bit set. *)
 let gen_flat =
@@ -477,6 +580,129 @@ let prop_image_copies_match_blits =
       && Bytes.equal
            (Page_image.to_bytes (Memsim.peek_image m ~addr:base ~size:len))
            flat)
+
+(* Memory driven by random map, typed store, load, install, close
+   ([evict]), unmap and drop_zero_page against a flat model. Three slots
+   64 pages apart share TLB entries; each remaps at the address it just
+   released, with a size drawn from a set where the last page is mostly
+   partial. A close reuses the slot's previous image when the sizes
+   match, so memory gets its pages back as spares. Every load and every
+   closed image, grown to whole pages, is compared with the model. *)
+let prop_pages_match_flat_model =
+  let slot_base s = 0x40000 * (s + 1) in
+  let sizes = [| page; 5000; (2 * page) + 8; (3 * page) - 100 |] in
+  let rounded n = (n + page - 1) / page * page in
+  let op_gen =
+    QCheck2.Gen.(
+      let slot = int_range 0 2 in
+      let off = int_range 0 ((3 * page) - 1) in
+      let width = oneofl [ 1; 2; 4; 8 ] in
+      frequency
+        [
+          (2, map2 (fun s z -> `Map (s, sizes.(z))) slot (int_range 0 3));
+          (6, map4 (fun s o w v -> `Store (s, o, w, v)) slot off width int);
+          (6, map3 (fun s o w -> `Load (s, o, w)) slot off width);
+          (1, map (fun s -> `Install s) slot);
+          (2, map (fun s -> `Close s) slot);
+          (1, map (fun s -> `Unmap s) slot);
+          (1, map2 (fun s o -> `Drop (s, o)) slot off);
+        ])
+  in
+  QCheck2.Test.make ~name:"pages match a flat model through closes and reuse"
+    ~count:300
+    QCheck2.Gen.(list_size (int_range 20 150) op_gen)
+    (fun ops ->
+      let m = memory () in
+      (* Per slot: the mapped region's size and flat page-rounded bytes,
+         and the last closed image with its flat model. *)
+      let mapped = Array.make 3 None in
+      let images = Array.make 3 None in
+      let addr s o = va (slot_base s + o) in
+      let read b o w =
+        let v = ref 0 in
+        for i = w - 1 downto 0 do
+          v := (!v lsl 8) lor Char.code (Bytes.get b (o + i))
+        done;
+        if w = 8 then Int64.to_int (Bytes.get_int64_le b o) else !v
+      in
+      let faults f = try f (); false with Memsim.Fault _ -> true in
+      List.for_all
+        (fun op ->
+          match op with
+          | `Map (s, size) -> (
+              match mapped.(s) with
+              | Some _ -> (
+                  try
+                    Memsim.map m ~addr:(addr s 0) ~size;
+                    false
+                  with Invalid_argument _ -> true)
+              | None ->
+                  Memsim.map m ~addr:(addr s 0) ~size;
+                  mapped.(s) <- Some (size, Bytes.make (rounded size) '\000');
+                  true)
+          | `Store (s, o, w, v) -> (
+              let o = o land lnot (w - 1) in
+              match mapped.(s) with
+              | Some (_, b) when o < Bytes.length b ->
+                  Memsim.store_sized m ~size:w (addr s o) v;
+                  if w = 8 then Bytes.set_int64_le b o (Int64.of_int v)
+                  else
+                    for i = 0 to w - 1 do
+                      Bytes.set b (o + i) (Char.chr ((v lsr (8 * i)) land 0xFF))
+                    done;
+                  true
+              | _ ->
+                  faults (fun () -> Memsim.store_sized m ~size:w (addr s o) v))
+          | `Load (s, o, w) -> (
+              let o = o land lnot (w - 1) in
+              match mapped.(s) with
+              | Some (_, b) when o < Bytes.length b ->
+                  Memsim.load_sized m ~size:w (addr s o) = read b o w
+              | _ ->
+                  faults (fun () ->
+                      ignore (Memsim.load_sized m ~size:w (addr s o))))
+          | `Install s -> (
+              match (mapped.(s), images.(s)) with
+              | Some (_, b), Some (img, flat)
+                when rounded (Page_image.size img) <= Bytes.length b ->
+                  Memsim.install m ~addr:(addr s 0) img;
+                  Bytes.fill b 0 (rounded (Page_image.size img)) '\000';
+                  Bytes.blit flat 0 b 0 (Bytes.length flat);
+                  true
+              | _ -> true)
+          | `Close s -> (
+              match mapped.(s) with
+              | None -> true
+              | Some (size, b) ->
+                  let img =
+                    match images.(s) with
+                    | Some (img, _) when Page_image.size img = size -> img
+                    | _ -> Page_image.create size
+                  in
+                  Memsim.evict m ~addr:(addr s 0) img;
+                  let flat = Bytes.sub b 0 size in
+                  mapped.(s) <- None;
+                  images.(s) <- Some (img, flat);
+                  let whole = Bytes.make (rounded size) '\000' in
+                  Bytes.blit flat 0 whole 0 size;
+                  Bytes.equal
+                    (Page_image.to_bytes (Page_image.resize img (rounded size)))
+                    whole)
+          | `Unmap s -> (
+              match mapped.(s) with
+              | None -> (
+                  try
+                    Memsim.unmap m ~addr:(addr s 0);
+                    false
+                  with Invalid_argument _ -> true)
+              | Some _ ->
+                  Memsim.unmap m ~addr:(addr s 0);
+                  mapped.(s) <- None;
+                  true)
+          | `Drop (s, o) ->
+              Memsim.drop_zero_page m (addr s o);
+              true)
+        ops)
 
 let prop_disjoint_writes =
   QCheck2.Test.make ~name:"writes to distinct words do not interfere"
@@ -540,6 +766,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_tlb_matches_reference;
           QCheck_alcotest.to_alcotest prop_disjoint_writes;
           QCheck_alcotest.to_alcotest prop_image_copies_match_blits;
+          QCheck_alcotest.to_alcotest prop_pages_match_flat_model;
         ] );
       ( "images",
         [
@@ -555,5 +782,11 @@ let () =
             test_drop_aliased_zero_page;
           Alcotest.test_case "install over a page only loaded" `Quick
             test_install_over_loaded_page;
+          Alcotest.test_case "evict moves pages" `Quick test_evict_moves_pages;
+          Alcotest.test_case "evict rejects" `Quick test_evict_rejects;
+          Alcotest.test_case "a recycled page reads zero" `Quick
+            test_recycled_page_reads_zero;
+          Alcotest.test_case "a store after evict spares the image" `Quick
+            test_store_after_evict_spares_image;
         ] );
     ]

@@ -18,6 +18,7 @@ let ir (r : Kinds.Rid.t) = (r :> int)
 let check = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let layout = Layout.default
+let page = Page_image.page_size
 
 (* A bare memory charging a cache model of its own. *)
 let memory ?metrics () =
@@ -302,6 +303,41 @@ let test_bytes_past_size_stay_out () =
   check "reopened tail reads zero" 0
     (Memsim.load64 mem (Vaddr.add (Region.base r) 6000))
 
+(* Close moves memory's pages into the image and hands the image's old
+   pages to memory as spares, and open copies into spares: once memory
+   holds a spare for every page of the region, a close and reopen
+   allocates no page (a 4 KiB page alone is 513 words). *)
+let test_reopen_allocation_floor () =
+  let _, mgr = manager ~seed:13 () in
+  let size = 1 lsl 16 in
+  let rid = Manager.create_region mgr ~size in
+  let mem = Manager.mem mgr in
+  let word r p = Vaddr.add (Region.base r) ((p * page) + 512) in
+  let r = Manager.open_region mgr rid in
+  for p = 0 to (size / page) - 1 do
+    Memsim.store64 mem (word r p) p
+  done;
+  Manager.close_region mgr rid;
+  let cycle () =
+    ignore (Manager.open_region mgr rid);
+    Manager.close_region mgr rid
+  in
+  cycle ();
+  let cycles = 100 in
+  let words =
+    Gc_words.allocated (fun () ->
+        for _ = 1 to cycles do
+          cycle ()
+        done)
+  in
+  check_bool
+    (Printf.sprintf "%d close + reopen cycles allocate %d words, fewer than %d"
+       cycles words (cycles * 512))
+    true
+    (words < cycles * 512);
+  let r = Manager.open_region mgr rid in
+  check "the last page survived every cycle" 15 (Memsim.load64 mem (word r 15))
+
 let test_pinned_placement () =
   let _, mgr = manager ~seed:6 () in
   let rid = Manager.create_region mgr ~size:65536 in
@@ -414,6 +450,8 @@ let () =
             test_open_close_counts;
           Alcotest.test_case "bytes past size stay out of the image" `Quick
             test_bytes_past_size_stay_out;
+          Alcotest.test_case "reopen allocates no page" `Quick
+            test_reopen_allocation_floor;
           Alcotest.test_case "pinned placement" `Quick test_pinned_placement;
           Alcotest.test_case "region_of_addr" `Quick test_region_of_addr;
           Alcotest.test_case "oversized region rejected" `Quick
