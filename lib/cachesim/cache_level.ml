@@ -1,29 +1,29 @@
 (* Storage is allocated on first fill, one chunk of consecutive sets at a
    time, so a run pays for the chunks it touches and not for the
    modelled capacity (docs/PERF.md, "Cache-level storage"). A set is
-   [span = 2 * ways] ints of its chunk: slot [2w] is way [w]'s packed
-   word [(line lsl 1) lor dirty], or [invalid]; slot [2w + 1] is its LRU
-   stamp. *)
+   [ways] ints of its chunk kept in recency order: packed words
+   [(line lsl 1) lor dirty], most recently used first, then [invalid]
+   entries. Set helpers take [int array]: on an ['a array] every write
+   is a [caml_modify] call. *)
 type t = {
   line_bits : int;
   set_mask : int;
   chunk_bits : int; (* log2 of the sets per chunk *)
-  span : int;
+  ways : int;
   chunks : int array array; (* [empty] until one of its sets fills *)
-  mutable tick : int;
-  (* The line of the last access, resident at slot [last_slot] of chunk
-     [last_chunk]; -1 when forgotten. Indices, not the chunk itself:
-     storing a pointer would cost a write barrier on every probe. *)
+  (* The line of the last access, the front entry of the set at
+     [last_base] in chunk [last_chunk]; -1 when forgotten. Indices, not
+     the chunk itself: storing a pointer would cost a write barrier on
+     every probe. *)
   mutable last_line : int;
   mutable last_chunk : int;
-  mutable last_slot : int;
+  mutable last_base : int;
 }
 
 (* Eight sets per chunk keep the chunk table of the default 32 MiB L3 at
    4 Ki words, small enough to stay in the host's caches; with one entry
    per set (32 Ki words) the table lookup missed there on large working
-   sets. A chunk of that 16-way L3 is 256 ints, the largest block the
-   minor heap takes. *)
+   sets. A chunk of that 16-way L3 is 128 ints. *)
 let max_chunk_sets = 8
 let empty : int array = [||]
 let invalid = -1
@@ -46,113 +46,112 @@ let create ~size_bytes ~ways ~line_bits =
     line_bits;
     set_mask = sets - 1;
     chunk_bits;
-    span = 2 * ways;
+    ways;
     chunks = Array.make (sets lsr chunk_bits) empty;
-    tick = 0;
     last_line = -1;
     last_chunk = 0;
-    last_slot = 0;
+    last_base = 0;
   }
 
 let sets t = t.set_mask + 1
 
-(* First slot of set [s] in its chunk. *)
-let base t s = (s land ((1 lsl t.chunk_bits) - 1)) * t.span
+(* First entry of set [s] in its chunk. *)
+let base t s = (s land ((1 lsl t.chunk_bits) - 1)) * t.ways
 
-(* A hit on the way found at slot [i] of [chunk]. *)
-let[@inline] hit_at t chunk i ~write =
-  Array.unsafe_set chunk (i + 1) t.tick;
-  if write then Array.unsafe_set chunk i (Array.unsafe_get chunk i lor 1);
-  hit
+(* Shifts entries [base, i) of a set one place back, over entry [i]. *)
+let[@inline] shift_back (chunk : int array) base i =
+  for j = i downto base + 1 do
+    Array.unsafe_set chunk j (Array.unsafe_get chunk (j - 1))
+  done
 
-(* Looks [line] up in its set; on a miss, fills it over the victim.
-   Either way [line] is left resident at the remembered slot. *)
+(* Kept out of [probe], which then stores only ints. *)
+let[@inline never] install t c =
+  let chunk = Array.make (t.ways lsl t.chunk_bits) invalid in
+  t.chunks.(c) <- chunk;
+  chunk
+
+(* Looks [line] up in its set and leaves it at the front, where the memo
+   points: a hit moves its entry there, a miss fills the first invalid
+   entry or evicts the last one. *)
 let probe t line ~write =
   let s = line land t.set_mask in
   let c = s lsr t.chunk_bits in
   let chunk = t.chunks.(c) in
-  let chunk =
-    if chunk != empty then chunk
-    else begin
-      let chunk = Array.make (t.span lsl t.chunk_bits) invalid in
-      t.chunks.(c) <- chunk;
-      chunk
-    end
-  in
+  let chunk : int array = if chunk != empty then chunk else install t c in
   let base = base t s in
-  let stop = base + t.span in
-  (* Every slot touched below lies in [base, stop), inside [chunk], so
-     this per-access path skips the bounds checks. A line is filled only
-     on a miss, so it occupies at most one way and the first match is the
-     only one; [invalid asr 1] is negative and never equals a line. *)
-  let i = ref base in
-  while !i < stop && Array.unsafe_get chunk !i asr 1 <> line do
-    i := !i + 2
-  done;
-  let i = !i in
+  let last = base + t.ways - 1 in
   t.last_line <- line;
   t.last_chunk <- c;
-  if i < stop then begin
-    t.last_slot <- i;
-    hit_at t chunk i ~write
+  t.last_base <- base;
+  (* Every entry touched below lies in [base, last], inside [chunk], so
+     this per-access path skips the bounds checks. The scan stops at the
+     match, the first invalid entry or the last entry: the hit, the free
+     entry or the victim. [invalid asr 1] never equals a line. *)
+  let i = ref base in
+  while
+    !i < last
+    &&
+    let e = Array.unsafe_get chunk !i in
+    e <> invalid && e asr 1 <> line
+  do
+    incr i
+  done;
+  let old = Array.unsafe_get chunk !i in
+  shift_back chunk base !i;
+  if old asr 1 = line then begin
+    Array.unsafe_set chunk base (old lor Bool.to_int write);
+    hit
   end
   else begin
-    (* The victim is the first invalid way, else the least recently
-       used. [tick] advances on every access, so valid ways carry
-       distinct stamps and the LRU way is unique. *)
-    let v = ref (-1) and best = ref base and best_stamp = ref max_int in
-    let j = ref base in
-    while !v < 0 && !j < stop do
-      if Array.unsafe_get chunk !j = invalid then v := !j
-      else if Array.unsafe_get chunk (!j + 1) < !best_stamp then begin
-        best := !j;
-        best_stamp := Array.unsafe_get chunk (!j + 1)
-      end;
-      j := !j + 2
-    done;
-    let v = if !v >= 0 then !v else !best in
-    t.last_slot <- v;
-    let old = Array.unsafe_get chunk v in
-    Array.unsafe_set chunk v ((line lsl 1) lor Bool.to_int write);
-    Array.unsafe_set chunk (v + 1) t.tick;
+    Array.unsafe_set chunk base ((line lsl 1) lor Bool.to_int write);
     if old <> invalid && old land 1 = 1 then (old asr 1) lsl t.line_bits
     else miss_clean
   end
 
-(* A probe of the last line is a hit at the remembered slot: only a miss
-   in its set, which re-points [last_line], [flush_line] or
-   [invalidate_all] can displace that line, and the last two forget it.
-   [last_chunk] is an index [probe] read [chunks] at. *)
+(* A probe of the last line is a hit on the remembered set's front
+   entry, which stays there: only a probe of that set, which re-points
+   the memo, [flush_line] of that line or [invalidate_all] can move it,
+   and the last two forget it. [last_chunk] is an index [probe] read
+   [chunks] at. *)
 let[@inline] access t ~addr ~write =
   let line = addr lsr t.line_bits in
-  t.tick <- t.tick + 1;
-  if line = t.last_line then
-    hit_at t (Array.unsafe_get t.chunks t.last_chunk) t.last_slot ~write
+  if line = t.last_line then begin
+    if write then begin
+      let chunk = Array.unsafe_get t.chunks t.last_chunk in
+      Array.unsafe_set chunk t.last_base
+        (Array.unsafe_get chunk t.last_base lor 1)
+    end;
+    hit
+  end
   else probe t line ~write
 
 let flush_line t ~addr =
-  t.last_line <- -1;
   let line = addr lsr t.line_bits in
+  if line = t.last_line then t.last_line <- -1;
   let s = line land t.set_mask in
   let chunk = t.chunks.(s lsr t.chunk_bits) in
   if chunk == empty then false
   else begin
     let base = base t s in
-    let stop = base + t.span in
+    let stop = base + t.ways in
     let i = ref base in
-    while !i < stop && chunk.(!i) asr 1 <> line do
-      i := !i + 2
+    while !i < stop && chunk.(!i) <> invalid && chunk.(!i) asr 1 <> line do
+      incr i
     done;
-    if !i = stop then false
+    if !i = stop || chunk.(!i) = invalid then false
     else begin
+      (* Close the gap; the set's last entry becomes invalid. *)
       let dirty = chunk.(!i) land 1 = 1 in
-      chunk.(!i) <- invalid;
+      for j = !i to stop - 2 do
+        chunk.(j) <- chunk.(j + 1)
+      done;
+      chunk.(stop - 1) <- invalid;
       dirty
     end
   end
 
-(* Nothing reads an invalid way's stamp, so returning every chunk to
-   [empty] is the whole invalidation: O(sets / 8) pointer stores. *)
+(* Returning every chunk to [empty] is the whole invalidation:
+   O(sets / 8) pointer stores. *)
 let invalidate_all t =
   t.last_line <- -1;
   Array.fill t.chunks 0 (Array.length t.chunks) empty

@@ -1,9 +1,11 @@
 (** One level of a set-associative, write-back, write-allocate cache with
     LRU replacement. Used as a building block by {!module:Timing}.
 
-    Storage is allocated on first fill, eight consecutive sets at a time,
-    so creating a level costs one word per eight sets whatever its
-    capacity. *)
+    Each set is kept as an LRU stack, one word per way: a hit moves its
+    line to the front and a miss evicts the line at the back, so no
+    access scans for a victim. Storage is allocated on first fill, eight
+    consecutive sets at a time, so creating a level costs one word per
+    eight sets whatever its capacity. *)
 
 type t
 

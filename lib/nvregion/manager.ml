@@ -121,8 +121,15 @@ let open_regions t =
   Hashtbl.fold (fun _ r acc -> r :: acc) t.open_tbl []
   |> List.sort (fun a b -> Rid.compare (Region.rid a) (Region.rid b))
 
+(* [open_region] keeps every region inside one segment, so the
+   address's segment names the only region that can hold it. *)
 let region_of_addr t a =
-  let found = ref None in
-  Hashtbl.iter (fun _ r -> if Region.contains r a then found := Some r)
-    t.open_tbl;
-  !found
+  if not (K.is_data_addr t.layout a) then None
+  else
+    match
+      Hashtbl.find_opt t.used_nvbases (Seg.to_int (K.seg_of_vaddr t.layout a))
+    with
+    | None -> None
+    | Some rid ->
+        let r = Hashtbl.find t.open_tbl rid in
+        if Region.contains r a then Some r else None

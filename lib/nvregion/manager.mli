@@ -61,4 +61,5 @@ val open_regions : t -> Region.t list
 (** Open regions sorted by ID. *)
 
 val region_of_addr : t -> Nvmpi_addr.Kinds.Vaddr.t -> Region.t option
-(** The open region containing the given address, if any. *)
+(** The open region containing the given address, if any: one lookup by
+    the address's segment, whatever the number of open regions. *)

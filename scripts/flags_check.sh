@@ -5,7 +5,11 @@
 # Fails if a module of the access kernel — lib/memsim's Memsim and the
 # lib/cachesim Timing and Cache_level it inlines — compiles with
 # -opaque, which stops every cross-module [@inline] on the access path,
-# or lacks -strict-sequence or the pinned warning set.
+# or lacks -strict-sequence or the pinned warning set. Also fails if a
+# per-access function of those modules calls the write barrier
+# caml_modify (docs/PERF.md, "Cache-level storage"): a set helper typed
+# ['a array] or an allocation moved into Cache_level's probe would add
+# one to every access, and no simulated cycle would show it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -24,6 +28,34 @@ for target in "${targets[@]}"; do
   case "$cmd" in *" -opaque "*) err "$target compiles with -opaque" ;; esac
   case "$cmd" in *" -strict-sequence "*) ;; *) err "$target compiles without -strict-sequence" ;; esac
   case "$cmd" in *" -w $warnings "*) ;; *) err "$target compiles without -w $warnings" ;; esac
+done
+# Each object with a pattern naming its per-access functions; OCaml
+# 5.1 names a function's symbol <module>.<name>_<stamp>.
+objs=_build/default/lib
+barrier_free=(
+  "$objs/cachesim/.nvmpi_cachesim.objs/native/nvmpi_cachesim__Cache_level.o"
+  '[.$](access|probe)_[0-9]+>:$'
+  "$objs/cachesim/.nvmpi_cachesim.objs/native/nvmpi_cachesim__Timing.o"
+  '[.$]access_l[123]_[0-9]+>:$'
+  "$objs/memsim/.nvmpi_memsim.objs/native/nvmpi_memsim__Memsim.o"
+  '[.$](load|store)(8|16|32|64)_[0-9]+>:$'
+)
+for ((k = 0; k < ${#barrier_free[@]}; k += 2)); do
+  obj=${barrier_free[k]} pat=${barrier_free[k + 1]}
+  dune build "$obj"
+  # One line per function matching [pat]: its symbol and how many
+  # caml_modify references its body holds.
+  report=$(objdump -dr "$obj" | awk -v pat="$pat" '
+    /^[0-9a-f]+ <.*>:$/ {
+      f = ($2 ~ pat) ? substr($2, 2, length($2) - 3) : ""
+      if (f != "") n[f] += 0
+    }
+    f != "" && /caml_modify/ { n[f]++ }
+    END { for (g in n) print g, n[g] }')
+  [ -n "$report" ] || err "$obj: no function matches $pat"
+  while read -r f n; do
+    [ -z "$f" ] || [ "$n" -eq 0 ] || err "$f calls caml_modify ($n references)"
+  done <<< "$report"
 done
 [ "$fail" -eq 0 ] && echo "flags_check: ok"
 exit "$fail"

@@ -217,10 +217,42 @@ let test_invalidate_caches_forces_misses () =
   let (), d = Clock.delta clock (fun () -> ignore (Memsim.load64 mem (va 0x10000))) in
   check_bool "miss after invalidation" true (d > cfg.Timing_config.l1_hit)
 
-(* Property: the cache level agrees with a naive reference model on
-   every observable of random access/flush/invalidate streams, over
-   several geometries. The reference keeps, per set, a most-recent-first
-   list of [(line, dirty)] at most [ways] long. *)
+(* The reference LRU level: per set, a most-recent-first list of
+   [(line, dirty)] at most [ways] long, with 64-byte lines.
+   [ref_access] returns what [Cache_level.access] must, and
+   [ref_flush] what [Cache_level.flush_line] must. *)
+type ref_level = { ways : int; sets : (int * bool) list array }
+
+let ref_level ~sets ~ways = { ways; sets = Array.make sets [] }
+
+let ref_access r line ~write =
+  let s = line mod Array.length r.sets in
+  let set = r.sets.(s) in
+  match List.assoc_opt line set with
+  | Some dirty ->
+      r.sets.(s) <- (line, dirty || write) :: List.remove_assoc line set;
+      Cache_level.hit
+  | None when List.length set < r.ways ->
+      r.sets.(s) <- (line, write) :: set;
+      Cache_level.miss_clean
+  | None ->
+      let lru, dirty = List.nth set (r.ways - 1) in
+      r.sets.(s) <-
+        (line, write) :: List.filteri (fun i _ -> i < r.ways - 1) set;
+      if dirty then lru * 64 else Cache_level.miss_clean
+
+let ref_flush r line =
+  let s = line mod Array.length r.sets in
+  let dirty = Option.value ~default:false (List.assoc_opt line r.sets.(s)) in
+  r.sets.(s) <- List.remove_assoc line r.sets.(s);
+  dirty
+
+let ref_invalidate r = Array.fill r.sets 0 (Array.length r.sets) []
+
+(* Property: the cache level agrees with the reference level on every
+   observable of random access/flush/invalidate streams, over several
+   geometries (sets, ways): direct-mapped, 16-way sets that fill and
+   evict, and levels of several eight-set chunks. *)
 type cache_op = Access of int * bool | Flush of int | Invalidate
 
 let pp_cache_op = function
@@ -229,7 +261,9 @@ let pp_cache_op = function
   | Flush line -> Printf.sprintf "f%d" line
   | Invalidate -> "inv"
 
-let geometry = QCheck2.Gen.oneofl [ (1, 4); (2, 4); (4, 2); (8, 8); (16, 2) ]
+let geometry =
+  QCheck2.Gen.oneofl
+    [ (1, 1); (1, 4); (2, 4); (4, 2); (8, 8); (16, 2); (2, 16); (32, 16) ]
 
 (* Three candidate lines per way keep sets conflicting. *)
 let line_gen (sets, ways) = QCheck2.Gen.int_range 0 ((3 * sets * ways) - 1)
@@ -238,40 +272,19 @@ let print_stream ((sets, ways), ops) =
   Printf.sprintf "%dx%d: %s" sets ways
     (String.concat " " (List.map pp_cache_op ops))
 
-(* Does [Cache_level] give the reference model's result for every op? *)
+(* Does [Cache_level] give the reference level's result for every op? *)
 let matches_reference ((sets, ways), ops) =
   let c = Cache_level.create ~size_bytes:(ways * sets * 64) ~ways ~line_bits:6 in
-  let reference = Array.make sets [] in
-  let step op =
-    match op with
+  let r = ref_level ~sets ~ways in
+  let step = function
     | Access (line, write) ->
-        let s = line mod sets in
-        let set = reference.(s) in
-        let expected =
-          match List.assoc_opt line set with
-          | Some dirty ->
-              reference.(s) <-
-                (line, dirty || write) :: List.remove_assoc line set;
-              Cache_level.hit
-          | None when List.length set < ways ->
-              reference.(s) <- (line, write) :: set;
-              Cache_level.miss_clean
-          | None ->
-              let lru, dirty = List.nth set (ways - 1) in
-              reference.(s) <-
-                (line, write) :: List.filteri (fun i _ -> i < ways - 1) set;
-              if dirty then lru * 64 else Cache_level.miss_clean
-        in
+        let expected = ref_access r line ~write in
         Cache_level.access c ~addr:(line * 64) ~write = expected
     | Flush line ->
-        let s = line mod sets in
-        let expected =
-          Option.value ~default:false (List.assoc_opt line reference.(s))
-        in
-        reference.(s) <- List.remove_assoc line reference.(s);
+        let expected = ref_flush r line in
         Cache_level.flush_line c ~addr:(line * 64) = expected
     | Invalidate ->
-        Array.fill reference 0 sets [];
+        ref_invalidate r;
         Cache_level.invalidate_all c;
         true
   in
@@ -334,6 +347,139 @@ let prop_same_line_matches_reference =
     ~name:"repeated lines match a reference LRU model"
     ~count:300 ~print:print_stream gen matches_reference
 
+(* Property: [Timing] composes its three levels by the write-back rule
+   that METRICS.md's cycle identity rests on. The reference hierarchy
+   is three reference levels: a miss at L1 or L2 writes a dirty victim
+   into the next level and then reads the line there, and a miss at L3
+   charges a dirty victim as a memory write and the line as a memory
+   read, at DRAM or NVM latency by address. After every op the clock
+   and every counter must match. *)
+type timing_op =
+  | Line of int * bool (* address, write: [Timing.access_line] *)
+  | Span of int * int * bool (* address, size, write: [Timing.access] *)
+  | T_flush of int
+  | T_fence
+  | T_invalidate
+
+let pp_timing_op = function
+  | Line (a, w) -> Printf.sprintf "%s%d" (if w then "w" else "r") a
+  | Span (a, n, w) -> Printf.sprintf "%s%d+%d" (if w then "W" else "R") a n
+  | T_flush a -> Printf.sprintf "f%d" a
+  | T_fence -> "fence"
+  | T_invalidate -> "inv"
+
+(* 2 x 2-way L1, 4 x 4-way L2 and 16 x 8-way L3 (two chunks) over 768
+   lines, the upper half NVM. *)
+let small_cfg =
+  {
+    Timing_config.default with
+    l1_size = 256;
+    l1_ways = 2;
+    l2_size = 1024;
+    l2_ways = 4;
+    l3_size = 8192;
+    l3_ways = 8;
+  }
+
+let small_lines = 768
+let small_is_nvm a = a >= small_lines / 2 * 64
+
+let timing_counters =
+  [
+    "cache.l1.hits"; "cache.l1.misses"; "cache.l2.hits"; "cache.l2.misses";
+    "cache.l3.hits"; "cache.l3.misses"; "mem.dram_reads"; "mem.dram_writes";
+    "mem.nvm_reads"; "mem.nvm_writes"; "timing.alu_cycles"; "timing.fences";
+    "timing.flushes";
+  ]
+
+let matches_hierarchy ops =
+  let cfg = small_cfg in
+  let clock = Clock.create () and metrics = Metrics.create () in
+  let t = Timing.create ~cfg ~metrics ~clock ~is_nvm:small_is_nvm () in
+  let level size ways = ref_level ~sets:(size / (ways * 64)) ~ways in
+  let levels =
+    [|
+      level cfg.l1_size cfg.l1_ways;
+      level cfg.l2_size cfg.l2_ways;
+      level cfg.l3_size cfg.l3_ways;
+    |]
+  in
+  let hit_cost = [| cfg.l1_hit; cfg.l2_hit; cfg.l3_hit |] in
+  let cycles = ref 0 and counts = Hashtbl.create 16 in
+  List.iter (fun n -> Hashtbl.replace counts n 0) timing_counters;
+  let charge name c =
+    Hashtbl.replace counts name (Hashtbl.find counts name + 1);
+    cycles := !cycles + c
+  in
+  let memory addr ~write =
+    match (small_is_nvm addr, write) with
+    | true, true -> charge "mem.nvm_writes" cfg.nvm_write
+    | true, false -> charge "mem.nvm_reads" cfg.nvm_read
+    | false, true -> charge "mem.dram_writes" cfg.dram_write
+    | false, false -> charge "mem.dram_reads" cfg.dram_read
+  in
+  let rec access i addr ~write =
+    let r = ref_access levels.(i) (addr / 64) ~write in
+    let outcome = if r = Cache_level.hit then "hits" else "misses" in
+    charge (Printf.sprintf "cache.l%d.%s" (i + 1) outcome) hit_cost.(i);
+    if r <> Cache_level.hit then
+      if i < 2 then begin
+        if r >= 0 then access (i + 1) r ~write:true;
+        access (i + 1) addr ~write:false
+      end
+      else begin
+        if r >= 0 then memory r ~write:true;
+        memory addr ~write:false
+      end
+  in
+  let step op =
+    (match op with
+    | Line (a, write) ->
+        access 0 (a land lnot 63) ~write;
+        Timing.access_line t ~addr:a ~write
+    | Span (a, size, write) ->
+        for line = a / 64 to (a + size - 1) / 64 do
+          access 0 (line * 64) ~write
+        done;
+        Timing.access t ~addr:a ~size ~write
+    | T_flush a ->
+        charge "timing.flushes" cfg.clflush;
+        let dirty = Array.map (fun l -> ref_flush l (a / 64)) levels in
+        if Array.mem true dirty then memory a ~write:true;
+        Timing.flush t ~addr:a
+    | T_fence ->
+        charge "timing.fences" cfg.wbarrier;
+        Timing.fence t
+    | T_invalidate ->
+        Array.iter ref_invalidate levels;
+        Timing.invalidate_caches t);
+    let expected =
+      Hashtbl.fold (fun n v acc -> (n, v) :: acc) counts [] |> List.sort compare
+    in
+    Clock.cycles clock = !cycles && Metrics.snapshot metrics = expected
+  in
+  List.for_all step ops
+
+let prop_timing_matches_hierarchy =
+  let gen =
+    QCheck2.Gen.(
+      let addr = int_range 0 ((small_lines * 64) - 1) in
+      let op =
+        frequency
+          [
+            (30, map2 (fun a w -> Line (a, w)) addr bool);
+            (6, map3 (fun a n w -> Span (a, n, w)) addr (int_range 1 200) bool);
+            (5, map (fun a -> T_flush a) addr);
+            (2, pure T_fence);
+            (1, pure T_invalidate);
+          ]
+      in
+      list_size (int_range 20 600) op)
+  in
+  QCheck2.Test.make ~name:"timing matches a reference hierarchy" ~count:200
+    ~print:(fun ops -> String.concat " " (List.map pp_timing_op ops))
+    gen matches_hierarchy
+
 let () =
   Alcotest.run "cachesim"
     [
@@ -367,5 +513,6 @@ let () =
             test_dirty_writeback_charged;
           Alcotest.test_case "invalidate forces misses" `Quick
             test_invalidate_caches_forces_misses;
+          QCheck_alcotest.to_alcotest prop_timing_matches_hierarchy;
         ] );
     ]

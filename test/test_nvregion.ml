@@ -351,15 +351,70 @@ let test_pinned_placement () =
        false
      with Invalid_argument _ -> true)
 
+(* The segment lookup agrees with a scan of every open region: at each
+   region's first and last byte and one byte past its end, in a free
+   data segment, in DRAM (also where its segment-number bits name an
+   open region's segment), in both NV tables, and at the old and new
+   place of a region closed and reopened elsewhere. *)
 let test_region_of_addr () =
-  let _, mgr = manager ~seed:7 () in
-  let rid = Manager.create_region mgr ~size:65536 in
-  let r = Manager.open_region mgr rid in
-  (match Manager.region_of_addr mgr (Vaddr.add (Region.base r) 100) with
-  | Some r' -> check "found" (ir rid) (ir (Region.rid r'))
-  | None -> Alcotest.fail "region_of_addr missed");
-  check_bool "miss outside" true
-    (Manager.region_of_addr mgr (va 0x10000) = None)
+  let _, mgr = manager ~seed:12 () in
+  let lo = Layout.data_nvbase_min layout in
+  let hi = Nvmpi_addr.Bitops.mask layout.Layout.l2 in
+  let open_at nb size =
+    let rid = Manager.create_region mgr ~size in
+    Manager.open_region ~at_nvbase:(Kinds.Seg.v nb) mgr rid
+  in
+  let regions =
+    [ open_at lo 4096; open_at (lo + 1) 5000; open_at hi 65536 ]
+    @ List.init 4 (fun _ ->
+          Manager.open_region mgr (Manager.create_region mgr ~size:8192))
+  in
+  let rid_of = Option.map (fun r -> ir (Region.rid r)) in
+  let agree what a =
+    let scan =
+      List.find_opt (fun r -> Region.contains r a) (Manager.open_regions mgr)
+    in
+    Alcotest.(check (option int))
+      (Printf.sprintf "%s (0x%x)" what (ia a))
+      (rid_of scan)
+      (rid_of (Manager.region_of_addr mgr a))
+  in
+  let ends r =
+    let b = Region.base r and n = Region.size r in
+    Alcotest.(check (option int)) "found" (Some (ir (Region.rid r)))
+      (rid_of (Manager.region_of_addr mgr (Vaddr.add b 100)));
+    agree "first byte" b;
+    agree "last byte" (Vaddr.add b (n - 1));
+    agree "past the end" (Vaddr.add b n)
+  in
+  List.iter ends regions;
+  let used = List.map (fun r -> Kinds.seg_of_vaddr layout (Region.base r)) in
+  let free =
+    List.find
+      (fun nb -> not (List.mem (Kinds.Seg.v nb) (used regions)))
+      (List.init 16 (fun i -> lo + 2 + i))
+  in
+  let free_base = va (Layout.segment_base_of_nvbase layout free) in
+  agree "free segment" free_base;
+  agree "free segment interior" (Vaddr.add free_base 64);
+  agree "DRAM" (va 0x10000);
+  agree "DRAM with a used segment's number"
+    (va (ia (Region.base (List.hd regions)) land lnot (Layout.nv_start layout)));
+  agree "RID table" (Kinds.rid_entry_vaddr layout (Region.base (List.hd regions)));
+  agree "base table"
+    (Kinds.base_entry_vaddr layout ~rid:(Region.rid (List.hd regions)));
+  agree "NV start" (Kinds.nv_start layout);
+  let moved = List.nth regions 1 in
+  let old_base = Region.base moved in
+  Manager.close_region mgr (Region.rid moved);
+  agree "closed region" old_base;
+  let moved =
+    Manager.open_region ~at_nvbase:(Kinds.Seg.v free) mgr (Region.rid moved)
+  in
+  check "reopened in the free segment" (ia free_base) (ia (Region.base moved));
+  agree "old place after the move" old_base;
+  agree "old place, last byte" (Vaddr.add old_base (Region.size moved - 1));
+  ends moved
 
 let test_too_large_region_rejected () =
   let _, mgr = manager ~seed:8 () in
