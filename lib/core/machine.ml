@@ -132,7 +132,7 @@ let open_region ?at_nvbase t rid =
 (* The one-entry fat-pointer cache ([lastID]/[lastAddr]) may hold the
    region being unmapped; a later reopen at a different segment must not
    resolve through the stale base. The drop goes through the unobserved
-   debug port: like the manager's image copies, unmapping is an OS-level
+   debug port: like the manager's mapping, unmapping is an OS-level
    operation whose bookkeeping is not part of any measured pointer
    operation (region IDs are never 0, so zeroing means "empty"). *)
 let invalidate_fat_cache t rid =

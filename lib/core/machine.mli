@@ -148,10 +148,10 @@ val remap_region :
     @raise Invalid_argument if the region is not open. *)
 
 val close_region : t -> Nvmpi_addr.Kinds.Rid.t -> unit
-(** Persists the image back to the store, unmaps the region, and drops
-    it from the RIV tables, the fat runtime and — if it holds this
-    region — the one-entry [lastID]/[lastAddr] fat-pointer cache (an
-    unobserved bookkeeping write, like the manager's image copies). A
+(** Unmaps the region, whose store image already holds every store,
+    and drops it from the RIV tables, the fat runtime and — if it holds
+    this region — the one-entry [lastID]/[lastAddr] fat-pointer cache
+    (an unobserved bookkeeping write, like the manager's mapping). A
     RID-table page left all zero is released. *)
 
 val close_all : t -> unit

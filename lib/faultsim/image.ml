@@ -42,7 +42,7 @@ let create ~base ~line ~init =
     durable_total = 0;
   }
 
-let image t = Page_image.copy t.image
+let image t = t.image
 let durable_bytes t = t.durable_total
 
 let mask_count m =

@@ -26,9 +26,9 @@ val apply : t -> Events.t -> unit
 (** Folds one event. Events outside [[base, base+size)] are ignored. *)
 
 val image : t -> Nvmpi_memsim.Memsim.Page_image.t
-(** A copy of the current durable image, sharing no page with it. A page
-    is present when it was present in [init] or a fence landed a line
-    on it. *)
+(** The current durable image itself, not a copy: later events change
+    it in place, and the caller must not write it. A page is present
+    when it was present in [init] or a fence landed a line on it. *)
 
 val durable_bytes : t -> int
 (** Cumulative count of bytes made durable by fences since creation. *)

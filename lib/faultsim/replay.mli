@@ -18,6 +18,7 @@ val advance : t -> upto:int -> unit
 val images :
   t -> (Nvmpi_addr.Kinds.Rid.t * Nvmpi_memsim.Memsim.Page_image.t) list
 (** Durable images of all tracked regions at the current crash point, as
-    [(rid, image)] — the exact NVM contents a crash here leaves. Each
-    image is a fresh copy of the present pages only, which the caller
-    owns (and {!Recovery.boot} hands to its store). *)
+    [(rid, image)] — the exact NVM contents a crash here leaves. These
+    are the cursor's own images, not copies: {!advance} changes them in
+    place and the caller must not write them. {!Recovery.boot} copies
+    them before a machine maps them. *)

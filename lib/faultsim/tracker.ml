@@ -154,7 +154,7 @@ let tracked t =
 
 let crash_image t rid =
   match List.find_opt (fun tr -> tr.rid = rid) t.tracked with
-  | Some tr -> Image.image tr.state
+  | Some tr -> Memsim.Page_image.copy (Image.image tr.state)
   | None -> invalid_arg "Tracker.crash_image: region not tracked"
 
 let durable_bytes t =

@@ -107,33 +107,51 @@ module Page_image = struct
     let grown = create size in
     Array.iteri (fun i p -> grown.pages.(i) <- copy_page p) t.pages;
     grown
+
+  (* Restores the zeros of the last page past [size], which a mapping of
+     the image can write. *)
+  let zero_tail t =
+    let n = Array.length t.pages in
+    if n > 0 then begin
+      let p = t.pages.(n - 1) and len = slot_len t (n - 1) in
+      if p != no_page && len < page_size then
+        Bytes.fill p len (page_size - len) '\000'
+    end
 end
 
 let page_bits = Page_image.page_bits
 let page_size = Page_image.page_size
 let page_mask = page_size - 1
 
+(* What a range of memory's own pages maps: it is never installed, so
+   [==] tells the two kinds of range apart. *)
+let anonymous = Page_image.create 0
+
 type t = {
+  (* The pages of the anonymous ranges, by page index. *)
   pages : (int, Bytes.t) Hashtbl.t;
-  (* Pages that unmap, evict and drop_zero_page took out of [pages],
-     taken again before a page is allocated. Every taker overwrites the
-     whole page. *)
+  (* Pages that unmap and drop_zero_page took out of [pages], taken
+     again before a page is allocated. Every taker overwrites the whole
+     page. *)
   mutable spares : Bytes.t list;
   (* The mapped ranges, page [firsts.(i)] to page [lasts.(i)] for [i]
-     below [n_ranges]: disjoint and sorted by first page. *)
+     below [n_ranges]: disjoint and sorted by first page. Range [i] maps
+     [images.(i)], slot [k] at page [firsts.(i) + k], or is anonymous
+     and keeps its pages in [pages]. *)
   mutable firsts : int array;
   mutable lasts : int array;
+  mutable images : Page_image.t array;
   mutable n_ranges : int;
   timing : Timing.t; (* the cache model every access is charged to *)
   (* Harness observers live in a growable array: O(1) amortized
      registration and index-loop dispatch with no list cells. *)
   mutable obs : observer array;
   mutable n_obs : int;
-  (* Direct-mapped TLB of [tlb_size] entries in front of [pages]: slot
-     [p land tlb_mask] holds page [p] in [tlb_pages] when [tlb_tags]
-     holds [p], and -1 when empty. Only pages of [pages] enter it, never
-     [zero_page]; unmap, evict and drop_zero_page, the operations that
-     drop pages, clear their slots. *)
+  (* Direct-mapped TLB of [tlb_size] entries in front of the ranges:
+     slot [p land tlb_mask] holds page [p] in [tlb_pages] when
+     [tlb_tags] holds [p], and -1 when empty. Only present pages enter
+     it, never [zero_page]; unmap, evict and drop_zero_page, the
+     operations that drop pages, clear their slots. *)
   tlb_tags : int array;
   tlb_pages : Bytes.t array;
   (* What a load from an absent mapped page reads. Never written. *)
@@ -158,6 +176,7 @@ let create ?metrics ~timing () =
     spares = [];
     firsts = [||];
     lasts = [||];
+    images = [||];
     n_ranges = 0;
     timing;
     obs = [||];
@@ -183,40 +202,77 @@ let range_before t p =
   done;
   !lo - 1
 
-(* Does page index [p] fall inside a mapped range? *)
-let page_in_ranges t p =
+(* The index of the range holding page [p], or -1. *)
+let range_of t p =
   let i = range_before t p in
-  i >= 0 && p <= t.lasts.(i)
+  if i >= 0 && p <= Array.unsafe_get t.lasts i then i else -1
 
-let map t ~addr ~size =
-  if addr < 0 || size <= 0 then invalid_arg "Memsim.map: bad range";
-  let first = addr lsr page_bits in
-  let last = (addr + size - 1) lsr page_bits in
-  (* The ranges are disjoint and sorted, so only the two neighbours of
-     the insertion point can overlap the new one. *)
+(* Page [p] of range [i]: its bytes, or [no_page] while it is absent. *)
+let page_of t i p =
+  let img = t.images.(i) in
+  if img == anonymous then
+    match Hashtbl.find t.pages p with
+    | page -> page
+    | exception Not_found -> no_page
+  else img.Page_image.pages.(p - t.firsts.(i))
+
+(* Makes [page] the bytes of absent page [p] of range [i]. *)
+let set_page t i p page =
+  let img = t.images.(i) in
+  if img == anonymous then Hashtbl.add t.pages p page
+  else img.Page_image.pages.(p - t.firsts.(i)) <- page
+
+(* Maps pages [first, last] over [img]. The ranges are disjoint and
+   sorted, so only the two neighbours of the insertion point can overlap
+   the new one. *)
+let add_range t ~what ~addr ~first ~last img =
   let i = range_before t first + 1 in
   if
     (i > 0 && t.lasts.(i - 1) >= first)
     || (i < t.n_ranges && t.firsts.(i) <= last)
   then
     invalid_arg
-      (Printf.sprintf "Memsim.map: range at 0x%x overlaps existing mapping"
-         addr);
+      (Printf.sprintf "%s: range at 0x%x overlaps existing mapping" what addr);
   let n = t.n_ranges in
   if n = Array.length t.firsts then begin
-    let grow a =
-      let b = Array.make (max 8 (2 * n)) 0 in
+    let grow a fill =
+      let b = Array.make (max 8 (2 * n)) fill in
       Array.blit a 0 b 0 n;
       b
     in
-    t.firsts <- grow t.firsts;
-    t.lasts <- grow t.lasts
+    t.firsts <- grow t.firsts 0;
+    t.lasts <- grow t.lasts 0;
+    t.images <- grow t.images anonymous
   end;
   Array.blit t.firsts i t.firsts (i + 1) (n - i);
   Array.blit t.lasts i t.lasts (i + 1) (n - i);
+  Array.blit t.images i t.images (i + 1) (n - i);
   t.firsts.(i) <- first;
   t.lasts.(i) <- last;
+  t.images.(i) <- img;
   t.n_ranges <- n + 1
+
+let map t ~addr ~size =
+  if addr < 0 || size <= 0 then invalid_arg "Memsim.map: bad range";
+  add_range t ~what:"Memsim.map" ~addr ~first:(addr lsr page_bits)
+    ~last:((addr + size - 1) lsr page_bits)
+    anonymous
+
+(* Slot [k] of an image at [addr] is page [image_first_page + k]. *)
+let image_first_page ~addr ~what =
+  if addr < 0 || addr land page_mask <> 0 then
+    invalid_arg (what ^ ": base not page-aligned");
+  addr lsr page_bits
+
+(* A region's open counts one store per page it spans and its close one
+   load, as the page copies that open and close made once did: [serve]
+   reports both counters. *)
+let install t ~addr img =
+  let first = image_first_page ~addr ~what:"Memsim.install" in
+  let n = Array.length img.Page_image.pages in
+  if n = 0 then invalid_arg "Memsim.install: empty image";
+  add_range t ~what:"Memsim.install" ~addr ~first ~last:(first + n - 1) img;
+  t.c_stores := !(t.c_stores) + n
 
 (* The index of the range that starts at [addr]'s page. *)
 let mapping_at t ~addr ~what =
@@ -235,22 +291,36 @@ let release t p =
       t.spares <- page :: t.spares
   | exception Not_found -> ()
 
-(* Removes range [i], releasing its pages from page [from] on. *)
-let remove_range t i ~from =
-  for p = from to t.lasts.(i) do
-    release t p
-  done;
+(* Removes range [i] and clears the TLB. An anonymous range's pages
+   become spares; an image keeps its own. *)
+let remove_range t i =
+  let img = t.images.(i) in
+  if img == anonymous then
+    for p = t.firsts.(i) to t.lasts.(i) do
+      release t p
+    done
+  else Page_image.zero_tail img;
   let n = t.n_ranges - 1 in
   Array.blit t.firsts (i + 1) t.firsts i (n - i);
   Array.blit t.lasts (i + 1) t.lasts i (n - i);
+  Array.blit t.images (i + 1) t.images i (n - i);
+  t.images.(n) <- anonymous;
   t.n_ranges <- n;
   Array.fill t.tlb_tags 0 tlb_size (-1);
   Array.fill t.tlb_pages 0 tlb_size no_page
 
-let unmap t ~addr =
-  let i = mapping_at t ~addr ~what:"Memsim.unmap" in
-  remove_range t i ~from:t.firsts.(i)
+let unmap t ~addr = remove_range t (mapping_at t ~addr ~what:"Memsim.unmap")
 
+let evict t ~addr =
+  let i = mapping_at t ~addr ~what:"Memsim.evict" in
+  let img = t.images.(i) in
+  if img == anonymous then
+    invalid_arg (Printf.sprintf "Memsim.evict: no image mapped at 0x%x" addr);
+  t.c_loads := !(t.c_loads) + Array.length img.Page_image.pages;
+  remove_range t i
+
+(* Only an anonymous range's pages are in [pages]: an image's page is
+   never released. *)
 let drop_zero_page t a =
   let p = a lsr page_bits in
   match Hashtbl.find_opt t.pages p with
@@ -263,7 +333,7 @@ let drop_zero_page t a =
       end
   | _ -> ()
 
-let is_mapped t a = a >= 0 && page_in_ranges t (a lsr page_bits)
+let is_mapped t a = a >= 0 && range_of t (a lsr page_bits) >= 0
 
 let mappings t =
   List.init t.n_ranges (fun i ->
@@ -318,19 +388,20 @@ let fill_tlb t p s page =
 
 (* TLB miss on page [p], whose slot is [s]. A load from an absent
    mapped page reads [zero_page] and leaves memory and the TLB as they
-   were; a store materializes the page. *)
+   were; a store materializes the page, in memory's table or in the
+   slot of the image its range maps. *)
 let[@inline never] walk t ~write p s addr size =
-  match Hashtbl.find t.pages p with
-  | page -> fill_tlb t p s page
-  | exception Not_found ->
-      if not (page_in_ranges t p) then fault addr size "unmapped";
-      if write then begin
-        let page = take_page t in
-        Bytes.fill page 0 page_size '\000';
-        Hashtbl.add t.pages p page;
-        fill_tlb t p s page
-      end
-      else t.zero_page
+  let i = range_of t p in
+  if i < 0 then fault addr size "unmapped";
+  let page = page_of t i p in
+  if page != no_page then fill_tlb t p s page
+  else if write then begin
+    let page = take_page t in
+    Bytes.fill page 0 page_size '\000';
+    set_page t i p page;
+    fill_tlb t p s page
+  end
+  else t.zero_page
 
 (* [s] is below [tlb_size], the length of both TLB arrays. *)
 let[@inline] get_page t ~write addr size =
@@ -438,105 +509,16 @@ let blit_to_bytes t ~addr ~len =
   done;
   b
 
-(* Whole-image transfers, slot by slot: slot [i] of an image at the
-   page-aligned [addr] is memory page [addr / page + i]. [count] bumps
-   one load or store per slot, present or not, as a chunked blit of the
-   flat image does; the debug-port forms pass [false]. None charges the
-   cache model or calls observers. The copies leave the TLB as it was: a
-   page they write is either already in the table (and overwritten in
-   place) or new. *)
-
-let image_first_page ~addr ~what =
-  if addr < 0 || addr land page_mask <> 0 then
-    invalid_arg (what ^ ": base not page-aligned");
-  addr lsr page_bits
-
-let check_slot_mapped t p len =
-  if not (page_in_ranges t p) then
-    fault (p lsl page_bits) len "unmapped (image copy)"
-
-(* An image page's bytes past the image are 0, so a present slot
-   overwrites the whole memory page, and an absent one zeroes it. *)
-let copy_in t ~addr ~count ~what (img : Page_image.t) =
-  let first = image_first_page ~addr ~what in
-  Array.iteri
-    (fun i src ->
-      let p = first + i in
-      check_slot_mapped t p (Page_image.slot_len img i);
-      (match Hashtbl.find t.pages p with
-      | dst ->
-          if src == no_page then Bytes.fill dst 0 page_size '\000'
-          else Bytes.blit src 0 dst 0 page_size
-      | exception Not_found ->
-          if src != no_page then begin
-            let dst = take_page t in
-            Bytes.blit src 0 dst 0 page_size;
-            Hashtbl.add t.pages p dst
-          end);
-      if count then note t true)
-    img.Page_image.pages
-
-let copy_out t ~addr ~count ~what (img : Page_image.t) =
-  let first = image_first_page ~addr ~what in
-  let pages = img.Page_image.pages in
-  Array.iteri
-    (fun i dst ->
-      let p = first + i and len = Page_image.slot_len img i in
-      check_slot_mapped t p len;
-      (match Hashtbl.find_opt t.pages p with
-      | Some src ->
-          let dst =
-            if dst != no_page then dst
-            else begin
-              let fresh = Bytes.make page_size '\000' in
-              pages.(i) <- fresh;
-              fresh
-            end
-          in
-          Bytes.blit src 0 dst 0 len
-      | None -> pages.(i) <- no_page);
-      if count then note t false)
-    pages
-
-let install t ~addr img =
-  copy_in t ~addr ~count:true ~what:"Memsim.install" img
-
-let extract t ~addr img =
-  copy_out t ~addr ~count:true ~what:"Memsim.extract" img
-
-(* Each present memory page becomes the image's slot, its bytes past the
-   image zeroed, and the slot's old page becomes a spare; a slot over an
-   absent memory page becomes absent and its old page is dropped, so
-   memory never owns more pages than it held at its peak. *)
-let evict t ~addr (img : Page_image.t) =
-  let first = image_first_page ~addr ~what:"Memsim.evict" in
-  let r = mapping_at t ~addr ~what:"Memsim.evict" in
-  let pages = img.Page_image.pages in
-  let n = Array.length pages in
-  let past = t.lasts.(r) + 1 in
-  if first + n > past then
-    fault (past lsl page_bits)
-      (Page_image.slot_len img (past - first))
-      "unmapped (image copy)";
-  Array.iteri
-    (fun i old ->
-      let p = first + i in
-      (match Hashtbl.find t.pages p with
-      | page ->
-          Hashtbl.remove t.pages p;
-          let len = Page_image.slot_len img i in
-          if len < page_size then Bytes.fill page len (page_size - len) '\000';
-          if old != no_page then t.spares <- old :: t.spares;
-          pages.(i) <- page
-      | exception Not_found -> pages.(i) <- no_page);
-      note t false)
-    pages;
-  remove_range t r ~from:(first + n)
-
 (* Debug port: raw access that bypasses the access path entirely — no
    charge, no observers, no counters. Harness-only (the fault-injection
    subsystem's snapshot/restore machinery); never use it to model a
    program access. *)
+
+(* The range holding page [p], or a fault over [len] bytes at [a]. *)
+let range_exn t p a len reason =
+  let i = range_of t p in
+  if i < 0 then fault a len reason;
+  i
 
 let peek_bytes t ~addr ~len =
   if addr < 0 || len < 0 then invalid_arg "Memsim.peek_bytes";
@@ -547,11 +529,9 @@ let peek_bytes t ~addr ~len =
     let p = a lsr page_bits in
     let poff = a land page_mask in
     let chunk = min (len - !i) (page_size - poff) in
-    (match Hashtbl.find_opt t.pages p with
-    | Some page -> Bytes.blit page poff b !i chunk
-    | None ->
-        if not (page_in_ranges t p) then fault a chunk "unmapped (peek)";
-        Bytes.fill b !i chunk '\000');
+    let page = page_of t (range_exn t p a chunk "unmapped (peek)") p in
+    if page != no_page then Bytes.blit page poff b !i chunk
+    else Bytes.fill b !i chunk '\000';
     i := !i + chunk
   done;
   b
@@ -569,13 +549,49 @@ let poke_bytes t ~addr b =
     i := !i + chunk
   done
 
+(* Whole-image copies, slot by slot: slot [k] of an image at the
+   page-aligned [addr] is memory page [addr / page + k]. They leave the
+   TLB as it was: a page they write is either already present (and
+   overwritten in place) or new. *)
+
+let slot_range t p len =
+  range_exn t p (p lsl page_bits) len "unmapped (image copy)"
+
+(* An untouched page of memory stays an absent slot, and bytes of the
+   last page past [size] stay behind. *)
 let peek_image t ~addr ~size =
   let img = Page_image.create size in
-  copy_out t ~addr ~count:false ~what:"Memsim.peek_image" img;
+  let first = image_first_page ~addr ~what:"Memsim.peek_image" in
+  Array.iteri
+    (fun k _ ->
+      let p = first + k and len = Page_image.slot_len img k in
+      let src = page_of t (slot_range t p len) p in
+      if src != no_page then begin
+        let dst = Bytes.make page_size '\000' in
+        Bytes.blit src 0 dst 0 len;
+        img.Page_image.pages.(k) <- dst
+      end)
+    img.Page_image.pages;
   img
 
-let poke_image t ~addr img =
-  copy_in t ~addr ~count:false ~what:"Memsim.poke_image" img
+(* An image page's bytes past the image are 0, so a present slot
+   overwrites the whole memory page, and an absent one zeroes it. *)
+let poke_image t ~addr (img : Page_image.t) =
+  let first = image_first_page ~addr ~what:"Memsim.poke_image" in
+  Array.iteri
+    (fun k src ->
+      let p = first + k in
+      let i = slot_range t p (Page_image.slot_len img k) in
+      let dst = page_of t i p in
+      if dst != no_page then
+        if src == no_page then Bytes.fill dst 0 page_size '\000'
+        else Bytes.blit src 0 dst 0 page_size
+      else if src != no_page then begin
+        let dst = take_page t in
+        Bytes.blit src 0 dst 0 page_size;
+        set_page t i p dst
+      end)
+    img.Page_image.pages
 
 (* Typed facade (Kinds discipline, see Nvmpi_addr.Kinds): the public
    signature takes typed virtual addresses; the wrappers are zero-cost
@@ -603,7 +619,6 @@ let blit_to_bytes t ~addr:(a : Vaddr.t) ~len = blit_to_bytes t ~addr:(a :> int) 
 let peek_bytes t ~addr:(a : Vaddr.t) ~len = peek_bytes t ~addr:(a :> int) ~len
 let poke_bytes t ~addr:(a : Vaddr.t) b = poke_bytes t ~addr:(a :> int) b
 let install t ~addr:(a : Vaddr.t) img = install t ~addr:(a :> int) img
-let extract t ~addr:(a : Vaddr.t) img = extract t ~addr:(a :> int) img
-let evict t ~addr:(a : Vaddr.t) img = evict t ~addr:(a :> int) img
+let evict t ~addr:(a : Vaddr.t) = evict t ~addr:(a :> int)
 let peek_image t ~addr:(a : Vaddr.t) ~size = peek_image t ~addr:(a :> int) ~size
 let poke_image t ~addr:(a : Vaddr.t) img = poke_image t ~addr:(a :> int) img

@@ -33,28 +33,33 @@ val create :
     increments [mem.loads] / [mem.stores] in [metrics] (a private
     registry if none is given).
 
-    Memory recycles its pages: the pages that {!unmap}, {!evict} and
-    {!drop_zero_page} release become spares, and a page is materialized
-    from a spare, overwritten whole, before one is allocated. A page is
-    allocated only when there is no spare, so memory never owns more
-    pages than it held at its peak. *)
+    Memory recycles its pages: the pages that {!unmap} and
+    {!drop_zero_page} release from its anonymous mappings become spares,
+    and a page is materialized from a spare, overwritten whole, before
+    one is allocated. A page is allocated only when there is no spare.
+    The pages of an installed image are the image's: nothing hands one
+    to the spares. *)
 
 val pages : t -> int
-(** The number of pages present now: pages materialized by a store or
-    an image copy, less those that {!unmap}, {!evict} or
-    {!drop_zero_page} released. *)
+(** The number of pages memory holds of its own: pages of its anonymous
+    mappings materialized by a store, less those that {!unmap} or
+    {!drop_zero_page} released. The pages of an installed image are
+    counted by {!Page_image.present}. *)
 
 (** {1 Mappings} *)
 
 val map : t -> addr:Nvmpi_addr.Kinds.Vaddr.t -> size:int -> unit
 (** [map t ~addr ~size] makes the byte range [[addr, addr+size)]
-    accessible. The range is rounded outward to page boundaries. Raises
+    accessible as anonymous memory, whose pages are memory's own. The
+    range is rounded outward to page boundaries. Raises
     [Invalid_argument] if it overlaps an existing mapping. *)
 
 val unmap : t -> addr:Nvmpi_addr.Kinds.Vaddr.t -> unit
 (** [unmap t ~addr] removes the mapping that was created at exactly
-    [addr] and releases its backing pages. Raises [Invalid_argument] if
-    no mapping starts at [addr]. *)
+    [addr] and clears the TLB. The pages of an anonymous mapping become
+    spares; an installed image keeps its pages, the bytes of its last
+    page past its size zeroed. Raises [Invalid_argument] if no mapping
+    starts at [addr]. *)
 
 val is_mapped : t -> Nvmpi_addr.Kinds.Vaddr.t -> bool
 (** [is_mapped t a] is [true] iff address [a] falls inside a mapped
@@ -65,9 +70,11 @@ val mappings : t -> (Nvmpi_addr.Kinds.Vaddr.t * int) list
     (page-rounded). *)
 
 val drop_zero_page : t -> Nvmpi_addr.Kinds.Vaddr.t -> unit
-(** [drop_zero_page t a] releases the page holding [a] if it is present
-    and all zero. An absent mapped page reads as zeros, so no access can
-    tell the difference; only {!pages} and host memory do. *)
+(** [drop_zero_page t a] releases the page holding [a] if it is a
+    present page of an anonymous mapping and all zero. An absent mapped
+    page reads as zeros, so no access can tell the difference; only
+    {!pages} and host memory do. A page of an installed image is never
+    released. *)
 
 (** {1 Observers} *)
 
@@ -121,22 +128,21 @@ val blit_to_bytes : t -> addr:Nvmpi_addr.Kinds.Vaddr.t -> len:int -> bytes
 
 (** {1 Region images}
 
-    A region's contents outside any address space — the store's
-    canonical image, a tracker's durable image — are kept as
-    {!Page_image.t}s: arrays of 4 KiB pages where a missing page reads
-    as zeros, just as an untouched mapped page of simulated memory
-    does. Transfers between memory and an image move only the pages
-    that are present. Memory and image never share a page: a copy
-    writes a page of the destination's own, which memory takes from its
-    spares when it has one, and {!evict} moves pages, so a page belongs
-    to memory or to the image, never to both. *)
+    A region's contents — the store's image, a tracker's durable image —
+    are kept as {!Page_image.t}s: arrays of 4 KiB pages where a missing
+    page reads as zeros, just as an untouched mapped page of simulated
+    memory does. An open region's pages are its store image's pages:
+    {!install} maps an image in place, as a DAX file is mapped, so a
+    store through the mapping writes the image and nothing is copied
+    when a region opens or closes. Only the debug port copies pages
+    between memory and an image. *)
 
 module Page_image : sig
   type t
 
   val page_size : int
-  (** 4096: the page size of every image, and of the memory it is
-      copied to or from. *)
+  (** 4096: the page size of every image, and of the memory that maps
+      it. *)
 
   val create : int -> t
   (** [create size] is an all-zero image of [size] bytes with no page
@@ -173,38 +179,29 @@ module Page_image : sig
 end
 
 val install : t -> addr:Nvmpi_addr.Kinds.Vaddr.t -> Page_image.t -> unit
-(** [install t ~addr img] writes [img] into memory at [addr]: each
-    present page is copied whole into a page of the memory's own (a
-    spare if there is one), and the memory's existing pages under absent
-    ones are zeroed, so bytes of the last page past [size img] read
-    zeros. Nothing is charged and no observer fires. It counts one
-    [mem.stores] per page the image spans, present or not: as many as a
+(** [install t ~addr img] maps [img] at [addr], over the image's own
+    pages: slot [k] is the page at [addr + k * page_size]. A load from
+    an absent slot reads zeros and materializes nothing; a store to one
+    puts a zero-filled page of the memory (a spare if there is one) into
+    the slot; a write to [img] from outside is seen by the next access.
+    The range spans the image's pages, so the bytes of its last page
+    past [size img] are mapped too; {!evict} and {!unmap} zero them.
+    Nothing is charged and no observer fires. It counts one [mem.stores]
+    per page the image spans, present or not: as many as a
     {!blit_from_bytes} of the flat image counts. [addr] must be
-    page-aligned. Raises {!Fault} if the range leaves mapped memory. *)
+    page-aligned. Raises [Invalid_argument] if [addr] is not, if [img]
+    is empty, or if the range overlaps an existing mapping. Its cost
+    does not grow with the image: no page is copied, moved or
+    visited. *)
 
-val extract : t -> addr:Nvmpi_addr.Kinds.Vaddr.t -> Page_image.t -> unit
-(** [extract t ~addr img] overwrites [img] with a copy of the
-    [Page_image.size img] bytes of memory at [addr] (a checkpoint:
-    memory keeps its pages); an untouched page of memory becomes an
-    absent page of [img], and bytes of the last memory page past
-    [size img] stay behind. Nothing is charged and no observer fires; it
-    counts one [mem.loads] per page the image spans and materializes no
-    page. [addr] must be page-aligned. Raises {!Fault} if the range
-    leaves mapped memory. *)
-
-val evict : t -> addr:Nvmpi_addr.Kinds.Vaddr.t -> Page_image.t -> unit
-(** [evict t ~addr img] saves the memory at [addr] into [img] and
-    unmaps the mapping that starts at [addr], by moving pages instead of
-    copying them: each present memory page becomes [img]'s slot, with
-    its bytes past [size img] zeroed, and the slot's old page becomes a
-    spare of the memory; an untouched page of memory becomes an absent
-    slot. Afterwards [img] reads as {!extract} would have left it, and
-    the memory as {!unmap} would have; the TLB is cleared as [unmap]
-    clears it. Nothing is charged and no observer fires; it counts one
-    [mem.loads] per page the image spans, as [extract] does. [addr] must
-    be page-aligned. Raises [Invalid_argument] if no mapping starts at
-    [addr], and {!Fault} if the image does not fit in that mapping; in
-    both cases nothing has moved. *)
+val evict : t -> addr:Nvmpi_addr.Kinds.Vaddr.t -> unit
+(** [evict t ~addr] closes the image mapping installed at [addr]: it
+    zeroes the bytes of the image's last page past its size, removes the
+    mapping and clears the TLB. The image keeps every page. Nothing is
+    charged and no observer fires; it counts one [mem.loads] per page
+    the image spans. Raises [Invalid_argument] if no mapping starts at
+    [addr] or the one that does is anonymous. Like {!install}, it
+    visits no page. *)
 
 (** {1 Debug port}
 
@@ -225,8 +222,14 @@ val poke_bytes : t -> addr:Nvmpi_addr.Kinds.Vaddr.t -> bytes -> unit
 
 val peek_image :
   t -> addr:Nvmpi_addr.Kinds.Vaddr.t -> size:int -> Page_image.t
-(** {!extract} into a fresh image of [size] bytes, through the debug
-    port: no counter moves. *)
+(** [peek_image t ~addr ~size] copies the [size] bytes of memory at the
+    page-aligned [addr] into a fresh image that shares no page with
+    memory. An untouched page becomes an absent slot, and bytes of the
+    last page past [size] stay behind. Raises {!Fault} if the range
+    leaves mapped memory. *)
 
 val poke_image : t -> addr:Nvmpi_addr.Kinds.Vaddr.t -> Page_image.t -> unit
-(** {!install} through the debug port: no counter moves. *)
+(** [poke_image t ~addr img] overwrites the memory at the page-aligned
+    [addr] with a copy of [img]: a present slot's page is copied whole,
+    its zero tail included, and the memory page under an absent slot is
+    zeroed. Raises {!Fault} if the range leaves mapped memory. *)

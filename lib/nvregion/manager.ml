@@ -76,7 +76,6 @@ let open_region ?at_nvbase t (rid : Rid.t) =
             nb
       in
       let base = K.vaddr_of_seg t.layout (Seg.v nvbase) in
-      Memsim.map t.mem ~addr:base ~size:blob.Store.size;
       Memsim.install t.mem ~addr:base blob.Store.data;
       let r = Region.make ~mem:t.mem ~rid ~base ~size:blob.Store.size in
       Region.check_header r;
@@ -97,17 +96,9 @@ let region_exn t (rid : Rid.t) =
 
 let is_open t (rid : Rid.t) = Hashtbl.mem t.open_tbl (rid :> int)
 
-let save_region t rid =
-  let r = region_exn t rid in
-  let blob = Store.find_exn t.store rid in
-  Memsim.extract t.mem ~addr:(Region.base r) blob.Store.data
-
-(* Closing moves memory's pages into the image instead of copying
-   them: the region is unmapped anyway. *)
 let close_region t (rid : Rid.t) =
   let r = region_exn t rid in
-  let blob = Store.find_exn t.store rid in
-  Memsim.evict t.mem ~addr:(Region.base r) blob.Store.data;
+  Memsim.evict t.mem ~addr:(Region.base r);
   Hashtbl.remove t.open_tbl (rid :> int);
   Hashtbl.remove t.used_nvbases
     (Seg.to_int (K.seg_of_vaddr t.layout (Region.base r)));

@@ -3,19 +3,18 @@
     Opening a region maps its image from the {!Store} into a randomly
     chosen NV segment of the data area — modelling both address-space
     randomization and the fact that nothing guarantees a region the same
-    virtual address from one run to the next. Closing a region writes
-    the (possibly modified) image back to the store and unmaps it.
+    virtual address from one run to the next.
 
-    The manager's image transfers call no memory observer: mapping is an
-    OS-level operation whose cost is not part of any of the paper's
-    measured pointer operations. They touch only the pages the image or
-    the memory holds, and count one [mem.stores] (open) or [mem.loads]
-    (save, close) per page the region spans. Open copies the image into
-    memory ({!Nvmpi_memsim.Memsim.install}), so the store's image stays
-    canonical while the region is open, for another machine over the
-    same store and for {!Store.save_file}; a checkpoint copies memory
-    out ({!Nvmpi_memsim.Memsim.extract}); close moves memory's pages
-    into the image ({!Nvmpi_memsim.Memsim.evict}). *)
+    An open region's pages are its store image's pages: open maps the
+    image in place ({!Nvmpi_memsim.Memsim.install}), as a DAX file is
+    mapped, so every store reaches the image at once, and close unmaps it
+    ({!Nvmpi_memsim.Memsim.evict}). Neither copies, moves or visits a
+    page, so neither costs more for a larger region. They call no memory
+    observer, since mapping is an OS-level operation whose cost is not
+    part of any of the paper's measured pointer operations, and count
+    one [mem.stores] (open) or [mem.loads] (close) per page the region
+    spans. A region open in two machines over one store shares its
+    pages, as two mappings of one DAX file do. *)
 
 type t
 
@@ -44,13 +43,9 @@ val open_region :
     a segment, or [at_nvbase] is occupied/not in the data area. *)
 
 val close_region : t -> Nvmpi_addr.Kinds.Rid.t -> unit
-(** Persists the image back to the store and unmaps it, in one
-    {!Nvmpi_memsim.Memsim.evict}: memory's pages become the image's, and
-    the image's old pages become memory's spares. *)
-
-val save_region : t -> Nvmpi_addr.Kinds.Rid.t -> unit
-(** Persists without unmapping (a checkpoint): the image is overwritten
-    with a copy of memory ({!Nvmpi_memsim.Memsim.extract}). *)
+(** Unmaps the region ({!Nvmpi_memsim.Memsim.evict}). Its image already
+    holds every store; close zeroes the bytes of its last page past the
+    region's size. *)
 
 val close_all : t -> unit
 

@@ -103,20 +103,29 @@ let save_file t path =
           output_bytes oc (Page_image.to_bytes b.data))
         ids)
 
+(* Every record is checked as [add_with_rid] checks its arguments, and
+   its bytes must be in the file before they are allocated. *)
 let load_file path =
+  let fn = "Store.load_file" in
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () ->
-      let m = really_input_string ic (String.length file_magic) in
-      if m <> file_magic then failwith "Store.load_file: bad magic";
-      let n = input_binary_int ic in
-      let t = create () in
-      for _ = 1 to n do
-        let rid = input_binary_int ic in
-        let size = input_binary_int ic in
-        let data = Bytes.create size in
-        really_input ic data 0 size;
-        add_blob t rid (Page_image.of_bytes data)
-      done;
-      t)
+      try
+        let m = really_input_string ic (String.length file_magic) in
+        if m <> file_magic then failwith (fn ^ ": bad magic");
+        let n = input_binary_int ic in
+        if n < 0 then failwith (Printf.sprintf "%s: %d regions" fn n);
+        let t = create () in
+        for _ = 1 to n do
+          let rid = input_binary_int ic in
+          let size = input_binary_int ic in
+          (try check_new ~fn t rid ~size
+           with Invalid_argument m -> failwith m);
+          if size > in_channel_length ic - pos_in ic then raise End_of_file;
+          let data = Bytes.create size in
+          really_input ic data 0 size;
+          add_blob t rid (Page_image.of_bytes data)
+        done;
+        t
+      with End_of_file -> failwith (fn ^ ": truncated file"))

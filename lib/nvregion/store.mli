@@ -17,7 +17,8 @@ type blob = {
   size : int;  (** usable region size in bytes, header included *)
   data : Nvmpi_memsim.Memsim.Page_image.t;
       (** the image, page-sparse: only pages a run has touched are
-          present. It shares no page with any simulated memory. *)
+          present. While the region is open, memory maps these very
+          pages ({!Manager}), so the image holds every store at once. *)
 }
 
 val create : unit -> t
@@ -60,8 +61,12 @@ val save_file : t -> string -> unit
     [size] bytes. *)
 
 val load_file : string -> t
-(** Loads a store previously written by {!save_file}. Raises [Failure]
-    on a malformed file. *)
+(** Loads a store previously written by {!save_file}. Each record is
+    checked as {!add_with_rid} checks its arguments: a positive ID not
+    seen before and a size of at least {!header_bytes}. Raises one
+    [Failure "Store.load_file: ..."] on a bad magic, a negative region
+    count, a record that fails those checks, or a file that ends before
+    its last record does. *)
 
 (** {1 Region-image header}
 

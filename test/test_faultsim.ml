@@ -196,13 +196,23 @@ let test_tracker_crash_hook_reverts_memory () =
   check "nothing volatile after crash" 0 (Tracker.volatile_bytes tr)
 
 (* A page the region first touches after [arm] is absent from the
-   durable image, so the crash must zero it in live memory. *)
+   durable image, so the crash must zero it in live memory. Live memory
+   is memory's own pages and the pages of the open regions' images,
+   which memory maps in place. *)
 let test_crash_zeroes_page_touched_after_arm () =
   let m, r = fresh_machine () in
   let a = Region.addr_of_offset r (512 * 1024) in
   let tr = Tracker.attach m in
   Tracker.arm tr;
-  let pages () = Memsim.pages m.Machine.mem in
+  let pages () =
+    let mgr = m.Machine.manager in
+    List.fold_left
+      (fun n r ->
+        let blob = Store.find_exn (Core.Manager.store mgr) (Region.rid r) in
+        n + Page_image.present blob.Store.data)
+      (Memsim.pages m.Machine.mem)
+      (Core.Manager.open_regions mgr)
+  in
   let p0 = pages () in
   Machine.store64 m a 77;
   check "the store materialized a page" (p0 + 1) (pages ());
@@ -268,6 +278,66 @@ let test_replay_matches_tracker () =
   Alcotest.check_raises "cursor cannot move backwards"
     (Invalid_argument "Replay.advance: cursor only moves forward") (fun () ->
       Replay.advance cur ~upto:0)
+
+(* A booted machine maps copies of the replay's images in place, so
+   storing into every page of every booted region must leave the
+   replay's images as they were, and a later point's boot must equal one
+   from a cursor that no machine ever booted from. *)
+let test_recovery_never_writes_into_replay () =
+  let m, r = fresh_machine () in
+  let r2 = Machine.open_region m (Machine.create_region m ~size:5000) in
+  let tr = Tracker.attach m in
+  Tracker.arm tr;
+  let a = Region.alloc r 64 and b = Region.addr_of_offset r (300 * 1024) in
+  let c = Region.alloc r2 64 in
+  Machine.store64 m a 41;
+  Machine.store64 m c 43;
+  Tracker.checkpoint tr;
+  Machine.store64 m a 42;
+  Machine.store64 m b 44;
+  Tracker.checkpoint tr;
+  Tracker.disarm tr;
+  let flat images =
+    List.map (fun (rid, img) -> (rid, Page_image.to_bytes img)) images
+  in
+  let booted ~seed images =
+    let machine, regions = Recovery.boot ~seed images in
+    ( machine,
+      List.map
+        (fun (rid, r) ->
+          ( rid,
+            Page_image.to_bytes
+              (Memsim.peek_image machine.Machine.mem ~addr:(Region.base r)
+                 ~size:(Region.size r)) ))
+        regions,
+      regions )
+  in
+  let cursor = Replay.create tr and untouched = Replay.create tr in
+  let mid = Tracker.seq tr / 2 in
+  Replay.advance cursor ~upto:mid;
+  let before = flat (Replay.images cursor) in
+  let machine, _, regions = booted ~seed:1 (Replay.images cursor) in
+  check "two regions booted" 2 (List.length regions);
+  List.iter
+    (fun (_, r) ->
+      let page = Page_image.page_size in
+      for p = 0 to (Region.size r - 1) / page do
+        Memsim.store64 machine.Machine.mem (Region.addr_of_offset r (p * page))
+          (-1)
+      done)
+    regions;
+  check_bool "the replay's images are byte for byte as before" true
+    (flat (Replay.images cursor) = before);
+  let upto = Tracker.seq tr in
+  Replay.advance cursor ~upto;
+  Replay.advance untouched ~upto;
+  let _, later, _ = booted ~seed:2 (Replay.images cursor) in
+  let _, control, _ = booted ~seed:2 (Replay.images untouched) in
+  check_bool "a later point boots as from an untouched cursor" true
+    (later = control);
+  check "the later point holds the last durable store" 44
+    (Int64.to_int
+       (Bytes.get_int64_le (List.assoc (Region.rid r) later) (300 * 1024)))
 
 (* Sweep --------------------------------------------------------------- *)
 
@@ -531,6 +601,8 @@ let () =
         [
           Alcotest.test_case "cursor reproduces the live durable image"
             `Quick test_replay_matches_tracker;
+          Alcotest.test_case "recovery never writes into the replay" `Quick
+            test_recovery_never_writes_into_replay;
         ] );
       ( "sweep",
         [

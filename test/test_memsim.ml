@@ -324,62 +324,87 @@ let sparse_image () =
   img
 
 let test_image_copies_present_pages () =
-  let m, base = fresh ~base:0x100000 ~size:(1 lsl 20) () in
+  let m = memory () in
+  let base = va 0x100000 in
   let img = sparse_image () in
   check "two pages present" 2 (Page_image.present img);
   Memsim.install m ~addr:base img;
-  check "install materializes the present pages only" 2
-    (Memsim.pages m);
+  check "install copies no page into memory" 0 (Memsim.pages m);
   check "first word" 0x1111 (Memsim.load64 m (Vaddr.add base 8));
   check "second word" 0x2222 (Memsim.load64 m (Vaddr.add base 700_000));
   check "absent page reads zero" 0 (Memsim.load64 m (Vaddr.add base 0x8000));
-  (* Memory owns its pages: storing does not reach the image. *)
+  check "the load left the slot absent" 2 (Page_image.present img);
+  (* Memory maps the image's own pages: a store reaches the image ... *)
   Memsim.store64 m (Vaddr.add base 8) 0x3333;
-  check "image unchanged by a store" 0x1111
+  check "the image holds the store" 0x3333
     (Int64.to_int (Page_image.get_int64_le img 8));
-  let out = Page_image.create (1 lsl 20) in
-  Memsim.extract m ~addr:base out;
-  check "extract keeps the stored pages" 2 (Page_image.present out);
-  check "extracted word" 0x3333 (Int64.to_int (Page_image.get_int64_le out 8));
-  (* ... and the image owns its pages: writing it does not reach memory. *)
-  Page_image.set_int64_le out 8 0x4444L;
-  check "memory unchanged by the image" 0x3333
-    (Memsim.load64 m (Vaddr.add base 8))
+  (* ... and a write to the image reaches memory. *)
+  Page_image.set_int64_le img 700_000 0x4444L;
+  check "memory reads the image's write" 0x4444
+    (Memsim.load64 m (Vaddr.add base 700_000));
+  (* The debug port copies the present pages only, into pages of the
+     copy's own. *)
+  let out = Memsim.peek_image m ~addr:base ~size:(1 lsl 20) in
+  check "peek copies the present pages" 2 (Page_image.present out);
+  check "peeked word" 0x3333 (Int64.to_int (Page_image.get_int64_le out 8));
+  Page_image.set_int64_le out 8 0x5555L;
+  check "memory unchanged by the copy" 0x3333
+    (Memsim.load64 m (Vaddr.add base 8));
+  check "still no page of memory's own" 0 (Memsim.pages m)
 
+(* An absent slot reads zero even where memory held a page before: the
+   anonymous page went to the spares when its range was unmapped. *)
 let test_image_install_zeroes_absent () =
   let m, base = fresh ~size:(2 * page) () in
   Memsim.store64 m (Vaddr.add base (page + 16)) 99;
-  Memsim.install m ~addr:base (Page_image.create (2 * page));
-  check "absent slot zeroes the page under it" 0
-    (Memsim.load64 m (Vaddr.add base (page + 16)))
+  Memsim.unmap m ~addr:base;
+  let img = Page_image.create (2 * page) in
+  Memsim.install m ~addr:base img;
+  check "absent slot reads zero over the old page" 0
+    (Memsim.load64 m (Vaddr.add base (page + 16)));
+  Memsim.store64 m (Vaddr.add base page) 5;
+  check "a store fills the slot with a zeroed page" 0
+    (Memsim.load64 m (Vaddr.add base (page + 16)));
+  check "the slot is present" 1 (Page_image.present img)
 
 let test_image_counts () =
   let metrics = Metrics.create () in
-  let m, base = fresh ~metrics ~size:(4 * page) () in
+  let m = memory ~metrics () in
+  let base = va 0x1000 in
   let stores () = Metrics.get metrics "mem.stores" in
   let loads () = Metrics.get metrics "mem.loads" in
   let img = Page_image.create ((3 * page) + 100) in
   Page_image.set_int64_le img 0 7L;
   Memsim.install m ~addr:base img;
-  Memsim.extract m ~addr:base img;
   check "install counts one store per slot" 4 (stores ());
-  check "extract counts one load per slot" 4 (loads ());
   Memsim.poke_image m ~addr:base img;
   ignore (Memsim.peek_image m ~addr:base ~size:(Page_image.size img));
   check "debug port counts no store" 4 (stores ());
-  check "debug port counts no load" 4 (loads ())
+  check "debug port counts no load" 0 (loads ());
+  Memsim.evict m ~addr:base;
+  check "evict counts one load per slot" 4 (loads ());
+  check "evict counts no store" 4 (stores ())
 
 let test_image_rejects () =
   let m, base = fresh () in
   let img = Page_image.create page in
   Alcotest.check_raises "base must be page-aligned"
     (Invalid_argument "Memsim.install: base not page-aligned") (fun () ->
-      Memsim.install m ~addr:(Vaddr.add base 8) img);
-  check_bool "unmapped range faults" true
+      Memsim.install m ~addr:(va 0x100008) img);
+  Alcotest.check_raises "an image cannot overlap a mapping"
+    (Invalid_argument
+       (Printf.sprintf "Memsim.install: range at 0x%x overlaps existing mapping"
+          ((Vaddr.add base page : Vaddr.t) :> int)))
+    (fun () -> Memsim.install m ~addr:(Vaddr.add base page) img);
+  Alcotest.check_raises "an empty image maps nothing"
+    (Invalid_argument "Memsim.install: empty image") (fun () ->
+      Memsim.install m ~addr:(va 0x100000) (Page_image.create 0));
+  check_bool "a debug-port copy to an unmapped range faults" true
     (try
-       Memsim.install m ~addr:(va 0x100000) img;
+       Memsim.poke_image m ~addr:(va 0x100000) img;
        false
      with Memsim.Fault _ -> true);
+  check_bool "nothing was mapped" false (Memsim.is_mapped m (va 0x100000));
   Alcotest.check_raises "image writes stay inside the image"
     (Invalid_argument "Memsim.Page_image: range outside the image") (fun () ->
       Page_image.set_int64_le img (page - 4) 1L)
@@ -436,33 +461,52 @@ let test_drop_aliased_zero_page () =
   check "a store after dropping the entry's page survives" 9
     (Memsim.load64 m b)
 
+(* The zero page never enters the TLB, so a page the image gains after
+   a load read zeros there is what the next load reads. *)
 let test_install_over_loaded_page () =
-  let m, base = fresh ~size:(2 * page) () in
+  let m = memory () in
+  let base = va 0x1000 in
   let a = Vaddr.add base (page + 8) in
-  check "absent page reads zero" 0 (Memsim.load64 m a);
-  check "the load materialized nothing" 0 (Memsim.pages m);
   let img = Page_image.create (2 * page) in
-  Page_image.set_int64_le img (page + 8) 42L;
   Memsim.install m ~addr:base img;
-  check "install is visible to the next load" 42 (Memsim.load64 m a)
+  check "absent page reads zero" 0 (Memsim.load64 m a);
+  check "the load materialized nothing" 0 (Page_image.present img);
+  Page_image.set_int64_le img (page + 8) 42L;
+  check "the image's new page is visible to the next load" 42
+    (Memsim.load64 m a)
 
-(* Closing a region moves memory's pages into its image. *)
+(* Closing a region leaves every page where it was: in its image. *)
 
-let test_evict_moves_pages () =
+let test_evict_keeps_image_pages () =
   let metrics = Metrics.create () in
-  let m, base = fresh ~metrics ~size:((2 * page) + 100) () in
-  Memsim.store64 m (Vaddr.add base 8) 0x1111;
-  Memsim.store64 m (Vaddr.add base (2 * page)) 0x2222;
-  let img = Page_image.create ((2 * page) + 100) in
+  let m = memory ~metrics () in
+  let base = va 0x10000 in
+  let size = (2 * page) + 100 in
+  let img = Page_image.create size in
+  Page_image.set_int64_le img 16 0x1111L;
+  Memsim.install m ~addr:base img;
+  let first = Page_image.present img in
+  Memsim.store64 m (Vaddr.add base 8) 0x2222;
+  Memsim.store64 m (Vaddr.add base (2 * page)) 0x3333;
+  (* Past [size] but inside the last mapped page. *)
+  Memsim.store64 m (Vaddr.add base (2 * page + 200)) 0x4444;
   let l0 = Metrics.get metrics "mem.loads" in
-  Memsim.evict m ~addr:base img;
+  Memsim.evict m ~addr:base;
   check "one load per slot" 3 (Metrics.get metrics "mem.loads" - l0);
   check "memory keeps no page" 0 (Memsim.pages m);
-  check "the touched pages moved" 2 (Page_image.present img);
-  check "first word" 0x1111 (Int64.to_int (Page_image.get_int64_le img 8));
-  check "last word" 0x2222
+  check "the header page stayed the image's" 1 first;
+  check "the touched pages are the image's" 2 (Page_image.present img);
+  check "installed word" 0x1111 (Int64.to_int (Page_image.get_int64_le img 16));
+  check "first word" 0x2222 (Int64.to_int (Page_image.get_int64_le img 8));
+  check "last word" 0x3333
     (Int64.to_int (Page_image.get_int64_le img (2 * page)));
-  check_bool "the range is unmapped" false (Memsim.is_mapped m base)
+  check_bool "the range is unmapped" false (Memsim.is_mapped m base);
+  (* Close zeroed the last page past [size]: mapped again, it reads 0. *)
+  Memsim.install m ~addr:base img;
+  check "bytes past size read zero after a close" 0
+    (Memsim.load64 m (Vaddr.add base (2 * page + 200)));
+  check "bytes before it kept" 0x3333
+    (Memsim.load64 m (Vaddr.add base (2 * page)))
 
 let test_evict_rejects () =
   let m, base = fresh ~size:(2 * page) () in
@@ -471,69 +515,79 @@ let test_evict_rejects () =
     (Invalid_argument
        (Printf.sprintf "Memsim.evict: no mapping at 0x%x"
           ((Vaddr.add base page : Vaddr.t) :> int)))
-    (fun () ->
-      Memsim.evict m ~addr:(Vaddr.add base page) (Page_image.create 8));
-  check_bool "an image larger than the mapping faults" true
-    (try
-       Memsim.evict m ~addr:base (Page_image.create ((2 * page) + 1));
-       false
-     with Memsim.Fault _ -> true);
+    (fun () -> Memsim.evict m ~addr:(Vaddr.add base page));
+  Alcotest.check_raises "an anonymous mapping is not evicted"
+    (Invalid_argument
+       (Printf.sprintf "Memsim.evict: no image mapped at 0x%x"
+          ((base : Vaddr.t) :> int)))
+    (fun () -> Memsim.evict m ~addr:base);
   check "nothing moved" 5 (Memsim.load64 m base);
   check_bool "still mapped" true (Memsim.is_mapped m base)
 
 (* Pages come back from the spares with whatever an earlier owner left
-   in them; every path that materializes one must overwrite all of it. *)
+   in them; every path that materializes one must overwrite all of it.
+   Only anonymous pages become spares: an image's never do. *)
 let test_recycled_page_reads_zero () =
-  let m, base = fresh ~size:(2 * page) () in
+  let m, base = fresh ~size:(3 * page) () in
   let fill a n =
     for i = 0 to (n / 8) - 1 do
       Memsim.store64 m (Vaddr.add a (8 * i)) (-1)
     done
   in
-  fill base (2 * page);
+  let all_zero_but a n ~off v =
+    for i = 0 to (n / 8) - 1 do
+      check "a recycled page reads zero"
+        (if 8 * i = off then v else 0)
+        (Memsim.load64 m (Vaddr.add a (8 * i)))
+    done
+  in
+  fill base (3 * page);
   Memsim.unmap m ~addr:base;
-  (* Both pages are spares now; a store takes one. *)
+  check "the pages left memory" 0 (Memsim.pages m);
+  (* Three spares now. A store to an anonymous page takes one. *)
   let other = va 0x200000 in
   Memsim.map m ~addr:other ~size:(2 * page);
   Memsim.store8 m (Vaddr.add other 1) 1;
-  for i = 0 to (page / 8) - 1 do
-    check "a store's recycled page reads zero" (if i = 0 then 0x100 else 0)
-      (Memsim.load64 m (Vaddr.add other (8 * i)))
-  done;
-  (* An image copy takes the other one, tail included. *)
+  all_zero_but other page ~off:0 0x100;
+  (* A store to an absent slot takes one into the image. *)
   let img = Page_image.create ((2 * page) + 100) in
-  Page_image.set_int64_le img ((2 * page) + 8) 7L;
   let third = va 0x400000 in
-  Memsim.map m ~addr:third ~size:(3 * page);
   Memsim.install m ~addr:third img;
-  for i = 0 to (page / 8) - 1 do
-    check "an installed recycled page reads the image, zeros past it"
-      (if i = 1 then 7 else 0)
-      (Memsim.load64 m (Vaddr.add third ((2 * page) + (8 * i))))
-  done;
-  (* A close hands the image's old pages to memory: they are reused
-     zeroed too. *)
+  Memsim.store64 m (Vaddr.add third 16) 9;
+  all_zero_but third page ~off:16 9;
+  check "the spare became the image's slot" 9
+    (Int64.to_int (Page_image.get_int64_le img 16));
+  (* A debug-port copy into an absent slot takes the last, tail
+     included. *)
+  let src = Page_image.create ((2 * page) + 100) in
+  Page_image.set_int64_le src ((2 * page) + 8) 7L;
+  Memsim.poke_image m ~addr:third src;
+  all_zero_but (Vaddr.add third (2 * page)) page ~off:8 7;
+  (* An image's pages never become spares: once it is closed, stores
+     through a new mapping at the same address land in pages of
+     memory's own. *)
   fill third (3 * page);
-  let img = Page_image.of_bytes (Bytes.make (3 * page) '\xff') in
-  Memsim.evict m ~addr:third img;
+  Memsim.evict m ~addr:third;
   Memsim.map m ~addr:third ~size:(3 * page);
   for p = 0 to 2 do
     Memsim.store8 m (Vaddr.add third (p * page)) 0
   done;
-  for i = 0 to (3 * page / 8) - 1 do
-    check "a page the image gave up reads zero" 0
-      (Memsim.load64 m (Vaddr.add third (8 * i)))
-  done
+  all_zero_but third (3 * page) ~off:(-1) 0;
+  let flat = Page_image.to_bytes img in
+  check_bool "the closed image keeps every byte a store wrote" true
+    (Bytes.for_all (fun c -> c = '\xff') flat)
 
 (* A closed region's pages belong to its image: a new mapping at the
    same address, whose pages share the old ones' TLB entries, must not
    reach them. *)
 let test_store_after_evict_spares_image () =
-  let m, base = fresh ~size:(2 * page) () in
+  let m = memory () in
+  let base = va 0x1000 in
+  let img = Page_image.create (2 * page) in
+  Memsim.install m ~addr:base img;
   Memsim.store64 m base 1;
   Memsim.store64 m (Vaddr.add base page) 2;
-  let img = Page_image.create (2 * page) in
-  Memsim.evict m ~addr:base img;
+  Memsim.evict m ~addr:base;
   check_bool "the old address faults" true
     (try
        ignore (Memsim.load64 m base);
@@ -564,30 +618,32 @@ let gen_flat =
              Char.chr (Random.State.int st 256)
            else '\000')))
 
-let prop_image_copies_match_blits =
+let prop_image_install_matches_blits =
   QCheck2.Test.make
-    ~name:"image install/extract match flat blits on arbitrary bytes"
+    ~name:"image install/peek match flat blits"
     ~count:100 gen_flat (fun flat ->
       let len = Bytes.length flat in
       let img = Page_image.of_bytes flat in
-      let m, base = fresh ~size:(4 * page) () in
+      let m = memory () in
+      let base = va 0x1000 in
       Memsim.install m ~addr:base img;
-      let out = Page_image.create len in
-      Memsim.extract m ~addr:base out;
-      Bytes.equal (Page_image.to_bytes img) flat
-      && Bytes.equal (Memsim.blit_to_bytes m ~addr:base ~len) flat
-      && Bytes.equal (Page_image.to_bytes out) flat
-      && Bytes.equal
-           (Page_image.to_bytes (Memsim.peek_image m ~addr:base ~size:len))
-           flat)
+      let read = Memsim.blit_to_bytes m ~addr:base ~len in
+      let peeked =
+        Page_image.to_bytes (Memsim.peek_image m ~addr:base ~size:len)
+      in
+      Memsim.evict m ~addr:base;
+      Bytes.equal read flat && Bytes.equal peeked flat
+      && Bytes.equal (Page_image.to_bytes img) flat)
 
-(* Memory driven by random map, typed store, load, install, close
+(* Memory driven by random map, install, typed store, load, close
    ([evict]), unmap and drop_zero_page against a flat model. Three slots
    64 pages apart share TLB entries; each remaps at the address it just
    released, with a size drawn from a set where the last page is mostly
-   partial. A close reuses the slot's previous image when the sizes
-   match, so memory gets its pages back as spares. Every load and every
-   closed image, grown to whole pages, is compared with the model. *)
+   partial. An install maps the slot's last closed image again when
+   there is one, so its pages go back into memory after anonymous
+   mappings reused the spares. Every load, every closed image (grown to
+   whole pages, so its zeroed tail shows) and every image about to be
+   installed again is compared with the model. *)
 let prop_pages_match_flat_model =
   let slot_base s = 0x40000 * (s + 1) in
   let sizes = [| page; 5000; (2 * page) + 8; (3 * page) - 100 |] in
@@ -597,12 +653,13 @@ let prop_pages_match_flat_model =
       let slot = int_range 0 2 in
       let off = int_range 0 ((3 * page) - 1) in
       let width = oneofl [ 1; 2; 4; 8 ] in
+      let size = map (fun z -> sizes.(z)) (int_range 0 3) in
       frequency
         [
-          (2, map2 (fun s z -> `Map (s, sizes.(z))) slot (int_range 0 3));
+          (2, map2 (fun s z -> `Map (s, z)) slot size);
+          (2, map2 (fun s z -> `Install (s, z)) slot size);
           (6, map4 (fun s o w v -> `Store (s, o, w, v)) slot off width int);
           (6, map3 (fun s o w -> `Load (s, o, w)) slot off width);
-          (1, map (fun s -> `Install s) slot);
           (2, map (fun s -> `Close s) slot);
           (1, map (fun s -> `Unmap s) slot);
           (1, map2 (fun s o -> `Drop (s, o)) slot off);
@@ -613,8 +670,9 @@ let prop_pages_match_flat_model =
     QCheck2.Gen.(list_size (int_range 20 150) op_gen)
     (fun ops ->
       let m = memory () in
-      (* Per slot: the mapped region's size and flat page-rounded bytes,
-         and the last closed image with its flat model. *)
+      (* Per slot: the mapped image (none when anonymous), the mapped
+         size and its flat page-rounded bytes; and the last closed image
+         with its flat model. *)
       let mapped = Array.make 3 None in
       let images = Array.make 3 None in
       let addr s o = va (slot_base s + o) in
@@ -626,24 +684,50 @@ let prop_pages_match_flat_model =
         if w = 8 then Int64.to_int (Bytes.get_int64_le b o) else !v
       in
       let faults f = try f (); false with Memsim.Fault _ -> true in
+      let rejects f = try f (); false with Invalid_argument _ -> true in
+      (* Closes slot [s]'s image: its bytes must be the model's and its
+         last page zero past its size. *)
+      let closed s img size b =
+        let flat = Bytes.sub b 0 size in
+        mapped.(s) <- None;
+        images.(s) <- Some (img, flat);
+        let whole = Bytes.make (rounded size) '\000' in
+        Bytes.blit flat 0 whole 0 size;
+        Bytes.equal
+          (Page_image.to_bytes (Page_image.resize img (rounded size)))
+          whole
+      in
       List.for_all
         (fun op ->
           match op with
           | `Map (s, size) -> (
               match mapped.(s) with
-              | Some _ -> (
-                  try
-                    Memsim.map m ~addr:(addr s 0) ~size;
-                    false
-                  with Invalid_argument _ -> true)
+              | Some _ -> rejects (fun () -> Memsim.map m ~addr:(addr s 0) ~size)
               | None ->
                   Memsim.map m ~addr:(addr s 0) ~size;
-                  mapped.(s) <- Some (size, Bytes.make (rounded size) '\000');
+                  mapped.(s) <- Some (None, size, Bytes.make (rounded size) '\000');
                   true)
+          | `Install (s, size) -> (
+              let img, flat =
+                match images.(s) with
+                | Some (img, flat) -> (img, flat)
+                | None -> (Page_image.create size, Bytes.make size '\000')
+              in
+              match mapped.(s) with
+              | Some _ ->
+                  rejects (fun () -> Memsim.install m ~addr:(addr s 0) img)
+              | None ->
+                  let intact = Bytes.equal (Page_image.to_bytes img) flat in
+                  Memsim.install m ~addr:(addr s 0) img;
+                  let size = Page_image.size img in
+                  let b = Bytes.make (rounded size) '\000' in
+                  Bytes.blit flat 0 b 0 size;
+                  mapped.(s) <- Some (Some img, size, b);
+                  intact)
           | `Store (s, o, w, v) -> (
               let o = o land lnot (w - 1) in
               match mapped.(s) with
-              | Some (_, b) when o < Bytes.length b ->
+              | Some (_, _, b) when o < Bytes.length b ->
                   Memsim.store_sized m ~size:w (addr s o) v;
                   if w = 8 then Bytes.set_int64_le b o (Int64.of_int v)
                   else
@@ -656,49 +740,28 @@ let prop_pages_match_flat_model =
           | `Load (s, o, w) -> (
               let o = o land lnot (w - 1) in
               match mapped.(s) with
-              | Some (_, b) when o < Bytes.length b ->
+              | Some (_, _, b) when o < Bytes.length b ->
                   Memsim.load_sized m ~size:w (addr s o) = read b o w
               | _ ->
                   faults (fun () ->
                       ignore (Memsim.load_sized m ~size:w (addr s o))))
-          | `Install s -> (
-              match (mapped.(s), images.(s)) with
-              | Some (_, b), Some (img, flat)
-                when rounded (Page_image.size img) <= Bytes.length b ->
-                  Memsim.install m ~addr:(addr s 0) img;
-                  Bytes.fill b 0 (rounded (Page_image.size img)) '\000';
-                  Bytes.blit flat 0 b 0 (Bytes.length flat);
-                  true
-              | _ -> true)
           | `Close s -> (
               match mapped.(s) with
-              | None -> true
-              | Some (size, b) ->
-                  let img =
-                    match images.(s) with
-                    | Some (img, _) when Page_image.size img = size -> img
-                    | _ -> Page_image.create size
-                  in
-                  Memsim.evict m ~addr:(addr s 0) img;
-                  let flat = Bytes.sub b 0 size in
-                  mapped.(s) <- None;
-                  images.(s) <- Some (img, flat);
-                  let whole = Bytes.make (rounded size) '\000' in
-                  Bytes.blit flat 0 whole 0 size;
-                  Bytes.equal
-                    (Page_image.to_bytes (Page_image.resize img (rounded size)))
-                    whole)
+              | Some (Some img, size, b) ->
+                  Memsim.evict m ~addr:(addr s 0);
+                  closed s img size b
+              | Some (None, _, _) | None ->
+                  rejects (fun () -> Memsim.evict m ~addr:(addr s 0)))
           | `Unmap s -> (
               match mapped.(s) with
-              | None -> (
-                  try
-                    Memsim.unmap m ~addr:(addr s 0);
-                    false
-                  with Invalid_argument _ -> true)
-              | Some _ ->
+              | None -> rejects (fun () -> Memsim.unmap m ~addr:(addr s 0))
+              | Some (img, size, b) -> (
                   Memsim.unmap m ~addr:(addr s 0);
-                  mapped.(s) <- None;
-                  true)
+                  match img with
+                  | Some img -> closed s img size b
+                  | None ->
+                      mapped.(s) <- None;
+                      true))
           | `Drop (s, o) ->
               Memsim.drop_zero_page m (addr s o);
               true)
@@ -765,7 +828,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_blit_arbitrary_bytes;
           QCheck_alcotest.to_alcotest prop_tlb_matches_reference;
           QCheck_alcotest.to_alcotest prop_disjoint_writes;
-          QCheck_alcotest.to_alcotest prop_image_copies_match_blits;
+          QCheck_alcotest.to_alcotest prop_image_install_matches_blits;
           QCheck_alcotest.to_alcotest prop_pages_match_flat_model;
         ] );
       ( "images",
@@ -782,7 +845,8 @@ let () =
             test_drop_aliased_zero_page;
           Alcotest.test_case "install over a page only loaded" `Quick
             test_install_over_loaded_page;
-          Alcotest.test_case "evict moves pages" `Quick test_evict_moves_pages;
+          Alcotest.test_case "evict keeps the image's pages" `Quick
+            test_evict_keeps_image_pages;
           Alcotest.test_case "evict rejects" `Quick test_evict_rejects;
           Alcotest.test_case "a recycled page reads zero" `Quick
             test_recycled_page_reads_zero;

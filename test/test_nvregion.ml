@@ -87,22 +87,26 @@ let test_store_file_roundtrip () =
   check "next_rid preserved" (ir (Store.next_rid s)) (ir (Store.next_rid s'))
 
 (* The file format is flat: magic, region count, then per region its
-   id, size and [size] bytes, every page present or not. *)
-let flat_file regions =
+   id, size and [size] bytes, every page present or not. [file_of]
+   writes records as given, [size] field included, however malformed. *)
+let file_of records =
   let buf = Buffer.create 4096 in
   let int n =
     Buffer.add_string buf
       (String.init 4 (fun i -> Char.chr ((n lsr (8 * (3 - i))) land 0xFF)))
   in
   Buffer.add_string buf "NVMPI-STORE-1\n";
-  int (List.length regions);
+  int (List.length records);
   List.iter
-    (fun (rid, data) ->
+    (fun (rid, size, data) ->
       int rid;
-      int (Bytes.length data);
+      int size;
       Buffer.add_bytes buf data)
-    regions;
+    records;
   Buffer.contents buf
+
+let flat_file regions =
+  file_of (List.map (fun (rid, data) -> (rid, Bytes.length data, data)) regions)
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
@@ -137,6 +141,57 @@ let test_store_loads_flat_file () =
   Alcotest.(check bool) "contents" true
     (Bytes.equal data (Page_image.to_bytes b.Store.data));
   check "next rid" 4 (ir (Store.next_rid s))
+
+(* [load_file] of [contents] fails with [msg]. *)
+let check_load_fails what contents msg =
+  let path = Filename.temp_file "nvmpi" ".store" in
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_string oc contents);
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Alcotest.check_raises what (Failure ("Store.load_file: " ^ msg))
+        (fun () -> ignore (Store.load_file path)))
+
+let header_page rid =
+  let data = Bytes.make page '\000' in
+  Bytes.set_int64_le data 0 (Int64.of_int Store.magic);
+  Bytes.set_int64_le data 8 (Int64.of_int rid);
+  data
+
+let test_load_rejects_duplicate_rid () =
+  check_load_fails "a rid twice"
+    (flat_file [ (1, header_page 1); (1, header_page 1) ])
+    "rid 1 exists"
+
+let test_load_rejects_truncated () =
+  let whole = flat_file [ (3, header_page 3) ] in
+  check_load_fails "a record cut short"
+    (String.sub whole 0 (String.length whole - 100))
+    "truncated file";
+  check_load_fails "a file cut inside a record's fields"
+    (String.sub whole 0 (String.length "NVMPI-STORE-1\n" + 6))
+    "truncated file";
+  check_load_fails "a file cut inside the magic" "NVMPI" "truncated file";
+  check_load_fails "a size larger than the file"
+    (file_of [ (3, max_int land 0x7FFFFFFF, header_page 3) ])
+    "truncated file"
+
+let test_load_rejects_negative_size () =
+  check_load_fails "a negative size"
+    (file_of [ (3, -5, Bytes.empty) ])
+    (Printf.sprintf "size -5 < header %d" Store.header_bytes);
+  check_load_fails "a negative region count"
+    (file_of [] |> fun f ->
+     String.sub f 0 (String.length f - 4) ^ "\xff\xff\xff\xfe")
+    "-2 regions"
+
+let test_load_rejects_rid_zero_and_tiny_size () =
+  check_load_fails "rid 0" (flat_file [ (0, header_page 0) ])
+    "rid must be positive";
+  check_load_fails "an 8-byte region"
+    (flat_file [ (3, Bytes.make 8 '\000') ])
+    (Printf.sprintf "size 8 < header %d" Store.header_bytes)
 
 (* Regions through a manager *)
 
@@ -245,23 +300,59 @@ let test_close_unmaps () =
        false
      with Memsim.Fault _ -> true)
 
-let test_save_region_checkpoint () =
+(* An open region's pages are its blob's: a store through memory is in
+   the blob at once, with no checkpoint to take. *)
+let test_open_region_checkpoint () =
   let store, mgr = manager ~seed:5 () in
   let rid = Manager.create_region mgr ~size:65536 in
   let r = Manager.open_region mgr rid in
   let a = Region.alloc r 8 in
   Memsim.store64 (Manager.mem mgr) a 42;
-  Manager.save_region mgr rid;
-  (* The blob now contains the value even though the region stays open. *)
   let blob = Store.find_exn store rid in
   let off = Vaddr.offset_in a ~base:(Region.base r) in
-  check "checkpointed" 42
+  check "in the blob while the region is open" 42
     (Int64.to_int (Page_image.get_int64_le blob.Store.data off))
 
-(* Opening copies the image in and closing copies it out, one counted
-   store or load per page the region spans, whether or not the image
-   holds that page — what the chunked flat blit with observers off
-   counted. Opening also loads the header's magic and rid. *)
+(* Saving the store while a region is open writes what the region
+   holds now. *)
+let test_save_file_of_open_region () =
+  let store, mgr = manager ~seed:7 () in
+  let rid = Manager.create_region mgr ~size:65536 in
+  let r = Manager.open_region mgr rid in
+  let a = Region.alloc r 8 in
+  Memsim.store64 (Manager.mem mgr) a 0x5A5A;
+  let path = Filename.temp_file "nvmpi" ".store" in
+  Store.save_file store path;
+  let saved = Store.load_file path in
+  Sys.remove path;
+  let off = Vaddr.offset_in a ~base:(Region.base r) in
+  check "the file holds the open region's store" 0x5A5A
+    (Int64.to_int
+       (Page_image.get_int64_le (Store.find_exn saved rid).Store.data off));
+  check_bool "still open" true (Manager.is_open mgr rid);
+  check "memory still reads it" 0x5A5A (Memsim.load64 (Manager.mem mgr) a)
+
+(* A store to a page the blob lacks puts a page into the blob's slot; a
+   load from one adds nothing. *)
+let test_store_fills_absent_slot () =
+  let store, mgr = manager ~seed:8 () in
+  let rid = Manager.create_region mgr ~size:65536 in
+  let blob = Store.find_exn store rid in
+  let r = Manager.open_region mgr rid in
+  check "the header page only" 1 (Page_image.present blob.Store.data);
+  ignore (Memsim.load64 (Manager.mem mgr) (Vaddr.add (Region.base r) (7 * page)));
+  check "a load adds no page" 1 (Page_image.present blob.Store.data);
+  Memsim.store64 (Manager.mem mgr) (Vaddr.add (Region.base r) (5 * page)) 3;
+  check "a store adds its page to the blob" 2
+    (Page_image.present blob.Store.data);
+  check "the blob holds the store" 3
+    (Int64.to_int (Page_image.get_int64_le blob.Store.data (5 * page)));
+  check "memory owns no page of it" 0 (Memsim.pages (Manager.mem mgr))
+
+(* Opening and closing copy nothing, yet count one store (open) or load
+   (close) per page the region spans, whether or not the image holds
+   that page — what the chunked flat blit with observers off counted.
+   Opening also loads the header's magic and rid. *)
 let test_open_close_counts () =
   List.iter
     (fun (size, chunks) ->
@@ -303,10 +394,9 @@ let test_bytes_past_size_stay_out () =
   check "reopened tail reads zero" 0
     (Memsim.load64 mem (Vaddr.add (Region.base r) 6000))
 
-(* Close moves memory's pages into the image and hands the image's old
-   pages to memory as spares, and open copies into spares: once memory
-   holds a spare for every page of the region, a close and reopen
-   allocates no page (a 4 KiB page alone is 513 words). *)
+(* Open and close map and unmap the blob's own pages: once the region's
+   pages exist, a close and reopen allocates no page (a 4 KiB page alone
+   is 513 words). *)
 let test_reopen_allocation_floor () =
   let _, mgr = manager ~seed:13 () in
   let size = 1 lsl 16 in
@@ -337,6 +427,30 @@ let test_reopen_allocation_floor () =
     (words < cycles * 512);
   let r = Manager.open_region mgr rid in
   check "the last page survived every cycle" 15 (Memsim.load64 mem (word r 15))
+
+(* A close and reopen costs the same allocation at any region size,
+   every page present: neither copies, moves nor visits a page. *)
+let test_reopen_allocation_flat_in_size () =
+  let words size =
+    let _, mgr = manager ~seed:14 () in
+    let rid = Manager.create_region mgr ~size in
+    let r = Manager.open_region mgr rid in
+    for p = 1 to (size / page) - 1 do
+      Memsim.store64 (Manager.mem mgr) (Vaddr.add (Region.base r) (p * page)) p
+    done;
+    Manager.close_region mgr rid;
+    let cycle () =
+      ignore (Manager.open_region mgr rid);
+      Manager.close_region mgr rid
+    in
+    cycle ();
+    Gc_words.allocated (fun () ->
+        for _ = 1 to 100 do
+          cycle ()
+        done)
+  in
+  check "1-page and 256-page regions allocate alike" (words page)
+    (words (256 * page))
 
 let test_pinned_placement () =
   let _, mgr = manager ~seed:6 () in
@@ -485,6 +599,14 @@ let () =
           Alcotest.test_case "file is flat" `Quick test_store_file_is_flat;
           Alcotest.test_case "loads a flat file" `Quick
             test_store_loads_flat_file;
+          Alcotest.test_case "load rejects a duplicated rid" `Quick
+            test_load_rejects_duplicate_rid;
+          Alcotest.test_case "load rejects a truncated file" `Quick
+            test_load_rejects_truncated;
+          Alcotest.test_case "load rejects a negative size" `Quick
+            test_load_rejects_negative_size;
+          Alcotest.test_case "load rejects rid 0 and a tiny size" `Quick
+            test_load_rejects_rid_zero_and_tiny_size;
         ] );
       ( "regions",
         [
@@ -500,13 +622,19 @@ let () =
           Alcotest.test_case "persistence across runs" `Quick
             test_persistence_across_runs;
           Alcotest.test_case "close unmaps" `Quick test_close_unmaps;
-          Alcotest.test_case "checkpoint" `Quick test_save_region_checkpoint;
+          Alcotest.test_case "checkpoint" `Quick test_open_region_checkpoint;
+          Alcotest.test_case "save_file writes an open region" `Quick
+            test_save_file_of_open_region;
+          Alcotest.test_case "a store fills an absent slot" `Quick
+            test_store_fills_absent_slot;
           Alcotest.test_case "open/close count one access per page" `Quick
             test_open_close_counts;
           Alcotest.test_case "bytes past size stay out of the image" `Quick
             test_bytes_past_size_stay_out;
           Alcotest.test_case "reopen allocates no page" `Quick
             test_reopen_allocation_floor;
+          Alcotest.test_case "reopen allocation is flat in size" `Quick
+            test_reopen_allocation_flat_in_size;
           Alcotest.test_case "pinned placement" `Quick test_pinned_placement;
           Alcotest.test_case "region_of_addr" `Quick test_region_of_addr;
           Alcotest.test_case "oversized region rejected" `Quick
