@@ -20,7 +20,7 @@
     The paper uses 64-bit words; the simulated machine uses [word_bits]
     (62 by default, so that addresses are non-negative native OCaml ints).
     All constraints from the paper are re-instantiated at that width and
-    checked by {!validate}. *)
+    checked by {!v}. *)
 
 type t = private {
   word_bits : int;  (** total virtual-address width in bits *)

@@ -172,6 +172,16 @@ let flush t ~addr =
   if d1 || d2 || d3 then charge_mem_write t addr;
   match t.persist_hook with Some f -> f (Flushed addr) | None -> ()
 
+let flush_range t ~addr ~len =
+  if len > 0 then begin
+    let last = (addr + len - 1) land t.line_mask in
+    let a = ref (addr land t.line_mask) in
+    while !a <= last do
+      flush t ~addr:!a;
+      a := !a + t.line
+    done
+  end
+
 let fence t =
   incr t.c.c_fences;
   Clock.tick t.clock t.cfg.wbarrier;

@@ -60,6 +60,11 @@ val flush : t -> addr:int -> unit
     line is invalidated in all levels and, if dirty, a memory write is
     charged at the destination latency. *)
 
+val flush_range : t -> addr:int -> len:int -> unit
+(** [flush_range t ~addr ~len] flushes ({!flush}) every line holding a
+    byte of [[addr, addr+len)], in address order; nothing if [len] is
+    not positive. *)
+
 val fence : t -> unit
 (** Persist barrier ([wbarrier]). *)
 

@@ -4,9 +4,11 @@
     representations pairwise after each remap, and minimizes any
     divergence to a replayable s-expression.
 
-    Applicability follows {!Core.Repr.remap_safety}: traces containing a
-    remap run every representation except the normal (absolute) pointer,
-    whose slots would dangle by design; remap-free traces run all nine.
+    Applicability ({!applicable}): traces containing a remap run every
+    representation but {!Core.Repr.Normal}, the absolute pointer whose
+    slots would dangle by design; remap-free traces run all nine.
+    Swizzling runs on both, because its unswizzle and swizzle passes
+    bracket every remap.
     Counters ([conform.traces], [conform.ops], [conform.divergences],
     [conform.shrink_steps]) land in the registry passed by the driver —
     engine-side observation only, never the machines under test. *)

@@ -61,19 +61,6 @@ let position_independent k =
 
 let pp ppf k = Format.pp_print_string ppf (to_string k)
 
-(** Representations whose persisted image survives remapping without any
-    load-time pass. *)
-let self_contained k = position_independent k
-
-(** What a persisted slot means across an unmap/remap of its region:
-    the applicability predicate the conformance harness keys trace
-    generation on. *)
-let remap_safety = function
-  | Normal -> `Dangles
-  | Swizzle -> `Via_passes
-  | Off_holder | Riv | Fat | Fat_cached | Based | Packed_fat | Hw_oid ->
-      `Self_contained
-
 (** Implicit self-contained representations per Section 4.1: position
     independent, no larger than a normal pointer, usable like a normal
     pointer. *)

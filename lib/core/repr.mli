@@ -30,19 +30,6 @@ val slot_size : kind -> int
 val cross_region : kind -> bool
 val position_independent : kind -> bool
 
-val remap_safety : kind -> [ `Self_contained | `Via_passes | `Dangles ]
-(** What a persisted slot means across an unmap/remap of its region:
-    [`Self_contained] slots stay valid with no load-time work (all the
-    position-independent encodings except swizzling), [`Via_passes]
-    slots survive only when bracketed by unswizzle-before/swizzle-after
-    passes ({!Swizzle}), and [`Dangles] slots (absolute {!Normal}
-    pointers) are invalidated by any move. The conformance harness
-    ([lib/conform]) keys trace applicability on exactly this. *)
-
-val self_contained : kind -> bool
-(** Whether the persisted image survives remapping without a load-time
-    pass. *)
-
 val implicit_self_contained : kind -> bool
 (** The Section 4.1 concept: position independent, pointer-sized, and
     usable with no external base variable. True exactly for off-holder,

@@ -107,15 +107,8 @@ let undo_logger machine region =
               (Vaddr.add rec_base (8 + (w * 8)))
               (Memsim.load64 mem (Vaddr.v (l + (w * 8))))
           done;
-          let lo = (rec_base :> int) land lnot (line_bytes - 1) in
-          let hi = (rec_base :> int) + 8 + line_bytes - 1 in
-          let rec flush_at a =
-            if a <= hi then begin
-              Timing.flush timing ~addr:a;
-              flush_at (a + line_bytes)
-            end
-          in
-          flush_at lo;
+          Timing.flush_range timing ~addr:(rec_base :> int)
+            ~len:(8 + line_bytes);
           cursor := !cursor + 8 + line_bytes)
         dirty;
       Timing.fence timing;

@@ -4,15 +4,17 @@ module Timing = Nvmpi_cachesim.Timing
 module Timing_config = Nvmpi_cachesim.Timing_config
 module Manager = Nvmpi_nvregion.Manager
 module Region = Nvmpi_nvregion.Region
+module Store = Nvmpi_nvregion.Store
 module Metrics = Nvmpi_obs.Metrics
 module Rid = Nvmpi_addr.Kinds.Rid
-module Vaddr = Nvmpi_addr.Kinds.Vaddr
+module Page_image = Memsim.Page_image
 
 type tracked = {
   rid : Rid.t;
   base : int;
   size : int;
-  init : Memsim.Page_image.t;
+  init : Page_image.t;
+  live : Page_image.t; (* the store image the region maps *)
   state : Image.t; (* live durable state, folded as events arrive *)
 }
 
@@ -60,12 +62,9 @@ let on_flush t addr =
       let lo = max line_lo tr.base in
       let hi = min (line_lo + t.line) (tr.base + tr.size) in
       (* Capture what the line holds as the clwb retires: stores have
-         already landed in the simulated memory by the time a flush can
-         reference them. The debug port keeps the capture unobserved. *)
-      let snap =
-        Memsim.peek_bytes t.machine.Machine.mem ~addr:(Vaddr.v lo)
-          ~len:(hi - lo)
-      in
+         already landed in the region's image by the time a flush can
+         reference them. *)
+      let snap = Page_image.sub tr.live (lo - tr.base) (hi - lo) in
       let e = Events.Flush { lo; snap } in
       push t e;
       incr t.c_flushes;
@@ -81,8 +80,7 @@ let on_fence t =
 let apply_crash t =
   List.iter
     (fun tr ->
-      Memsim.poke_image t.machine.Machine.mem ~addr:(Vaddr.v tr.base)
-        (Image.image tr.state);
+      Page_image.restore ~src:(Image.image tr.state) tr.live;
       Image.reset_volatile tr.state)
     t.tracked;
   Timing.invalidate_caches t.machine.Machine.timing
@@ -116,21 +114,21 @@ let attach machine =
   t
 
 let arm t =
-  let regions = Manager.open_regions t.machine.Machine.manager in
+  let manager = t.machine.Machine.manager in
+  let regions = Manager.open_regions manager in
   if regions = [] then invalid_arg "Tracker.arm: no open regions";
   t.tracked <-
     List.map
       (fun r ->
-        let base = (Region.base r :> int) in
-        let size = Region.size r in
-        let init =
-          Memsim.peek_image t.machine.Machine.mem ~addr:(Region.base r) ~size
-        in
+        let rid = Region.rid r and base = (Region.base r :> int) in
+        let live = (Store.find_exn (Manager.store manager) rid).Store.data in
+        let init = Page_image.copy live in
         {
-          rid = Region.rid r;
+          rid;
           base;
-          size;
+          size = Region.size r;
           init;
+          live;
           state = Image.create ~base ~line:t.line ~init;
         })
       regions;
@@ -154,7 +152,7 @@ let tracked t =
 
 let crash_image t rid =
   match List.find_opt (fun tr -> tr.rid = rid) t.tracked with
-  | Some tr -> Memsim.Page_image.copy (Image.image tr.state)
+  | Some tr -> Page_image.copy (Image.image tr.state)
   | None -> invalid_arg "Tracker.crash_image: region not tracked"
 
 let durable_bytes t =

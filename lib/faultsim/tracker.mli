@@ -10,12 +10,15 @@
     persisted.
 
     Recording is observation-only: the tracker never issues simulated
-    accesses or charges (snapshots, the base images taken at {!arm} and
-    the crash written back by {!apply_crash} all go through
-    {!Nvmpi_memsim.Memsim}'s debug port), so an attached-but-unarmed
-    tracker leaves cycle counts unchanged. {!checkpoint} is the
-    exception by design — it {e is} the program action "flush
-    everything volatile, then fence", charged normally. *)
+    accesses or charges. An open region's pages are its store image's
+    pages, so the tracker works on that image: {!arm} copies it as the
+    base, a flush reads the line from it
+    ({!Nvmpi_memsim.Memsim.Page_image.sub}) and {!apply_crash} rewrites
+    it in place ({!Nvmpi_memsim.Memsim.Page_image.restore}); none of
+    them touches memory. An attached-but-unarmed tracker therefore
+    leaves cycle counts unchanged. {!checkpoint} is the exception by
+    design — it {e is} the program action "flush everything volatile,
+    then fence", charged normally. *)
 
 type t
 
@@ -67,6 +70,7 @@ val checkpoint : ?fence:bool -> t -> unit
 
 val apply_crash : t -> unit
 (** Materializes a power failure on the live machine: every tracked
-    region's memory reverts to its durable image, volatile tracking
-    state is dropped, caches are cold-started. This is what the
-    machine's [crash_hook] invokes. *)
+    region's image reverts to its durable image in place, so a region
+    still mapped reads it at once; volatile tracking state is dropped,
+    caches are cold-started. This is what the machine's [crash_hook]
+    invokes. *)

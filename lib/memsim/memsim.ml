@@ -26,7 +26,7 @@ module Page_image = struct
 
   (* Slot [i] holds bytes [i * page_size, (i + 1) * page_size) as a
      full page of its own, or [no_page], which reads as zeros. Bytes of
-     the last page past [size] are 0. *)
+     the last page past [size] are 0 unless a mapping wrote them. *)
   type t = { size : int; pages : Bytes.t array }
 
   let create size =
@@ -39,10 +39,24 @@ module Page_image = struct
     Array.fold_left (fun n p -> if p == no_page then n else n + 1) 0 t.pages
 
   let copy_page p = if p == no_page then p else Bytes.copy p
-  let copy t = { t with pages = Array.map copy_page t.pages }
 
   (* Bytes of the image held by slot [i]. *)
   let slot_len t i = min page_size (t.size - (i lsl page_bits))
+
+  (* Restores the zeros of the last page past [size], which a mapping of
+     the image can write. *)
+  let zero_tail t =
+    let n = Array.length t.pages in
+    if n > 0 then begin
+      let p = t.pages.(n - 1) and len = slot_len t (n - 1) in
+      if p != no_page && len < page_size then
+        Bytes.fill p len (page_size - len) '\000'
+    end
+
+  let copy t =
+    let c = { t with pages = Array.map copy_page t.pages } in
+    zero_tail c;
+    c
 
   let check t off len =
     if off < 0 || len < 0 || off > t.size - len then
@@ -108,15 +122,19 @@ module Page_image = struct
     Array.iteri (fun i p -> grown.pages.(i) <- copy_page p) t.pages;
     grown
 
-  (* Restores the zeros of the last page past [size], which a mapping of
-     the image can write. *)
-  let zero_tail t =
-    let n = Array.length t.pages in
-    if n > 0 then begin
-      let p = t.pages.(n - 1) and len = slot_len t (n - 1) in
-      if p != no_page && len < page_size then
-        Bytes.fill p len (page_size - len) '\000'
-    end
+  (* A present page of [t] is rewritten in place, never replaced, so a
+     TLB entry that holds it stays valid. *)
+  let restore ~src t =
+    if src.size <> t.size then
+      invalid_arg "Memsim.Page_image.restore: size mismatch";
+    Array.iteri
+      (fun i s ->
+        let d = t.pages.(i) in
+        if d != no_page then
+          if s == no_page then Bytes.fill d 0 page_size '\000'
+          else Bytes.blit s 0 d 0 page_size
+        else if s != no_page then t.pages.(i) <- Bytes.copy s)
+      src.pages
 end
 
 let page_bits = Page_image.page_bits
@@ -130,14 +148,14 @@ let anonymous = Page_image.create 0
 type t = {
   (* The pages of the anonymous ranges, by page index. *)
   pages : (int, Bytes.t) Hashtbl.t;
-  (* Pages that unmap and drop_zero_page took out of [pages], taken
-     again before a page is allocated. Every taker overwrites the whole
-     page. *)
+  (* All-zero pages that drop_zero_page took out of [pages], taken again
+     before a page is allocated. *)
   mutable spares : Bytes.t list;
   (* The mapped ranges, page [firsts.(i)] to page [lasts.(i)] for [i]
      below [n_ranges]: disjoint and sorted by first page. Range [i] maps
      [images.(i)], slot [k] at page [firsts.(i) + k], or is anonymous
-     and keeps its pages in [pages]. *)
+     and keeps its pages in [pages]. An anonymous range is never
+     removed. *)
   mutable firsts : int array;
   mutable lasts : int array;
   mutable images : Page_image.t array;
@@ -150,8 +168,8 @@ type t = {
   (* Direct-mapped TLB of [tlb_size] entries in front of the ranges:
      slot [p land tlb_mask] holds page [p] in [tlb_pages] when
      [tlb_tags] holds [p], and -1 when empty. Only present pages enter
-     it, never [zero_page]; unmap, evict and drop_zero_page, the
-     operations that drop pages, clear their slots. *)
+     it, never [zero_page]; evict and drop_zero_page, the operations
+     that drop pages, clear their slots. *)
   tlb_tags : int array;
   tlb_pages : Bytes.t array;
   (* What a load from an absent mapped page reads. Never written. *)
@@ -258,48 +276,28 @@ let map t ~addr ~size =
     ~last:((addr + size - 1) lsr page_bits)
     anonymous
 
-(* Slot [k] of an image at [addr] is page [image_first_page + k]. *)
-let image_first_page ~addr ~what =
-  if addr < 0 || addr land page_mask <> 0 then
-    invalid_arg (what ^ ": base not page-aligned");
-  addr lsr page_bits
-
 (* A region's open counts one store per page it spans and its close one
    load, as the page copies that open and close made once did: [serve]
    reports both counters. *)
 let install t ~addr img =
-  let first = image_first_page ~addr ~what:"Memsim.install" in
+  if addr < 0 || addr land page_mask <> 0 then
+    invalid_arg "Memsim.install: base not page-aligned";
+  let first = addr lsr page_bits in
   let n = Array.length img.Page_image.pages in
   if n = 0 then invalid_arg "Memsim.install: empty image";
   add_range t ~what:"Memsim.install" ~addr ~first ~last:(first + n - 1) img;
   t.c_stores := !(t.c_stores) + n
 
-(* The index of the range that starts at [addr]'s page. *)
-let mapping_at t ~addr ~what =
+let evict t ~addr =
   let first = addr lsr page_bits in
   let i = range_before t first in
   if i < 0 || t.firsts.(i) <> first then
-    invalid_arg (Printf.sprintf "%s: no mapping at 0x%x" what addr);
-  i
-
-(* Moves page [p], if present, from [pages] to the spares. The caller
-   clears the TLB. *)
-let release t p =
-  match Hashtbl.find t.pages p with
-  | page ->
-      Hashtbl.remove t.pages p;
-      t.spares <- page :: t.spares
-  | exception Not_found -> ()
-
-(* Removes range [i] and clears the TLB. An anonymous range's pages
-   become spares; an image keeps its own. *)
-let remove_range t i =
+    invalid_arg (Printf.sprintf "Memsim.evict: no mapping at 0x%x" addr);
   let img = t.images.(i) in
   if img == anonymous then
-    for p = t.firsts.(i) to t.lasts.(i) do
-      release t p
-    done
-  else Page_image.zero_tail img;
+    invalid_arg (Printf.sprintf "Memsim.evict: no image mapped at 0x%x" addr);
+  t.c_loads := !(t.c_loads) + Array.length img.Page_image.pages;
+  Page_image.zero_tail img;
   let n = t.n_ranges - 1 in
   Array.blit t.firsts (i + 1) t.firsts i (n - i);
   Array.blit t.lasts (i + 1) t.lasts i (n - i);
@@ -309,23 +307,15 @@ let remove_range t i =
   Array.fill t.tlb_tags 0 tlb_size (-1);
   Array.fill t.tlb_pages 0 tlb_size no_page
 
-let unmap t ~addr = remove_range t (mapping_at t ~addr ~what:"Memsim.unmap")
-
-let evict t ~addr =
-  let i = mapping_at t ~addr ~what:"Memsim.evict" in
-  let img = t.images.(i) in
-  if img == anonymous then
-    invalid_arg (Printf.sprintf "Memsim.evict: no image mapped at 0x%x" addr);
-  t.c_loads := !(t.c_loads) + Array.length img.Page_image.pages;
-  remove_range t i
-
 (* Only an anonymous range's pages are in [pages]: an image's page is
-   never released. *)
+   never released. The page released is all zero, so it is a spare as
+   it stands. *)
 let drop_zero_page t a =
   let p = a lsr page_bits in
   match Hashtbl.find_opt t.pages p with
-  | Some page when is_zero page 0 (Bytes.length page) ->
-      release t p;
+  | Some page when is_zero page 0 page_size ->
+      Hashtbl.remove t.pages p;
+      t.spares <- page :: t.spares;
       let s = p land tlb_mask in
       if t.tlb_tags.(s) = p then begin
         t.tlb_tags.(s) <- -1;
@@ -335,19 +325,14 @@ let drop_zero_page t a =
 
 let is_mapped t a = a >= 0 && range_of t (a lsr page_bits) >= 0
 
-let mappings t =
-  List.init t.n_ranges (fun i ->
-      let first = t.firsts.(i) in
-      (first lsl page_bits, (t.lasts.(i) - first + 1) lsl page_bits))
-
-(* A page for memory to materialize: a spare if there is one, else a new
-   one. Its bytes are arbitrary, so the caller overwrites all of them. *)
+(* A zero page for memory to materialize: a spare if there is one, else
+   a new one. *)
 let take_page t =
   match t.spares with
   | page :: rest ->
       t.spares <- rest;
       page
-  | [] -> Bytes.create page_size
+  | [] -> Bytes.make page_size '\000'
 
 let add_observer t f =
   if t.n_obs = Array.length t.obs then begin
@@ -397,7 +382,6 @@ let[@inline never] walk t ~write p s addr size =
   if page != no_page then fill_tlb t p s page
   else if write then begin
     let page = take_page t in
-    Bytes.fill page 0 page_size '\000';
     set_page t i p page;
     fill_tlb t p s page
   end
@@ -510,15 +494,8 @@ let blit_to_bytes t ~addr ~len =
   b
 
 (* Debug port: raw access that bypasses the access path entirely — no
-   charge, no observers, no counters. Harness-only (the fault-injection
-   subsystem's snapshot/restore machinery); never use it to model a
-   program access. *)
-
-(* The range holding page [p], or a fault over [len] bytes at [a]. *)
-let range_exn t p a len reason =
-  let i = range_of t p in
-  if i < 0 then fault a len reason;
-  i
+   charge, no observers, no counters. Harness-only; never use it to
+   model a program access. *)
 
 let peek_bytes t ~addr ~len =
   if addr < 0 || len < 0 then invalid_arg "Memsim.peek_bytes";
@@ -529,7 +506,9 @@ let peek_bytes t ~addr ~len =
     let p = a lsr page_bits in
     let poff = a land page_mask in
     let chunk = min (len - !i) (page_size - poff) in
-    let page = page_of t (range_exn t p a chunk "unmapped (peek)") p in
+    let r = range_of t p in
+    if r < 0 then fault a chunk "unmapped (peek)";
+    let page = page_of t r p in
     if page != no_page then Bytes.blit page poff b !i chunk
     else Bytes.fill b !i chunk '\000';
     i := !i + chunk
@@ -549,50 +528,6 @@ let poke_bytes t ~addr b =
     i := !i + chunk
   done
 
-(* Whole-image copies, slot by slot: slot [k] of an image at the
-   page-aligned [addr] is memory page [addr / page + k]. They leave the
-   TLB as it was: a page they write is either already present (and
-   overwritten in place) or new. *)
-
-let slot_range t p len =
-  range_exn t p (p lsl page_bits) len "unmapped (image copy)"
-
-(* An untouched page of memory stays an absent slot, and bytes of the
-   last page past [size] stay behind. *)
-let peek_image t ~addr ~size =
-  let img = Page_image.create size in
-  let first = image_first_page ~addr ~what:"Memsim.peek_image" in
-  Array.iteri
-    (fun k _ ->
-      let p = first + k and len = Page_image.slot_len img k in
-      let src = page_of t (slot_range t p len) p in
-      if src != no_page then begin
-        let dst = Bytes.make page_size '\000' in
-        Bytes.blit src 0 dst 0 len;
-        img.Page_image.pages.(k) <- dst
-      end)
-    img.Page_image.pages;
-  img
-
-(* An image page's bytes past the image are 0, so a present slot
-   overwrites the whole memory page, and an absent one zeroes it. *)
-let poke_image t ~addr (img : Page_image.t) =
-  let first = image_first_page ~addr ~what:"Memsim.poke_image" in
-  Array.iteri
-    (fun k src ->
-      let p = first + k in
-      let i = slot_range t p (Page_image.slot_len img k) in
-      let dst = page_of t i p in
-      if dst != no_page then
-        if src == no_page then Bytes.fill dst 0 page_size '\000'
-        else Bytes.blit src 0 dst 0 page_size
-      else if src != no_page then begin
-        let dst = take_page t in
-        Bytes.blit src 0 dst 0 page_size;
-        set_page t i p dst
-      end)
-    img.Page_image.pages
-
 (* Typed facade (Kinds discipline, see Nvmpi_addr.Kinds): the public
    signature takes typed virtual addresses; the wrappers are zero-cost
    coercions over the int-based engine above. *)
@@ -600,10 +535,8 @@ let poke_image t ~addr (img : Page_image.t) =
 module Vaddr = Nvmpi_addr.Kinds.Vaddr
 
 let map t ~addr:(a : Vaddr.t) ~size = map t ~addr:(a :> int) ~size
-let unmap t ~addr:(a : Vaddr.t) = unmap t ~addr:(a :> int)
 let drop_zero_page t (a : Vaddr.t) = drop_zero_page t (a :> int)
 let is_mapped t (a : Vaddr.t) = is_mapped t (a :> int)
-let mappings t = List.map (fun (a, s) -> (Vaddr.v a, s)) (mappings t)
 let load8 t (a : Vaddr.t) = load8 t (a :> int)
 let load16 t (a : Vaddr.t) = load16 t (a :> int)
 let load32 t (a : Vaddr.t) = load32 t (a :> int)
@@ -620,5 +553,3 @@ let peek_bytes t ~addr:(a : Vaddr.t) ~len = peek_bytes t ~addr:(a :> int) ~len
 let poke_bytes t ~addr:(a : Vaddr.t) b = poke_bytes t ~addr:(a :> int) b
 let install t ~addr:(a : Vaddr.t) img = install t ~addr:(a :> int) img
 let evict t ~addr:(a : Vaddr.t) = evict t ~addr:(a :> int)
-let peek_image t ~addr:(a : Vaddr.t) ~size = peek_image t ~addr:(a :> int) ~size
-let poke_image t ~addr:(a : Vaddr.t) img = poke_image t ~addr:(a :> int) img

@@ -4,8 +4,8 @@
     prototype manipulates directly. Memory is demand-paged: a backing
     page is materialized by the first store to it (a load from an
     untouched page reads zeros and allocates nothing), but only inside
-    ranges registered with {!map} — any access outside a mapped range
-    raises {!Fault}, which is how the tests detect dangling
+    ranges registered with {!map} or {!install} — any access outside a
+    mapped range raises {!Fault}, which is how the tests detect dangling
     (position-dependent) pointers after a region moves.
 
     Every load and store is counted, charged to the memory's cache model
@@ -33,48 +33,37 @@ val create :
     increments [mem.loads] / [mem.stores] in [metrics] (a private
     registry if none is given).
 
-    Memory recycles its pages: the pages that {!unmap} and
-    {!drop_zero_page} release from its anonymous mappings become spares,
-    and a page is materialized from a spare, overwritten whole, before
-    one is allocated. A page is allocated only when there is no spare.
-    The pages of an installed image are the image's: nothing hands one
-    to the spares. *)
+    Memory recycles its pages: a page that {!drop_zero_page} releases
+    becomes a spare, and a store materializes a page from a spare before
+    it allocates one. A spare is all zero, as every page is when it is
+    materialized. The pages of an installed image are the image's:
+    nothing hands one to the spares. *)
 
 val pages : t -> int
 (** The number of pages memory holds of its own: pages of its anonymous
-    mappings materialized by a store, less those that {!unmap} or
-    {!drop_zero_page} released. The pages of an installed image are
-    counted by {!Page_image.present}. *)
+    mappings materialized by a store, less those that {!drop_zero_page}
+    released. The pages of an installed image are counted by
+    {!Page_image.present}. *)
 
 (** {1 Mappings} *)
 
 val map : t -> addr:Nvmpi_addr.Kinds.Vaddr.t -> size:int -> unit
 (** [map t ~addr ~size] makes the byte range [[addr, addr+size)]
-    accessible as anonymous memory, whose pages are memory's own. The
-    range is rounded outward to page boundaries. Raises
+    accessible as anonymous memory, whose pages are memory's own, for
+    the memory's whole life: only an image mapping ({!install}) is ever
+    removed. The range is rounded outward to page boundaries. Raises
     [Invalid_argument] if it overlaps an existing mapping. *)
-
-val unmap : t -> addr:Nvmpi_addr.Kinds.Vaddr.t -> unit
-(** [unmap t ~addr] removes the mapping that was created at exactly
-    [addr] and clears the TLB. The pages of an anonymous mapping become
-    spares; an installed image keeps its pages, the bytes of its last
-    page past its size zeroed. Raises [Invalid_argument] if no mapping
-    starts at [addr]. *)
 
 val is_mapped : t -> Nvmpi_addr.Kinds.Vaddr.t -> bool
 (** [is_mapped t a] is [true] iff address [a] falls inside a mapped
     range. *)
 
-val mappings : t -> (Nvmpi_addr.Kinds.Vaddr.t * int) list
-(** All mapped ranges as [(addr, size)] pairs, sorted by address
-    (page-rounded). *)
-
 val drop_zero_page : t -> Nvmpi_addr.Kinds.Vaddr.t -> unit
 (** [drop_zero_page t a] releases the page holding [a] if it is a
-    present page of an anonymous mapping and all zero. An absent mapped
-    page reads as zeros, so no access can tell the difference; only
-    {!pages} and host memory do. A page of an installed image is never
-    released. *)
+    present page of an anonymous mapping and all zero; it becomes a
+    spare. An absent mapped page reads as zeros, so no access can tell
+    the difference; only {!pages} and host memory do. A page of an
+    installed image is never released. *)
 
 (** {1 Observers} *)
 
@@ -134,8 +123,9 @@ val blit_to_bytes : t -> addr:Nvmpi_addr.Kinds.Vaddr.t -> len:int -> bytes
     memory does. An open region's pages are its store image's pages:
     {!install} maps an image in place, as a DAX file is mapped, so a
     store through the mapping writes the image and nothing is copied
-    when a region opens or closes. Only the debug port copies pages
-    between memory and an image. *)
+    when a region opens or closes. A harness that snapshots or restores
+    a region works on its image ({!Page_image.copy},
+    {!Page_image.restore}), never through memory. *)
 
 module Page_image : sig
   type t
@@ -155,7 +145,9 @@ module Page_image : sig
       page may also be all zero. *)
 
   val copy : t -> t
-  (** A copy that shares no page with the original. *)
+  (** A copy that shares no page with the original. The copy's bytes
+      past [size t] are zero, even where a mapping of the original
+      wrote them. *)
 
   val of_bytes : bytes -> t
   (** The image of flat bytes, keeping only the pages that hold a
@@ -163,6 +155,10 @@ module Page_image : sig
 
   val to_bytes : t -> bytes
   (** The image as [size t] flat bytes. *)
+
+  val sub : t -> int -> int -> bytes
+  (** [sub t off len] is the [len] bytes of the image at [off], fresh.
+      Raises [Invalid_argument] outside [[0, size t)]. *)
 
   val blit_from_bytes : bytes -> int -> t -> int -> int -> unit
   (** [blit_from_bytes src src_off t off len] copies [len] bytes of
@@ -176,6 +172,15 @@ module Page_image : sig
   (** [resize t size] is a copy of [t] grown to [size] bytes; the new
       tail reads as zeros. Raises [Invalid_argument] if [size] is
       smaller than [size t]. *)
+
+  val restore : src:t -> t -> unit
+  (** [restore ~src t] makes [t] read as [src], in place: a present page
+      of [t] is overwritten whole from [src]'s slot, or zero-filled
+      under an absent one, and stays present; a present slot of [src]
+      over an absent one of [t] is copied into a page of [t]'s own. No
+      page of [t] is replaced, so a memory that maps [t] sees [src] at
+      its next access, with no TLB to clear. Raises [Invalid_argument]
+      if the sizes differ. *)
 end
 
 val install : t -> addr:Nvmpi_addr.Kinds.Vaddr.t -> Page_image.t -> unit
@@ -185,7 +190,7 @@ val install : t -> addr:Nvmpi_addr.Kinds.Vaddr.t -> Page_image.t -> unit
     puts a zero-filled page of the memory (a spare if there is one) into
     the slot; a write to [img] from outside is seen by the next access.
     The range spans the image's pages, so the bytes of its last page
-    past [size img] are mapped too; {!evict} and {!unmap} zero them.
+    past [size img] are mapped too; {!evict} zeroes them.
     Nothing is charged and no observer fires. It counts one [mem.stores]
     per page the image spans, present or not: as many as a
     {!blit_from_bytes} of the flat image counts. [addr] must be
@@ -206,10 +211,9 @@ val evict : t -> addr:Nvmpi_addr.Kinds.Vaddr.t -> unit
 (** {1 Debug port}
 
     Raw access below the access path: nothing is charged, no observers
-    fire, no counters move. The fault-injection harness uses these
-    to snapshot line contents at flush time and to overwrite live memory
-    with a materialized crash image; they must never stand in for a
-    program access. *)
+    fire, no counters move. The machine uses these to invalidate its
+    fat cache, and tests to read memory unobserved; they must never
+    stand in for a program access. *)
 
 val peek_bytes : t -> addr:Nvmpi_addr.Kinds.Vaddr.t -> len:int -> bytes
 (** [peek_bytes t ~addr ~len] copies [len] bytes out without observing
@@ -219,17 +223,3 @@ val peek_bytes : t -> addr:Nvmpi_addr.Kinds.Vaddr.t -> len:int -> bytes
 val poke_bytes : t -> addr:Nvmpi_addr.Kinds.Vaddr.t -> bytes -> unit
 (** [poke_bytes t ~addr b] overwrites simulated memory with [b] without
     observing. Raises {!Fault} if the range leaves mapped memory. *)
-
-val peek_image :
-  t -> addr:Nvmpi_addr.Kinds.Vaddr.t -> size:int -> Page_image.t
-(** [peek_image t ~addr ~size] copies the [size] bytes of memory at the
-    page-aligned [addr] into a fresh image that shares no page with
-    memory. An untouched page becomes an absent slot, and bytes of the
-    last page past [size] stay behind. Raises {!Fault} if the range
-    leaves mapped memory. *)
-
-val poke_image : t -> addr:Nvmpi_addr.Kinds.Vaddr.t -> Page_image.t -> unit
-(** [poke_image t ~addr img] overwrites the memory at the page-aligned
-    [addr] with a copy of [img]: a present slot's page is copied whole,
-    its zero tail included, and the memory page under an absent slot is
-    zeroed. Raises {!Fault} if the range leaves mapped memory. *)

@@ -44,7 +44,7 @@ let create ~machine ~repr ~cap ~region_size ~buckets ~log_cap () =
     region_size;
     buckets;
     log_cap;
-    pinned = Repr.remap_safety repr <> `Self_contained;
+    pinned = not (Repr.position_independent repr);
     tenants = Hashtbl.create 64;
     resident = 0;
     clock = 0;

@@ -13,7 +13,7 @@
     adversarially invalidated thousands of times per run.
 
     Representations whose persisted slots do not survive a move
-    ([Repr.remap_safety <> `Self_contained], i.e. normal and swizzle in
+    ([not (Repr.position_independent repr)], i.e. normal and swizzle in
     its steady swizzled state) are {e pinned}: each tenant is assigned a
     fixed NV segment derived from its ID and every reopen maps it back
     there. A real multi-tenant server could not relocate those tenants

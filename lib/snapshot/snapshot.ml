@@ -78,18 +78,6 @@ let meta_get t field = Memsim.load64 (mem t) (meta_addr t field)
 let meta_set t field v = Memsim.store64 (mem t) (meta_addr t field) v
 let committed_bytes t = meta_get t m_commit
 
-(* Flush every cache line of the absolute range [addr, addr+len). *)
-let flush_range t ~addr ~len =
-  if len > 0 then begin
-    let first = addr land lnot (t.line - 1) in
-    let last = (addr + len - 1) land lnot (t.line - 1) in
-    let a = ref first in
-    while !a <= last do
-      Timing.flush (timing t) ~addr:!a;
-      a := !a + t.line
-    done
-  end
-
 (* The access observer: record which lines and pages of the watched
    window a store touches. Protocol pages (meta + log) are excluded —
    sync must not track its own log appends — and protocol code runs
@@ -249,7 +237,7 @@ let replay_committed t =
         || !pos + 16 + len > committed
       then failwith "Snapshot.replay: corrupt log record";
       copy t ~src:(log_addr t (!pos + 16)) ~dst:(data_addr t off) ~len;
-      flush_range t ~addr:(t.base + off) ~len;
+      Timing.flush_range (timing t) ~addr:(t.base + off) ~len;
       pos := !pos + 16 + len
     done;
     Timing.fence (timing t);
@@ -307,7 +295,7 @@ let sync ?stop_after t =
             t.c_log_bytes := !(t.c_log_bytes) + 16 + len;
             pos := !pos + 16 + len)
           us;
-        flush_range t ~addr:(t.base + t.log_off) ~len:!pos;
+        Timing.flush_range (timing t) ~addr:(t.base + t.log_off) ~len:!pos;
         Timing.fence (timing t);
         (* Step 2: the commit record — after this fence the epoch is
            durable (via replay) whatever happens. *)
@@ -329,7 +317,7 @@ let sync ?stop_after t =
             | Some Drop_window_flushes | None ->
                 List.iter
                   (fun (off, len) ->
-                    flush_range t ~addr:(t.base + off) ~len;
+                    Timing.flush_range (timing t) ~addr:(t.base + off) ~len;
                     t.c_wb_flushes :=
                       !(t.c_wb_flushes) + ((len + t.line - 1) / t.line))
                   us;

@@ -162,14 +162,7 @@ let log_append t ~addr ~len =
   Memsim.blit_from_bytes (mem t) ~addr:(Vaddr.add log (pos + 16)) data;
   (* Persist the entry before the in-place store may happen. *)
   let timing = t.machine.Machine.timing in
-  let line = 1 lsl (Timing.cfg timing).Nvmpi_cachesim.Timing_config.line_bits in
-  let first = ((log :> int) + pos) land lnot (line - 1) in
-  let last = ((log :> int) + pos + entry_len - 1) land lnot (line - 1) in
-  let a = ref first in
-  while !a <= last do
-    Timing.flush timing ~addr:!a;
-    a := !a + line
-  done;
+  Timing.flush_range timing ~addr:((log :> int) + pos) ~len:entry_len;
   Timing.fence timing;
   meta_set t m_log_len (pos + entry_len);
   Timing.flush timing ~addr:((t.meta :> int) + m_log_len);

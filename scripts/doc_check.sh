@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Documentation consistency gate (CI step; run any time with
-# scripts/doc_check.sh). Four checks, all derived from the code so the
+# scripts/doc_check.sh). Five checks, all derived from the code so the
 # docs cannot silently go stale:
 #
 #   1. every nvmpi subcommand (the Cmd.info names in bin/nvmpi.ml) is
@@ -11,7 +11,13 @@
 #      (anchors stripped; http(s)/mailto links skipped);
 #   4. every `dune exec <dir>/<name>.exe` in the docs, the skill notes,
 #      scripts/ and CI names an executable that <dir>/dune declares,
-#      and every scripts/<name>.sh they mention exists.
+#      and every scripts/<name>.sh they mention exists;
+#   5. every backticked `Module.value` in README.md, DESIGN.md,
+#      EXPERIMENTS.md and docs/ (docs/PERF.md excepted: it narrates
+#      deleted code) names a val, type or record field of that module's
+#      .mli under lib/. The address kinds Vaddr, Off, Riv, Rid and Seg
+#      may also resolve in kinds.mli, and Page_image in memsim.mli. A
+#      module with no .mli is not checked.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -94,8 +100,36 @@ for script in $scripts; do
   [ -f "$script" ] || err "'$script' is named, but it does not exist"
 done
 
+# --- 5. module values --------------------------------------------------
+
+mlis=$(find lib -name '*.mli' | sort)
+refdocs="README.md DESIGN.md EXPERIMENTS.md $(ls docs/*.md | grep -vx docs/PERF.md)"
+nrefs=0
+# Each match is doc:`Path.To.Module.value; the module is the last
+# capitalized component.
+while IFS= read -r match; do
+  doc="${match%%:*}"
+  path="${match#*:\`}"
+  value="${path##*.}"
+  mods="${path%.*}"
+  mod="${mods##*.}"
+  files=$(printf '%s\n' $mlis | grep "/${mod,}\.mli\$" || true)
+  case "$mod" in
+    Vaddr|Off|Riv|Rid|Seg) files="$files lib/addr/kinds.mli" ;;
+    Page_image) files="$files lib/memsim/memsim.mli" ;;
+  esac
+  [ -n "${files// /}" ] || continue
+  nrefs=$((nrefs + 1))
+  val="^[[:space:]]*(val|external)[[:space:]]+${value}[[:space:]]*:"
+  typ="^[[:space:]]*(type|and)[[:space:]]+(nonrec[[:space:]]+)?('[a-z_]+[[:space:]]+|\([^)]*\)[[:space:]]*)?${value}([[:space:]]|\$)"
+  field="(^|[{;[:space:]])(mutable[[:space:]]+)?${value}[[:space:]]+:"
+  if ! grep -qE "$val|$typ|$field" $files; then
+    err "$doc names \`$mod.$value\`, but no val, type or field '$value' is in" $files
+  fi
+done < <(grep -oE "\`([A-Z][A-Za-z0-9_]*\.)+[a-z_][A-Za-z0-9_']*" $refdocs | sort -u)
+
 if [ "$fail" -ne 0 ]; then
   echo "doc_check: FAIL" >&2
   exit 1
 fi
-echo "doc_check: PASS ($(echo "$subcommands" | wc -w | tr -d ' ') subcommands, $(echo "$prefixes" | wc -w | tr -d ' ') counter prefixes, links OK, $(echo "$exes" | wc -w | tr -d ' ') executables, $(echo "$scripts" | wc -w | tr -d ' ') scripts)"
+echo "doc_check: PASS ($(echo "$subcommands" | wc -w | tr -d ' ') subcommands, $(echo "$prefixes" | wc -w | tr -d ' ') counter prefixes, links OK, $(echo "$exes" | wc -w | tr -d ' ') executables, $(echo "$scripts" | wc -w | tr -d ' ') scripts, $nrefs module values)"

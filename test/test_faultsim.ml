@@ -306,9 +306,8 @@ let test_recovery_never_writes_into_replay () =
       List.map
         (fun (rid, r) ->
           ( rid,
-            Page_image.to_bytes
-              (Memsim.peek_image machine.Machine.mem ~addr:(Region.base r)
-                 ~size:(Region.size r)) ))
+            Memsim.peek_bytes machine.Machine.mem ~addr:(Region.base r)
+              ~len:(Region.size r) ))
         regions,
       regions )
   in

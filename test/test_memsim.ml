@@ -1,6 +1,7 @@
 module Memsim = Core.Memsim
 module Metrics = Core.Metrics
 module Vaddr = Core.Kinds.Vaddr
+module Page_image = Memsim.Page_image
 
 (* Tests bless literal addresses at the Figure 8 trust boundary. *)
 let va = Vaddr.v
@@ -79,19 +80,6 @@ let test_map_overlap_rejected () =
        Memsim.map m ~addr:(Vaddr.add base 0x100) ~size:16;
        false
      with Invalid_argument _ -> true)
-
-let test_unmap () =
-  let m, base = fresh () in
-  Memsim.store64 m base 7;
-  Memsim.unmap m ~addr:base;
-  check_bool "unmapped faults" true
-    (try
-       ignore (Memsim.load64 m base);
-       false
-     with Memsim.Fault _ -> true);
-  (* Remapping gives a zeroed page again. *)
-  Memsim.map m ~addr:base ~size:0x1000;
-  check "zero after remap" 0 (Memsim.load64 m base)
 
 let test_blit () =
   let m, base = fresh () in
@@ -187,32 +175,26 @@ let test_many_observers_in_order () =
     (List.rev !seen)
 
 let test_map_after_unmap_overlapping () =
-  (* Regression: unmap must really drop the range (and its pages), so an
-     overlapping range can be mapped afterwards and reads back zeroed. *)
+  (* Regression: evict must really drop the range, so an overlapping
+     range can be mapped afterwards and reads back zeroed, while the
+     closed image keeps its page. *)
   let m = memory () in
-  Memsim.map m ~addr:(va 0x4000) ~size:0x3000;
+  let img = Page_image.create 0x3000 in
+  Memsim.install m ~addr:(va 0x4000) img;
   Memsim.store64 m (va 0x5000) 0xFEED;
-  Memsim.unmap m ~addr:(va 0x4000);
+  Memsim.evict m ~addr:(va 0x4000);
   (* Overlaps the dropped [0x4000, 0x7000) range with a shifted window. *)
   Memsim.map m ~addr:(va 0x5000) ~size:0x3000;
   check "remapped page reads zero" 0 (Memsim.load64 m (va 0x5000));
   Memsim.store64 m (va 0x7008) 0xBEE;
   check "new tail page works" 0xBEE (Memsim.load64 m (va 0x7008));
+  check "the image keeps its word" 0xFEED
+    (Int64.to_int (Page_image.get_int64_le img 0x1000));
   check_bool "old head page is gone" true
     (try
        ignore (Memsim.load64 m (va 0x4000));
        false
      with Memsim.Fault _ -> true)
-
-let test_mappings_listing () =
-  let m = memory () in
-  Memsim.map m ~addr:(va 0x1000) ~size:0x1000;
-  Memsim.map m ~addr:(va 0x10000) ~size:0x2000;
-  Alcotest.(check (list (pair int int)))
-    "sorted ranges"
-    [ (0x1000, 0x1000); (0x10000, 0x2000) ]
-    (List.map (fun (a, n) -> ((a : Vaddr.t :> int), n)) (Memsim.mappings m));
-  check "page size" 4096 Memsim.Page_image.page_size
 
 let prop_store_load_64 =
   QCheck2.Test.make ~name:"64-bit store/load roundtrip at random offsets"
@@ -238,10 +220,10 @@ let prop_blit_arbitrary_bytes =
 
 (* The TLB'd fast path must be observationally identical to a reference
    slow path (a byte map plus a mapped-slot table) over arbitrary
-   interleavings of map / unmap / store / load — unmap in particular
-   must invalidate the TLB. Four disjoint page-aligned slots keep map
-   overlap decidable per slot; they lie 64 pages apart, so their pages
-   contend for the same TLB entries. *)
+   interleavings of install / evict / store / load — evict in particular
+   must invalidate the TLB. Each install maps a fresh image. Four
+   disjoint page-aligned slots keep overlap decidable per slot; they lie
+   64 pages apart, so their pages contend for the same TLB entries. *)
 let prop_tlb_matches_reference =
   let slot_base s = 0x40000 * (s + 1) in
   let slot_size = 0x2000 in
@@ -251,8 +233,8 @@ let prop_tlb_matches_reference =
       let off = int_range 0 (slot_size - 1) in
       oneof
         [
-          map (fun s -> `Map s) slot;
-          map (fun s -> `Unmap s) slot;
+          map (fun s -> `Install s) slot;
+          map (fun s -> `Evict s) slot;
           map3 (fun s o v -> `Store (s, o, v)) slot off (int_range 0 255);
           map2 (fun s o -> `Load (s, o)) slot off;
         ])
@@ -268,21 +250,22 @@ let prop_tlb_matches_reference =
       List.for_all
         (fun op ->
           match op with
-          | `Map s ->
+          | `Install s ->
               let expect_ok = not mapped.(s) in
               let got_ok =
                 try
-                  Memsim.map m ~addr:(va (slot_base s)) ~size:slot_size;
+                  Memsim.install m ~addr:(va (slot_base s))
+                    (Page_image.create slot_size);
                   true
                 with Invalid_argument _ -> false
               in
               if got_ok then mapped.(s) <- true;
               got_ok = expect_ok
-          | `Unmap s ->
+          | `Evict s ->
               let expect_ok = mapped.(s) in
               let got_ok =
                 try
-                  Memsim.unmap m ~addr:(va (slot_base s));
+                  Memsim.evict m ~addr:(va (slot_base s));
                   true
                 with Invalid_argument _ -> false
               in
@@ -312,8 +295,6 @@ let prop_tlb_matches_reference =
 
 (* Region images ---------------------------------------------------------- *)
 
-module Page_image = Memsim.Page_image
-
 let page = Page_image.page_size
 
 (* A 1 MiB image with bytes on two of its 256 pages. *)
@@ -324,7 +305,9 @@ let sparse_image () =
   img
 
 let test_image_copies_present_pages () =
-  let m = memory () in
+  check "page size" 4096 page;
+  let metrics = Metrics.create () in
+  let m = memory ~metrics () in
   let base = va 0x100000 in
   let img = sparse_image () in
   check "two pages present" 2 (Page_image.present img);
@@ -342,22 +325,31 @@ let test_image_copies_present_pages () =
   Page_image.set_int64_le img 700_000 0x4444L;
   check "memory reads the image's write" 0x4444
     (Memsim.load64 m (Vaddr.add base 700_000));
-  (* The debug port copies the present pages only, into pages of the
-     copy's own. *)
-  let out = Memsim.peek_image m ~addr:base ~size:(1 lsl 20) in
-  check "peek copies the present pages" 2 (Page_image.present out);
-  check "peeked word" 0x3333 (Int64.to_int (Page_image.get_int64_le out 8));
+  (* A copy of the mapped image takes the present pages only, into pages
+     of its own, and moves no counter. *)
+  let counts () =
+    (Metrics.get metrics "mem.loads", Metrics.get metrics "mem.stores")
+  in
+  let before = counts () in
+  let out = Page_image.copy img in
+  check_bool "the copy counts nothing" true (counts () = before);
+  check "copy takes the present pages" 2 (Page_image.present out);
+  check "copied word" 0x3333 (Int64.to_int (Page_image.get_int64_le out 8));
   Page_image.set_int64_le out 8 0x5555L;
   check "memory unchanged by the copy" 0x3333
     (Memsim.load64 m (Vaddr.add base 8));
   check "still no page of memory's own" 0 (Memsim.pages m)
 
-(* An absent slot reads zero even where memory held a page before: the
-   anonymous page went to the spares when its range was unmapped. *)
+(* An absent slot reads zero even where memory mapped a page before:
+   the evicted image kept its page, and the TLB that held it was
+   cleared. *)
 let test_image_install_zeroes_absent () =
-  let m, base = fresh ~size:(2 * page) () in
+  let m = memory () in
+  let base = va 0x1000 in
+  let old = Page_image.create (2 * page) in
+  Memsim.install m ~addr:base old;
   Memsim.store64 m (Vaddr.add base (page + 16)) 99;
-  Memsim.unmap m ~addr:base;
+  Memsim.evict m ~addr:base;
   let img = Page_image.create (2 * page) in
   Memsim.install m ~addr:base img;
   check "absent slot reads zero over the old page" 0
@@ -365,7 +357,9 @@ let test_image_install_zeroes_absent () =
   Memsim.store64 m (Vaddr.add base page) 5;
   check "a store fills the slot with a zeroed page" 0
     (Memsim.load64 m (Vaddr.add base (page + 16)));
-  check "the slot is present" 1 (Page_image.present img)
+  check "the slot is present" 1 (Page_image.present img);
+  check "the old image keeps its word" 99
+    (Int64.to_int (Page_image.get_int64_le old (page + 16)))
 
 let test_image_counts () =
   let metrics = Metrics.create () in
@@ -377,10 +371,10 @@ let test_image_counts () =
   Page_image.set_int64_le img 0 7L;
   Memsim.install m ~addr:base img;
   check "install counts one store per slot" 4 (stores ());
-  Memsim.poke_image m ~addr:base img;
-  ignore (Memsim.peek_image m ~addr:base ~size:(Page_image.size img));
-  check "debug port counts no store" 4 (stores ());
-  check "debug port counts no load" 0 (loads ());
+  let snap = Page_image.copy img in
+  Page_image.restore ~src:snap img;
+  check "image copies count no store" 4 (stores ());
+  check "image copies count no load" 0 (loads ());
   Memsim.evict m ~addr:base;
   check "evict counts one load per slot" 4 (loads ());
   check "evict counts no store" 4 (stores ())
@@ -399,12 +393,10 @@ let test_image_rejects () =
   Alcotest.check_raises "an empty image maps nothing"
     (Invalid_argument "Memsim.install: empty image") (fun () ->
       Memsim.install m ~addr:(va 0x100000) (Page_image.create 0));
-  check_bool "a debug-port copy to an unmapped range faults" true
-    (try
-       Memsim.poke_image m ~addr:(va 0x100000) img;
-       false
-     with Memsim.Fault _ -> true);
   check_bool "nothing was mapped" false (Memsim.is_mapped m (va 0x100000));
+  Alcotest.check_raises "restore needs images of one size"
+    (Invalid_argument "Memsim.Page_image.restore: size mismatch") (fun () ->
+      Page_image.restore ~src:(Page_image.create (page + 8)) img);
   Alcotest.check_raises "image writes stay inside the image"
     (Invalid_argument "Memsim.Page_image: range outside the image") (fun () ->
       Page_image.set_int64_le img (page - 4) 1L)
@@ -428,7 +420,9 @@ let test_drop_zero_page () =
 let tlb_span = 64 * page
 
 let test_tlb_aliased_pages () =
-  let m, base = fresh ~size:(2 * tlb_span) () in
+  let m = memory () in
+  let base = va 0x1000 in
+  Memsim.install m ~addr:base (Page_image.create (2 * tlb_span));
   let a = Vaddr.add base 8 and b = Vaddr.add base (tlb_span + 8) in
   for i = 1 to 10 do
     Memsim.store64 m a i;
@@ -436,7 +430,7 @@ let test_tlb_aliased_pages () =
     Memsim.store64 m b i;
     check "this page keeps its word" i (Memsim.load64 m a)
   done;
-  Memsim.unmap m ~addr:base;
+  Memsim.evict m ~addr:base;
   Memsim.map m ~addr:base ~size:(2 * tlb_span);
   check "remapped page reads zero" 0 (Memsim.load64 m a);
   check "remapped alias reads zero" 0 (Memsim.load64 m b)
@@ -524,14 +518,14 @@ let test_evict_rejects () =
   check "nothing moved" 5 (Memsim.load64 m base);
   check_bool "still mapped" true (Memsim.is_mapped m base)
 
-(* Pages come back from the spares with whatever an earlier owner left
-   in them; every path that materializes one must overwrite all of it.
+(* Spares come from drop_zero_page alone, which releases only all-zero
+   pages, so a page taken from them reads zero whoever held it before.
    Only anonymous pages become spares: an image's never do. *)
 let test_recycled_page_reads_zero () =
   let m, base = fresh ~size:(3 * page) () in
-  let fill a n =
+  let fill ?(v = -1) a n =
     for i = 0 to (n / 8) - 1 do
-      Memsim.store64 m (Vaddr.add a (8 * i)) (-1)
+      Memsim.store64 m (Vaddr.add a (8 * i)) v
     done
   in
   let all_zero_but a n ~off v =
@@ -542,7 +536,14 @@ let test_recycled_page_reads_zero () =
     done
   in
   fill base (3 * page);
-  Memsim.unmap m ~addr:base;
+  for p = 0 to 2 do
+    Memsim.drop_zero_page m (Vaddr.add base (p * page))
+  done;
+  check "pages holding data stay" 3 (Memsim.pages m);
+  fill ~v:0 base (3 * page);
+  for p = 0 to 2 do
+    Memsim.drop_zero_page m (Vaddr.add base (p * page))
+  done;
   check "the pages left memory" 0 (Memsim.pages m);
   (* Three spares now. A store to an anonymous page takes one. *)
   let other = va 0x200000 in
@@ -557,11 +558,8 @@ let test_recycled_page_reads_zero () =
   all_zero_but third page ~off:16 9;
   check "the spare became the image's slot" 9
     (Int64.to_int (Page_image.get_int64_le img 16));
-  (* A debug-port copy into an absent slot takes the last, tail
-     included. *)
-  let src = Page_image.create ((2 * page) + 100) in
-  Page_image.set_int64_le src ((2 * page) + 8) 7L;
-  Memsim.poke_image m ~addr:third src;
+  (* A store to the absent last slot takes the last, tail included. *)
+  Memsim.store64 m (Vaddr.add third ((2 * page) + 8)) 7;
   all_zero_but (Vaddr.add third (2 * page)) page ~off:8 7;
   (* An image's pages never become spares: once it is closed, stores
      through a new mapping at the same address land in pages of
@@ -603,6 +601,79 @@ let test_store_after_evict_spares_image () =
     (Int64.to_int (Page_image.get_int64_le img page));
   check "the new mapping keeps its own word" 3 (Memsim.load64 m base)
 
+(* Restoring and copying an image that memory maps: a crash writes the
+   durable image back over the live one in place, and a snapshot is a
+   copy of the live one. *)
+
+let word img off = Int64.to_int (Page_image.get_int64_le img off)
+
+(* A load leaves the mapped page in the TLB; restore rewrites that very
+   page, so the next load sees [src] with no TLB clear. *)
+let test_restore_in_place () =
+  let m = memory () in
+  let base = va 0x1000 in
+  let img = Page_image.create (2 * page) in
+  Page_image.set_int64_le img 8 1L;
+  Memsim.install m ~addr:base img;
+  check "loaded through the mapping" 1 (Memsim.load64 m (Vaddr.add base 8));
+  let src = Page_image.create (2 * page) in
+  Page_image.set_int64_le src 8 2L;
+  Page_image.restore ~src img;
+  check "the next load sees src" 2 (Memsim.load64 m (Vaddr.add base 8));
+  Memsim.store64 m (Vaddr.add base 16) 3;
+  check "a store still lands in the image" 3 (word img 16)
+
+(* An absent source slot zeroes the page under it, which stays present
+   and mapped. *)
+let test_restore_zeroes_under_absent () =
+  let m = memory () in
+  let base = va 0x1000 in
+  let img = Page_image.create (2 * page) in
+  Memsim.install m ~addr:base img;
+  Memsim.store64 m (Vaddr.add base (page + 8)) 5;
+  Page_image.restore ~src:(Page_image.create (2 * page)) img;
+  check "the page stays present" 1 (Page_image.present img);
+  check "and reads zero" 0 (Memsim.load64 m (Vaddr.add base (page + 8)));
+  Memsim.store64 m (Vaddr.add base (page + 16)) 6;
+  check "a store still lands in the image" 6 (word img (page + 16))
+
+(* A present source slot over an absent one becomes a page of the
+   image's own: a write to either side stays on its side. *)
+let test_restore_copies_into_absent () =
+  let m = memory () in
+  let base = va 0x1000 in
+  let img = Page_image.create (2 * page) in
+  Memsim.install m ~addr:base img;
+  check "absent slot reads zero" 0 (Memsim.load64 m (Vaddr.add base 8));
+  let src = Page_image.create (2 * page) in
+  Page_image.set_int64_le src 8 7L;
+  Page_image.restore ~src img;
+  check "one page present" 1 (Page_image.present img);
+  check "memory reads the restored page" 7 (Memsim.load64 m (Vaddr.add base 8));
+  Page_image.set_int64_le src 8 8L;
+  check "a write to src stays in src" 7 (Memsim.load64 m (Vaddr.add base 8));
+  Memsim.store64 m (Vaddr.add base 8) 9;
+  check "a store through the mapping stays in the image" 8 (word src 8)
+
+(* A mapping can write the bytes of the last page past the image's size;
+   a copy must not carry them. *)
+let test_copy_zeroes_tail () =
+  let m = memory () in
+  let base = va 0x1000 in
+  let img = Page_image.create (page + 100) in
+  Memsim.install m ~addr:base img;
+  Memsim.store64 m (Vaddr.add base (page + 8)) 1;
+  Memsim.store64 m (Vaddr.add base (page + 200)) 2;
+  let copy = Page_image.copy img in
+  let other = va 0x100000 in
+  Memsim.install m ~addr:other copy;
+  check "the copy keeps its bytes" 1
+    (Memsim.load64 m (Vaddr.add other (page + 8)));
+  check "the copy reads zero past its size" 0
+    (Memsim.load64 m (Vaddr.add other (page + 200)));
+  check "the original mapping keeps its store" 2
+    (Memsim.load64 m (Vaddr.add base (page + 200)))
+
 (* Flat bytes with some zero pages, a size that is often not a multiple
    of the page size, and values with the high bit set. *)
 let gen_flat =
@@ -618,32 +689,49 @@ let gen_flat =
              Char.chr (Random.State.int st 256)
            else '\000')))
 
+(* Installed, the image reads as the flat bytes; a copy taken through
+   the mapping, then restored over a scribble through it, brings them
+   back; neither the copy nor the restore moves a counter. *)
 let prop_image_install_matches_blits =
   QCheck2.Test.make
     ~name:"image install/peek match flat blits"
     ~count:100 gen_flat (fun flat ->
       let len = Bytes.length flat in
       let img = Page_image.of_bytes flat in
-      let m = memory () in
+      let metrics = Metrics.create () in
+      let m = memory ~metrics () in
+      let counts () =
+        (Metrics.get metrics "mem.loads", Metrics.get metrics "mem.stores")
+      in
       let base = va 0x1000 in
       Memsim.install m ~addr:base img;
       let read = Memsim.blit_to_bytes m ~addr:base ~len in
-      let peeked =
-        Page_image.to_bytes (Memsim.peek_image m ~addr:base ~size:len)
-      in
+      let c0 = counts () in
+      let snap = Page_image.copy img in
+      let copy_counts = counts () = c0 in
+      Memsim.blit_from_bytes m ~addr:base (Bytes.make len '\xa5');
+      let c1 = counts () in
+      Page_image.restore ~src:snap img;
+      let restore_counts = counts () = c1 in
+      let restored = Memsim.blit_to_bytes m ~addr:base ~len in
       Memsim.evict m ~addr:base;
-      Bytes.equal read flat && Bytes.equal peeked flat
-      && Bytes.equal (Page_image.to_bytes img) flat)
+      Bytes.equal read flat
+      && Bytes.equal (Page_image.to_bytes snap) flat
+      && Bytes.equal restored flat
+      && Bytes.equal (Page_image.to_bytes img) flat
+      && copy_counts && restore_counts)
 
 (* Memory driven by random map, install, typed store, load, close
-   ([evict]), unmap and drop_zero_page against a flat model. Three slots
-   64 pages apart share TLB entries; each remaps at the address it just
-   released, with a size drawn from a set where the last page is mostly
-   partial. An install maps the slot's last closed image again when
-   there is one, so its pages go back into memory after anonymous
-   mappings reused the spares. Every load, every closed image (grown to
-   whole pages, so its zeroed tail shows) and every image about to be
-   installed again is compared with the model. *)
+   ([evict]) and drop_zero_page against a flat model. Three slots 64
+   pages apart share TLB entries; an image slot remaps at the address it
+   just released, with a size drawn from a set where the last page is
+   mostly partial, and an anonymous slot stays mapped. An install maps
+   the slot's last closed image again when there is one, so its pages go
+   back into memory after anonymous mappings reused the spares. A third
+   of the stores write 0, so drop_zero_page finds all-zero pages to turn
+   into spares. Every load, every closed image (grown to whole pages, so
+   its zeroed tail shows) and every image about to be installed again is
+   compared with the model. *)
 let prop_pages_match_flat_model =
   let slot_base s = 0x40000 * (s + 1) in
   let sizes = [| page; 5000; (2 * page) + 8; (3 * page) - 100 |] in
@@ -658,10 +746,13 @@ let prop_pages_match_flat_model =
         [
           (2, map2 (fun s z -> `Map (s, z)) slot size);
           (2, map2 (fun s z -> `Install (s, z)) slot size);
-          (6, map4 (fun s o w v -> `Store (s, o, w, v)) slot off width int);
+          ( 6,
+            map4
+              (fun s o w v -> `Store (s, o, w, v))
+              slot off width
+              (frequency [ (1, return 0); (2, int) ]) );
           (6, map3 (fun s o w -> `Load (s, o, w)) slot off width);
           (2, map (fun s -> `Close s) slot);
-          (1, map (fun s -> `Unmap s) slot);
           (1, map2 (fun s o -> `Drop (s, o)) slot off);
         ])
   in
@@ -685,18 +776,6 @@ let prop_pages_match_flat_model =
       in
       let faults f = try f (); false with Memsim.Fault _ -> true in
       let rejects f = try f (); false with Invalid_argument _ -> true in
-      (* Closes slot [s]'s image: its bytes must be the model's and its
-         last page zero past its size. *)
-      let closed s img size b =
-        let flat = Bytes.sub b 0 size in
-        mapped.(s) <- None;
-        images.(s) <- Some (img, flat);
-        let whole = Bytes.make (rounded size) '\000' in
-        Bytes.blit flat 0 whole 0 size;
-        Bytes.equal
-          (Page_image.to_bytes (Page_image.resize img (rounded size)))
-          whole
-      in
       List.for_all
         (fun op ->
           match op with
@@ -748,20 +827,19 @@ let prop_pages_match_flat_model =
           | `Close s -> (
               match mapped.(s) with
               | Some (Some img, size, b) ->
+                  (* The closed image's bytes must be the model's and its
+                     last page zero past its size. *)
                   Memsim.evict m ~addr:(addr s 0);
-                  closed s img size b
+                  let flat = Bytes.sub b 0 size in
+                  mapped.(s) <- None;
+                  images.(s) <- Some (img, flat);
+                  let whole = Bytes.make (rounded size) '\000' in
+                  Bytes.blit flat 0 whole 0 size;
+                  Bytes.equal
+                    (Page_image.to_bytes (Page_image.resize img (rounded size)))
+                    whole
               | Some (None, _, _) | None ->
                   rejects (fun () -> Memsim.evict m ~addr:(addr s 0)))
-          | `Unmap s -> (
-              match mapped.(s) with
-              | None -> rejects (fun () -> Memsim.unmap m ~addr:(addr s 0))
-              | Some (img, size, b) -> (
-                  Memsim.unmap m ~addr:(addr s 0);
-                  match img with
-                  | Some img -> closed s img size b
-                  | None ->
-                      mapped.(s) <- None;
-                      true))
           | `Drop (s, o) ->
               Memsim.drop_zero_page m (addr s o);
               true)
@@ -799,7 +877,6 @@ let () =
             test_misaligned_faults;
           Alcotest.test_case "overlapping map rejected" `Quick
             test_map_overlap_rejected;
-          Alcotest.test_case "unmap drops pages" `Quick test_unmap;
           Alcotest.test_case "map after unmap of overlapping range" `Quick
             test_map_after_unmap_overlapping;
           Alcotest.test_case "pages sharing a TLB entry" `Quick
@@ -820,7 +897,6 @@ let () =
             test_multiple_observers;
           Alcotest.test_case "many observers in order" `Quick
             test_many_observers_in_order;
-          Alcotest.test_case "mappings listing" `Quick test_mappings_listing;
         ] );
       ( "properties",
         [
@@ -852,5 +928,13 @@ let () =
             test_recycled_page_reads_zero;
           Alcotest.test_case "a store after evict spares the image" `Quick
             test_store_after_evict_spares_image;
+          Alcotest.test_case "restore rewrites a mapped page in place" `Quick
+            test_restore_in_place;
+          Alcotest.test_case "restore zeroes a page under an absent slot"
+            `Quick test_restore_zeroes_under_absent;
+          Alcotest.test_case "restore copies into an absent slot" `Quick
+            test_restore_copies_into_absent;
+          Alcotest.test_case "copy zeroes the tail a mapping wrote" `Quick
+            test_copy_zeroes_tail;
         ] );
     ]

@@ -264,13 +264,13 @@ let test_position_independence_all_reprs () =
       Palloc.check t;
       Palloc.close t;
       let r' =
-        match Repr.remap_safety kind with
-        | `Self_contained | `Via_passes -> Machine.remap_region m rid
-        | `Dangles ->
-            (* Pinned placement: survive close/reopen at the same base. *)
-            let seg = Core.Kinds.seg_of_vaddr m.Machine.layout (Region.base r) in
-            Machine.close_region m rid;
-            Machine.open_region ~at_nvbase:seg m rid
+        if kind <> Repr.Normal then Machine.remap_region m rid
+        else begin
+          (* Pinned placement: survive close/reopen at the same base. *)
+          let seg = Core.Kinds.seg_of_vaddr m.Machine.layout (Region.base r) in
+          Machine.close_region m rid;
+          Machine.open_region ~at_nvbase:seg m rid
+        end
       in
       let lo' = Region.addr_of_offset r' heap_off in
       let hi' = va (ia lo' + heap_bytes) in
