@@ -585,7 +585,7 @@ let inspect_cmd =
                 "    object store: %d object(s) alive, %d pending undo \
                  record(s)\n"
                 (Nvmpi_tx.Objstore.objects_alive os)
-                (Nvmpi_tx.Objstore.log_entries os)
+                (Nvmpi_tx.Objstore.rolled_back os)
           | exception Failure msg ->
               Printf.printf "    object store: CORRUPT (%s)\n" msg
         end)

@@ -11,12 +11,10 @@ let slot_size = 8
 let cross_region = false
 let position_independent = true
 
-let base_of m ~holder ~target =
+let base_of m =
   let b = m.Machine.based_base in
   if Vaddr.is_null b then
     failwith "based pointer used with no based region set";
-  ignore holder;
-  ignore target;
   b
 
 let store m ~holder (target : Vaddr.t) =
@@ -27,7 +25,7 @@ let store m ~holder (target : Vaddr.t) =
     Machine.store64 m holder 0
   end
   else begin
-    let b = base_of m ~holder ~target in
+    let b = base_of m in
     (* Section 4.4's dynamic check, before any cycle or counter: a
        faulting store is observationally free. *)
     (match Machine.region_of_addr m target with
@@ -40,7 +38,7 @@ let store m ~holder (target : Vaddr.t) =
 
 let load m ~holder =
   Machine.bump m Machine.Cell.based_loads "repr.based.loads";
-  let b = base_of m ~holder ~target:Vaddr.null in
+  let b = base_of m in
   let v = Machine.load64 m holder in
   Machine.alu m 1;
   if v = 0 then Vaddr.null else Vaddr.add b v

@@ -123,11 +123,17 @@ let create ?(layout = Layout.default) ?cfg ?metrics ?seed
 
 let create_region t ~size = Manager.create_region t.manager ~size
 
+(* An open region is already in both tables; registering it again would
+   leave a second entry in the fat table's region list that close never
+   removes. *)
 let open_region ?at_nvbase t rid =
-  let r = Manager.open_region ?at_nvbase t.manager rid in
-  Nvspace.register_region t.nvspace ~rid ~base:(Region.base r);
-  Fat_table.put t.fat ~rid ~base:(Region.base r);
-  r
+  match Manager.region t.manager rid with
+  | Some r -> r
+  | None ->
+      let r = Manager.open_region ?at_nvbase t.manager rid in
+      Nvspace.register_region t.nvspace ~rid ~base:(Region.base r);
+      Fat_table.put t.fat ~rid ~base:(Region.base r);
+      r
 
 (* The one-entry fat-pointer cache ([lastID]/[lastAddr]) may hold the
    region being unmapped; a later reopen at a different segment must not

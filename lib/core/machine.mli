@@ -125,7 +125,9 @@ val open_region :
   Nvmpi_addr.Kinds.Rid.t ->
   Nvmpi_nvregion.Region.t
 (** Opens the region, places it at a (random) NV segment, and registers
-    it with the RIV tables and the fat-pointer runtime. *)
+    it with the RIV tables and the fat-pointer runtime. A region already
+    open is returned as it is, [at_nvbase] ignored: no cycle, counter or
+    table entry changes. *)
 
 val migrate_region :
   t -> Nvmpi_addr.Kinds.Rid.t -> size:int -> Nvmpi_nvregion.Region.t

@@ -1,8 +1,4 @@
-module Machine = Core.Machine
 module Repr = Core.Repr
-module Metrics = Nvmpi_obs.Metrics
-module Json = Nvmpi_obs.Json
-module Store = Nvmpi_nvregion.Store
 module Objstore = Nvmpi_tx.Objstore
 module Kvstore = Nvmpi_apps.Kvstore
 module Zipf = Nvmpi_server.Zipf
@@ -42,32 +38,26 @@ let value_for ~key ~op ~len =
   if n >= len then String.sub base 0 len else base ^ String.make (len - n) 'x'
 
 let run_repr ~ops ~seed repr =
-  let store = Store.create () in
   (* Same placement seed for every representation: identical region
      draws, identical request stream — apples-to-apples. *)
-  let machine = Machine.create ~seed ~store () in
-  let rid = Machine.create_region machine ~size:(1 lsl 20) in
-  let region = Machine.open_region machine rid in
-  if repr = Repr.Based then Machine.set_based_region machine rid;
+  let machine, region = Runner.boot ~seed ~size:(1 lsl 20) repr in
   let os = Objstore.create machine region () in
   let kv = Kvstore.create os ~repr ~name:"churn" ~buckets:64 () in
   for key = 1 to keys do
     Kvstore.put kv ~key (value_for ~key ~op:0 ~len:24)
   done;
-  let metrics = Machine.metrics machine in
-  let before = Metrics.snapshot metrics in
-  let c0 = Machine.cycles machine in
   let rng = Random.State.make [| seed; 0xC4A9 |] in
   let z = Zipf.v ~n:keys ~theta in
-  for op = 1 to ops do
-    let key = 1 + Zipf.next z rng in
-    if op mod delete_every = 0 then ignore (Kvstore.delete kv ~key)
-    else
-      let len = value_sizes.(op mod Array.length value_sizes) in
-      Kvstore.put kv ~key (value_for ~key ~op ~len)
-  done;
-  let cycles = Machine.cycles machine - c0 in
-  let counters = Metrics.diff ~before ~after:(Metrics.snapshot metrics) in
+  let (), cycles, counters =
+    Runner.measure machine (fun () ->
+        for op = 1 to ops do
+          let key = 1 + Zipf.next z rng in
+          if op mod delete_every = 0 then ignore (Kvstore.delete kv ~key)
+          else
+            let len = value_sizes.(op mod Array.length value_sizes) in
+            Kvstore.put kv ~key (value_for ~key ~op ~len)
+        done)
+  in
   (* The heap must still be coherent after the storm. *)
   Objstore.heap_check os;
   (cycles, counters)
@@ -80,21 +70,13 @@ let table ?(scale = 1.0) ?seed () =
       (List.map
          (fun repr ->
            let cycles, counters = run_repr ~ops ~seed repr in
-           let col name =
-             string_of_int (Option.value ~default:0 (List.assoc_opt name counters))
-           in
            let name = Repr.to_string repr in
-           let cell =
-             Json.Obj
-               [
-                 ("label", Json.String name);
-                 ("cycles", Json.Int cycles);
-                 ("counters", Metrics.json_of_counters counters);
-               ]
-           in
-           ( name :: string_of_int cycles :: List.map col counter_cols,
-             Json.Obj
-               [ ("row", Json.String name); ("cells", Json.List [ cell ]) ] ))
+           ( name :: string_of_int cycles
+             :: List.map
+                  (fun c -> string_of_int (Table.count c counters))
+                  counter_cols,
+             Table.record ~row:name
+               [ Table.cell ~label:name ~cycles counters ] ))
          Repr.all)
   in
   {

@@ -1,8 +1,5 @@
 module Machine = Core.Machine
 module Repr = Core.Repr
-module Metrics = Nvmpi_obs.Metrics
-module Json = Nvmpi_obs.Json
-module Store = Nvmpi_nvregion.Store
 module Layout = Nvmpi_addr.Layout
 module Memsim = Nvmpi_memsim.Memsim
 module Timing = Nvmpi_cachesim.Timing
@@ -37,16 +34,10 @@ let line_bytes = 64
 
 let structures = [ Instance.Hashset; Instance.Btree ]
 
-let counter_cols = [ "timing.flushes"; "timing.fences" ]
-
 let scaled scale n = max 300 (int_of_float (float_of_int n *. scale))
 
 let run_one ~ops ~seed structure repr ~durability =
-  let store = Store.create () in
-  let machine = Machine.create ~seed ~durability ~store () in
-  let rid = Machine.create_region machine ~size:(1 lsl 21) in
-  let region = Machine.open_region machine rid in
-  if repr = Repr.Based then Machine.set_based_region machine rid;
+  let machine, region = Runner.boot ~durability ~seed ~size:(1 lsl 21) repr in
   let node = Node.make machine ~mode:(Node.Plain [| region |]) ~payload:32 in
   let inst = Instance.create structure repr node ~name:"durset" in
   let eager = durability = Durability.Eager in
@@ -81,43 +72,22 @@ let run_one ~ops ~seed structure repr ~durability =
   done;
   let rng = Random.State.make [| seed; 0xD5E7 |] in
   let z = Zipf.v ~n:keys ~theta in
-  let metrics = Machine.metrics machine in
-  let before = Metrics.snapshot metrics in
-  let c0 = Machine.cycles machine in
-  recording := true;
-  for op = 1 to ops do
-    let key = 1 + Zipf.next z rng in
-    let r = Random.State.int rng 100 in
-    if r < read_pct then ignore (inst.Instance.search key)
-    else if r mod 2 = 0 then inst.Instance.insert (keys + op)
-    else ignore (inst.Instance.remove key);
-    if eager then flush_touched ()
-  done;
-  recording := false;
-  let cycles = Machine.cycles machine - c0 in
-  let counters = Metrics.diff ~before ~after:(Metrics.snapshot metrics) in
+  let (), cycles, counters =
+    Runner.measure machine (fun () ->
+        recording := true;
+        for op = 1 to ops do
+          let key = 1 + Zipf.next z rng in
+          let r = Random.State.int rng 100 in
+          if r < read_pct then ignore (inst.Instance.search key)
+          else if r mod 2 = 0 then inst.Instance.insert (keys + op)
+          else ignore (inst.Instance.remove key);
+          if eager then flush_touched ()
+        done;
+        recording := false)
+  in
   (cycles, counters)
 
-let counter name counters =
-  Option.value ~default:0 (List.assoc_opt name counters)
-
 let ratio num den = if den = 0 then 0.0 else float_of_int num /. float_of_int den
-
-type pair = {
-  eager_cycles : int;
-  traverse_cycles : int;
-  eager_counters : (string * int) list;
-  traverse_counters : (string * int) list;
-}
-
-let run_pair ~ops ~seed structure repr =
-  let eager_cycles, eager_counters =
-    run_one ~ops ~seed structure repr ~durability:Durability.Eager
-  in
-  let traverse_cycles, traverse_counters =
-    run_one ~ops ~seed structure repr ~durability:Durability.Traverse
-  in
-  { eager_cycles; traverse_cycles; eager_counters; traverse_counters }
 
 let table ?(scale = 1.0) ?seed () =
   let seed = Option.value seed ~default:11 in
@@ -128,42 +98,35 @@ let table ?(scale = 1.0) ?seed () =
          (fun structure ->
            List.map
              (fun repr ->
-               let p = run_pair ~ops ~seed structure repr in
+               let run durability =
+                 run_one ~ops ~seed structure repr ~durability
+               in
+               let eager_cycles, eager_counters = run Durability.Eager in
+               let traverse_cycles, traverse_counters =
+                 run Durability.Traverse
+               in
                let name =
                  Printf.sprintf "%s/%s"
                    (Instance.structure_name structure)
                    (Repr.to_string repr)
                in
-               let ef = counter "timing.flushes" p.eager_counters in
-               let tf = counter "timing.flushes" p.traverse_counters in
-               let cell label cycles counters =
-                 Json.Obj
-                   [
-                     ("label", Json.String label);
-                     ("cycles", Json.Int cycles);
-                     ("counters", Metrics.json_of_counters counters);
-                   ]
-               in
+               let ef = Table.count "timing.flushes" eager_counters in
+               let tf = Table.count "timing.flushes" traverse_counters in
                ( [
                    name;
-                   string_of_int p.eager_cycles;
-                   string_of_int p.traverse_cycles;
+                   string_of_int eager_cycles;
+                   string_of_int traverse_cycles;
                    string_of_int ef;
                    string_of_int tf;
                    Printf.sprintf "%.1fx" (ratio ef tf);
-                   Printf.sprintf "%.2fx"
-                     (ratio p.eager_cycles p.traverse_cycles);
+                   Printf.sprintf "%.2fx" (ratio eager_cycles traverse_cycles);
                  ],
-                 Json.Obj
+                 Table.record ~row:name
                    [
-                     ("row", Json.String name);
-                     ( "cells",
-                       Json.List
-                         [
-                           cell "eager" p.eager_cycles p.eager_counters;
-                           cell "traverse" p.traverse_cycles
-                             p.traverse_counters;
-                         ] );
+                     Table.cell ~label:"eager" ~cycles:eager_cycles
+                       eager_counters;
+                     Table.cell ~label:"traverse" ~cycles:traverse_cycles
+                       traverse_counters;
                    ] ))
              Durable.reprs)
          structures)

@@ -1,8 +1,5 @@
 module Repr = Core.Repr
 module Clock = Nvmpi_cachesim.Clock
-module Machine = Core.Machine
-module Region = Nvmpi_nvregion.Region
-module Store = Nvmpi_nvregion.Store
 module Node = Nvmpi_structures.Node
 module Wordcount = Nvmpi_apps.Wordcount
 module Text_gen = Nvmpi_apps.Text_gen
@@ -66,36 +63,53 @@ let meas_vs_paper meas paper =
   | Some m, Some p -> Printf.sprintf "%.2f (%.2f)" m p
   | Some m, None -> Printf.sprintf "%.2f" m
 
-(* Row records: the machine-readable face of each table row (see
-   docs/METRICS.md for the schema). *)
-
-let cell_json ?baseline ~label (m : Runner.measurement) =
-  let base_fields =
-    match baseline with
-    | Some b ->
-        [ ("baseline_cycles", Json.Int b.Runner.measured_cycles);
-          ("slowdown", Json.Float (ratio m b)) ]
-    | None -> []
-  in
-  Json.Obj
-    ((("label", Json.String label)
-      :: ("cycles", Json.Int m.Runner.measured_cycles)
-      :: base_fields)
-    @ [ ("counters", Core.Metrics.json_of_counters m.Runner.counters) ])
-
-let row_json ~row cells =
-  Json.Obj [ ("row", Json.String row); ("cells", Json.List cells) ]
-
+(* The record of one [slowdowns] row (see docs/METRICS.md for the
+   schema): a "normal" baseline cell, then one cell per applicable
+   representation. *)
 let sweep_record ~row (base, results) =
-  row_json ~row
-    (cell_json ~label:"normal" base
+  let cell ?fields label (m : Runner.measurement) =
+    Table.cell ?fields ~label ~cycles:m.Runner.measured_cycles m.Runner.counters
+  in
+  Table.record ~row
+    (cell "normal" base
     :: List.filter_map
          (fun (repr, o) ->
            Option.map
              (fun (m, b) ->
-               cell_json ~label:(Repr.to_string repr) ~baseline:b m)
+               cell
+                 ~fields:
+                   [ ("baseline_cycles", Json.Int b.Runner.measured_cycles);
+                     ("slowdown", Json.Float (ratio m b)) ]
+                 (Repr.to_string repr) m)
              o)
          results)
+
+type row = {
+  label : string;
+  record : string;
+  config : Runner.config;
+  paper : Repr.kind -> float option;
+}
+
+let row ?record ?(paper = fun _ -> None) label config =
+  { label; record = Option.value record ~default:label; config; paper }
+
+let slowdown_table ?swizzle_single_use ~title ~header ~notes reprs rows =
+  let rows, records =
+    List.split
+      (List.map
+         (fun row ->
+           let (_, results) as run =
+             slowdowns ?swizzle_single_use row.config reprs
+           in
+           ( row.label
+             :: List.map
+                  (fun (repr, o) -> meas_vs_paper (value o) (row.paper repr))
+                  results,
+             sweep_record ~row:row.record run ))
+         rows)
+  in
+  { Table.title; header; rows; notes; records }
 
 (* Figure 12 ------------------------------------------------------- *)
 
@@ -116,43 +130,26 @@ let fig12_paper structure repr =
   | _ -> None
 
 let fig12 ?(scale = 1.0) ?seed () =
-  let cfg =
-    seeded seed
-      { Runner.default with Runner.elems = scaled scale 10_000; traversals = 10 }
-  in
-  let rows, records =
-    List.split
-      (List.map
-         (fun structure ->
-           let cfg = { cfg with Runner.structure } in
-           let (_, results) as run =
-             slowdowns ~swizzle_single_use:true cfg fig12_reprs
-           in
-           let name = Instance.structure_name structure in
-           ( name
-             :: List.map
-                  (fun (repr, o) ->
-                    meas_vs_paper (value o) (fig12_paper structure repr))
-                  results,
-             sweep_record ~row:name run ))
-         Instance.structures)
-  in
-  {
-    Table.title =
+  let elems = scaled scale 10_000 in
+  let cfg = seeded seed { Runner.default with Runner.elems; traversals = 10 } in
+  slowdown_table ~swizzle_single_use:true
+    ~title:
       "Figure 12: slowdown vs normal pointers (non-transactional, 1 \
-       NVRegion, 32 B payload)";
-    header =
-      "structure" :: List.map Repr.to_string fig12_reprs;
-    rows;
-    notes =
+       NVRegion, 32 B payload)"
+    ~header:("structure" :: List.map Repr.to_string fig12_reprs)
+    ~notes:
       [
         "cells are measured (paper); paper per-structure values only \
          published for swizzling";
-        Printf.sprintf "traversal workload, 10 repetitions, %d elements"
-          (scaled scale 10_000);
-      ];
-    records;
-  }
+        Printf.sprintf "traversal workload, 10 repetitions, %d elements" elems;
+      ]
+    fig12_reprs
+    (List.map
+       (fun structure ->
+         row ~paper:(fig12_paper structure)
+           (Instance.structure_name structure)
+           { cfg with Runner.structure })
+       Instance.structures)
 
 (* Payload sweep ---------------------------------------------------- *)
 
@@ -311,45 +308,30 @@ let fig14_paper repr =
   | _ -> None
 
 let tx_figure ~title ~regions ~paper ~scale ~seed ~notes =
-  let elems = scaled scale 10_000 in
+  let cfg =
+    seeded seed
+      {
+        Runner.default with
+        Runner.elems = scaled scale 10_000;
+        regions;
+        mode = Runner.Tx;
+      }
+  in
   let workloads =
     [ ("traverse", 10, 0); ("search", 0, scaled scale 10_000) ]
   in
-  let rows, records =
-    List.split
-      (List.concat_map
-         (fun structure ->
-           List.map
-             (fun (wname, traversals, searches) ->
-               let cfg =
-                 seeded seed
-                   {
-                     Runner.default with
-                     Runner.structure;
-                     elems;
-                     regions;
-                     mode = Runner.Tx;
-                     traversals;
-                     searches;
-                   }
-               in
-               let (_, results) as run = slowdowns cfg tx_reprs in
-               let name = Instance.structure_name structure ^ " " ^ wname in
-               ( name
-                 :: List.map
-                      (fun (repr, o) -> meas_vs_paper (value o) (paper repr))
-                      results,
-                 sweep_record ~row:name run ))
-             workloads)
-         Instance.structures)
-  in
-  {
-    Table.title = title;
-    header = "workload" :: List.map Repr.to_string tx_reprs;
-    rows;
-    notes;
-    records;
-  }
+  slowdown_table ~title
+    ~header:("workload" :: List.map Repr.to_string tx_reprs)
+    ~notes tx_reprs
+    (List.concat_map
+       (fun structure ->
+         List.map
+           (fun (wname, traversals, searches) ->
+             row ~paper
+               (Instance.structure_name structure ^ " " ^ wname)
+               { cfg with Runner.structure; traversals; searches })
+           workloads)
+       Instance.structures)
 
 let fig13 ?(scale = 1.0) ?seed () =
   tx_figure
@@ -379,53 +361,43 @@ let fig14 ?(scale = 1.0) ?seed () =
 
 (* Region-count sweep ------------------------------------------------ *)
 
+let regions_paper regions repr =
+  match (regions, repr) with
+  | 1, r -> fig13_paper r
+  | _, Repr.Fat -> Some 2.65
+  | _, Repr.Fat_cached -> Some 2.3
+  | _, Repr.Riv -> Some 1.4
+  | _ -> None
+
 let regions_sweep ?(scale = 1.0) ?seed () =
-  let counts = [ 1; 2; 4; 8; 10 ] in
   let reprs = [ Repr.Fat; Repr.Fat_cached; Repr.Riv ] in
-  let rows, records =
-    List.split
-      (List.map
-         (fun regions ->
-           let cfg =
-             seeded seed
-               {
-                 Runner.default with
-                 Runner.elems = scaled scale 10_000;
-                 regions;
-                 mode = Runner.Tx;
-                 traversals = 10;
-               }
-           in
-           let (_, results) as run = slowdowns cfg reprs in
-           ( string_of_int regions
-             :: List.map
-                  (fun (repr, o) ->
-                    let paper =
-                      match (regions, repr) with
-                      | 1, r -> fig13_paper r
-                      | _, Repr.Fat -> Some 2.65
-                      | _, Repr.Fat_cached -> Some 2.3
-                      | _, Repr.Riv -> Some 1.4
-                      | _ -> None
-                    in
-                    meas_vs_paper (value o) paper)
-                  results,
-             sweep_record ~row:(string_of_int regions ^ " regions") run ))
-         counts)
+  let cfg =
+    seeded seed
+      {
+        Runner.default with
+        Runner.elems = scaled scale 10_000;
+        mode = Runner.Tx;
+        traversals = 10;
+      }
   in
-  {
-    Table.title =
+  slowdown_table
+    ~title:
       "Section 6.3: slowdown vs number of NVRegions (transactional list \
-       traversal)";
-    header = "regions" :: List.map Repr.to_string reprs;
-    rows;
-    notes =
+       traversal)"
+    ~header:("regions" :: List.map Repr.to_string reprs)
+    ~notes:
       [
         "paper: cached fat 2.1-2.5x and uncached 2.3-3x for 2-10 regions; \
          RIV much lower";
-      ];
-    records;
-  }
+      ]
+    reprs
+    (List.map
+       (fun regions ->
+         row
+           ~record:(string_of_int regions ^ " regions")
+           ~paper:(regions_paper regions) (string_of_int regions)
+           { cfg with Runner.regions })
+       [ 1; 2; 4; 8; 10 ])
 
 (* Figure 15: wordcount ---------------------------------------------- *)
 
@@ -441,25 +413,19 @@ let fig15_paper_vs_fat = function
   | Repr.Riv -> Some 0.67
   | _ -> None
 
-let wordcount_run ?(seed = 7) ~repr ~nwords ~vocab () =
-  let store = Store.create () in
-  let machine = Machine.create ~seed ~store () in
+(* One wordcount execution: its cost in simulated cycles and the metric
+   deltas over the counting phase. *)
+let wordcount_run ?(seed = 7) ~nwords ~vocab repr =
   let slot = Repr.slot_size repr in
   let size = (vocab * ((2 * slot) + 8 + 32 + 64) * 2) + (1 lsl 20) in
-  let r = Machine.open_region machine (Machine.create_region machine ~size) in
-  if repr = Repr.Based then Machine.set_based_region machine (Region.rid r);
-  let node = Node.make machine ~mode:(Node.Plain [| r |]) ~payload:32 in
+  let machine, region = Runner.boot ~seed ~size repr in
+  let node = Node.make machine ~mode:(Node.Plain [| region |]) ~payload:32 in
   let stream = Text_gen.words ~n:nwords ~vocab ~seed:11 in
-  let before = Core.Metrics.snapshot (Machine.metrics machine) in
-  let result, cycles =
-    Clock.delta machine.Machine.clock (fun () ->
+  let _, cycles, counters =
+    Runner.measure machine (fun () ->
         Wordcount.count_words node ~repr ~name:"wordcount" stream)
   in
-  let counters =
-    Core.Metrics.diff ~before
-      ~after:(Core.Metrics.snapshot (Machine.metrics machine))
-  in
-  (result, cycles, counters)
+  (repr, cycles, counters)
 
 let fig15 ?(scale = 1.0) ?seed ?(full = false) () =
   let sizes =
@@ -472,47 +438,33 @@ let fig15 ?(scale = 1.0) ?seed ?(full = false) () =
       (List.map
          (fun nwords ->
            let results =
-             List.map
-               (fun repr ->
-                 let _, cycles, counters =
-                   wordcount_run ?seed ~repr ~nwords ~vocab ()
-                 in
-                 (repr, cycles, counters))
-               fig15_reprs
+             List.map (wordcount_run ?seed ~nwords ~vocab) fig15_reprs
            in
-           let fat_cycles =
-             let _, c, _ =
-               List.find (fun (r, _, _) -> r = Repr.Fat) results
-             in
-             c
+           let _, fat_cycles, _ =
+             List.find (fun (r, _, _) -> r = Repr.Fat) results
            in
+           let vs_fat cycles = float_of_int cycles /. float_of_int fat_cycles in
            let row_name = Printf.sprintf "%d words" nwords in
            ( row_name
              :: List.map
                   (fun (repr, cycles, _) ->
                     let secs = Clock.seconds_of_cycles cycles in
-                    let vs_fat =
-                      float_of_int cycles /. float_of_int fat_cycles
-                    in
                     match fig15_paper_vs_fat repr with
                     | Some p ->
-                        Printf.sprintf "%.3fs %.2fxFat (%.2f)" secs vs_fat p
-                    | None -> Printf.sprintf "%.3fs %.2fxFat" secs vs_fat)
+                        Printf.sprintf "%.3fs %.2fxFat (%.2f)" secs
+                          (vs_fat cycles) p
+                    | None -> Printf.sprintf "%.3fs %.2fxFat" secs (vs_fat cycles))
                   results,
-             row_json ~row:row_name
+             Table.record ~row:row_name
                (List.map
                   (fun (repr, cycles, counters) ->
-                    Json.Obj
-                      [
-                        ("label", Json.String (Repr.to_string repr));
-                        ("cycles", Json.Int cycles);
-                        ( "seconds",
-                          Json.Float (Clock.seconds_of_cycles cycles) );
-                        ( "vs_fat",
-                          Json.Float
-                            (float_of_int cycles /. float_of_int fat_cycles) );
-                        ("counters", Core.Metrics.json_of_counters counters);
-                      ])
+                    Table.cell ~label:(Repr.to_string repr) ~cycles
+                      ~fields:
+                        [
+                          ("seconds", Json.Float (Clock.seconds_of_cycles cycles));
+                          ("vs_fat", Json.Float (vs_fat cycles));
+                        ]
+                      counters)
                   results) ))
          sizes)
   in
@@ -543,7 +495,7 @@ let breakdown ?(scale = 1.0) ?seed () =
       }
   in
   let m = Runner.run cfg in
-  let p = Core.Nvspace.phases m.Runner.machine.Machine.nvspace in
+  let p = Core.Nvspace.phases m.Runner.machine.Core.Machine.nvspace in
   let total =
     p.Core.Nvspace.extract_cycles + p.Core.Nvspace.id2addr_cycles
     + p.Core.Nvspace.final_cycles
@@ -567,24 +519,13 @@ let breakdown ?(scale = 1.0) ?seed () =
     notes = [ "shares of the cycles spent inside RIV-to-pointer conversion" ];
     records =
       [
-        row_json ~row:"riv traversal"
+        Table.record ~row:"riv traversal"
           [
-            cell_json ~label:"riv" m;
+            Table.cell ~label:"riv" ~cycles:m.Runner.measured_cycles
+              m.Runner.counters;
             phase_cell "phase: extract" p.Core.Nvspace.extract_cycles;
             phase_cell "phase: id2addr" p.Core.Nvspace.id2addr_cycles;
             phase_cell "phase: final" p.Core.Nvspace.final_cycles;
           ];
       ];
   }
-
-let all ?(scale = 1.0) ?seed ?(wordcount_full = false) () =
-  [
-    fig12 ~scale ?seed ();
-    payload_sweep ~scale ?seed ();
-    table1 ~scale ?seed ();
-    fig13 ~scale ?seed ();
-    fig14 ~scale ?seed ();
-    regions_sweep ~scale ?seed ();
-    fig15 ~scale ?seed ~full:wordcount_full ();
-    breakdown ~scale ?seed ();
-  ]

@@ -41,31 +41,35 @@ val slowdowns :
     normal run, not the shared one); Table 1 keeps the default and
     sweeps the amortization instead. *)
 
-val ratio : Runner.measurement -> Runner.measurement -> float
-(** [ratio m b] is [m]'s measured cycles over [b]'s: the slowdown. *)
+type row
+(** One row of a slowdown table: the configuration every representation
+    runs, the paper's value per representation, the rendered row label
+    and the record's row name. *)
 
-val value :
-  (Runner.measurement * Runner.measurement) option -> float option
-(** The slowdown of one {!slowdowns} result cell, when applicable. *)
+val row :
+  ?record:string ->
+  ?paper:(Core.Repr.kind -> float option) ->
+  string ->
+  Runner.config ->
+  row
+(** [row label config] renders as [label], and its record is named
+    [record] (default [label]). [paper] gives the paper's slowdown per
+    representation (default none). *)
 
-val cell_json :
-  ?baseline:Runner.measurement ->
-  label:string ->
-  Runner.measurement ->
-  Core.Json.t
-(** One record cell: [{label; cycles; baseline_cycles?; slowdown?;
-    counters}]. *)
-
-val row_json : row:string -> Core.Json.t list -> Core.Json.t
-(** One table record: [{row; cells}]. *)
-
-val sweep_record :
-  row:string ->
-  Runner.measurement
-  * (Core.Repr.kind * (Runner.measurement * Runner.measurement) option) list ->
-  Core.Json.t
-(** The standard record for one {!slowdowns} row: a ["normal"] baseline
-    cell followed by one cell per applicable representation. *)
+val slowdown_table :
+  ?swizzle_single_use:bool ->
+  title:string ->
+  header:string list ->
+  notes:string list ->
+  Core.Repr.kind list ->
+  row list ->
+  Table.t
+(** Runs {!slowdowns} once per row over the given representations. A
+    rendered row is the row's label, then per representation the
+    measured slowdown with the paper's value in parentheses, or ["-"]
+    where the representation is inapplicable. A record holds a
+    ["normal"] baseline cell, then per applicable representation
+    [{label; cycles; baseline_cycles; slowdown; counters}]. *)
 
 val fig12 : ?scale:float -> ?seed:int -> unit -> Table.t
 (** Figure 12: non-transactional traversal slowdowns, one NVRegion,
@@ -90,17 +94,6 @@ val fig14 : ?scale:float -> ?seed:int -> unit -> Table.t
 val regions_sweep : ?scale:float -> ?seed:int -> unit -> Table.t
 (** Section 6.3's region-count sweep (2/4/8/10 regions). *)
 
-val wordcount_run :
-  ?seed:int ->
-  repr:Core.Repr.kind ->
-  nwords:int ->
-  vocab:int ->
-  unit ->
-  Nvmpi_apps.Wordcount.result * int * (string * int) list
-(** One wordcount execution: the distinct/total word summary, its cost
-    in simulated cycles, and the metric deltas over the counting
-    phase. *)
-
 val fig15 : ?scale:float -> ?seed:int -> ?full:bool -> unit -> Table.t
 (** Figure 15: wordcount execution times at two input sizes.
     [full] uses the paper's 1M/2M-word inputs (slow). *)
@@ -109,6 +102,3 @@ val breakdown : ?scale:float -> ?seed:int -> unit -> Table.t
 (** Section 6.2's RIV read-cost breakdown: share of cycles spent
     extracting fields, computing the base address, and finishing the
     read. Its record carries the absolute per-phase cycle counts. *)
-
-val all : ?scale:float -> ?seed:int -> ?wordcount_full:bool -> unit -> Table.t list
-(** Every experiment, in paper order. *)

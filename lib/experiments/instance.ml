@@ -15,16 +15,6 @@ let structure_name = function
   | Graph -> "graph"
   | Bplus -> "b+tree"
 
-let structure_of_string = function
-  | "list" -> Some List
-  | "btree" | "tree" | "bst" -> Some Btree
-  | "hashset" | "hash" -> Some Hashset
-  | "trie" -> Some Trie
-  | "dllist" -> Some Dllist
-  | "graph" -> Some Graph
-  | "b+tree" | "bplus" -> Some Bplus
-  | _ -> None
-
 type t = {
   insert : int -> unit;
   remove : int -> bool;

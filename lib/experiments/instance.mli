@@ -2,8 +2,11 @@
     pair, so the experiment runner can sweep both dimensions without
     knowing the concrete functor instantiations.
 
-    Integer keys drive every structure; the trie converts them to words
-    through the injective encoding of {!Workload.key_word}. *)
+    Integer keys drive every structure. The trie stores words: a key's
+    low 17 bits select one word of a fixed 2{^17}-word vocabulary. The
+    mapping is not injective, so two keys may insert the same word
+    ({!Workload.keys} at 10,000 keys and seed 42 gives 9,641 distinct
+    words). *)
 
 type structure = List | Btree | Hashset | Trie | Dllist | Graph | Bplus
 
@@ -15,7 +18,6 @@ val extension_structures : structure list
     directed graph, B+ tree. *)
 
 val structure_name : structure -> string
-val structure_of_string : string -> structure option
 
 val default_buckets : int
 (** Bucket count used for hash-set instances (512). *)

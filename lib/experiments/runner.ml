@@ -129,13 +129,26 @@ let setup cfg =
   let node = Node.make machine ~mode ~payload:cfg.payload in
   (machine, node)
 
+let boot ?durability ~seed ~size repr =
+  let machine = Machine.create ~seed ?durability ~store:(Store.create ()) () in
+  let region = Machine.open_region machine (Machine.create_region machine ~size) in
+  if repr = Repr.Based then Machine.set_based_region machine (Region.rid region);
+  (machine, region)
+
+let measure machine f =
+  let metrics = Machine.metrics machine in
+  let before = Core.Metrics.snapshot metrics in
+  let r, cycles = Clock.delta machine.Machine.clock f in
+  (r, cycles, Core.Metrics.diff ~before ~after:(Core.Metrics.snapshot metrics))
+
 let run cfg =
   let machine, node = setup cfg in
   let inst = Instance.create cfg.structure cfg.repr node ~name:"bench" in
   let keys = Workload.keys ~n:cfg.elems ~seed:cfg.seed in
-  let clock = machine.Machine.clock in
   let populate_cycles =
-    snd (Clock.delta clock (fun () -> Array.iter (fun k -> inst.Instance.insert k) keys))
+    snd
+      (Clock.delta machine.Machine.clock (fun () ->
+           Array.iter (fun k -> inst.Instance.insert k) keys))
   in
   (* A freshly opened swizzle structure starts in its persisted (packed)
      form: population ran in swizzled form, so unswizzle once, untimed. *)
@@ -144,26 +157,22 @@ let run cfg =
   Core.Nvspace.reset_phases machine.Machine.nvspace;
   if cfg.cold then
     Nvmpi_cachesim.Timing.invalidate_caches machine.Machine.timing;
-  let nodes = ref 0 and checksum = ref 0 and found = ref 0 in
-  let before = Core.Metrics.snapshot (Machine.metrics machine) in
-  let (), measured_cycles =
-    Clock.delta clock (fun () ->
+  let ((nodes, checksum), found), measured_cycles, counters =
+    measure machine (fun () ->
         if cfg.repr = Repr.Swizzle then inst.Instance.swizzle ();
+        let last = ref (0, 0) in
         for _ = 1 to cfg.traversals do
-          let n, sum = inst.Instance.traverse () in
-          nodes := n;
-          checksum := sum
+          last := inst.Instance.traverse ()
         done;
-        Array.iter
-          (fun k -> if inst.Instance.search k then incr found)
-          searches;
-        if cfg.repr = Repr.Swizzle then inst.Instance.unswizzle ())
+        let found =
+          Array.fold_left
+            (fun n k -> if inst.Instance.search k then n + 1 else n)
+            0 searches
+        in
+        if cfg.repr = Repr.Swizzle then inst.Instance.unswizzle ();
+        (!last, found))
   in
-  let counters =
-    Core.Metrics.diff ~before
-      ~after:(Core.Metrics.snapshot (Machine.metrics machine))
-  in
-  if cfg.searches > 0 && !found <> cfg.searches then
+  if cfg.searches > 0 && found <> cfg.searches then
     failwith "Runner.run: a search for an inserted key failed";
   let ops = max 1 (cfg.traversals + if cfg.traversals = 0 then cfg.searches else 0) in
   {
@@ -171,17 +180,8 @@ let run cfg =
     populate_cycles;
     measured_cycles;
     per_op = float_of_int measured_cycles /. float_of_int ops;
-    nodes = !nodes;
-    checksum = !checksum;
+    nodes;
+    checksum;
     counters;
     machine;
   }
-
-let slowdown cfg =
-  let m = run cfg in
-  let base = run { cfg with repr = Repr.Normal } in
-  if cfg.traversals > 0 && m.checksum <> base.checksum then
-    failwith
-      (Printf.sprintf "Runner.slowdown: checksum mismatch (%s vs normal)"
-         (Repr.to_string cfg.repr));
-  (m, float_of_int m.measured_cycles /. float_of_int base.measured_cycles)

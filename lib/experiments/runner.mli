@@ -55,11 +55,22 @@ val run : config -> measurement
     @raise Invalid_argument for inapplicable combinations (off-holder or
     based pointers with [regions > 1]). *)
 
-val slowdown : config -> measurement * float
-(** Runs the configuration and its normal-pointer baseline; returns the
-    measurement and the ratio of measured cycles. Fails if the two
-    traversal checksums disagree (which would mean a representation
-    corrupted the structure). *)
+val boot :
+  ?durability:Core.Durability.t ->
+  seed:int ->
+  size:int ->
+  Core.Repr.kind ->
+  Core.Machine.t * Nvmpi_nvregion.Region.t
+(** A fresh machine on an empty store with one open region of [size]
+    bytes, which the based register names when the representation is
+    [Based]. [durability] is the machine's persistence discipline
+    (default eager). *)
+
+val measure :
+  Core.Machine.t -> (unit -> 'a) -> 'a * int * (string * int) list
+(** [measure machine f] runs the measured phase [f] and returns its
+    result, the simulated cycles it took and the machine's metric
+    deltas over it ({!Core.Metrics.diff}). *)
 
 val applicable : Core.Repr.kind -> regions:int -> bool
 (** Whether a representation supports the given region count. *)

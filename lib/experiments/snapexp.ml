@@ -1,8 +1,6 @@
 module Machine = Core.Machine
 module Repr = Core.Repr
-module Metrics = Nvmpi_obs.Metrics
 module Json = Nvmpi_obs.Json
-module Store = Nvmpi_nvregion.Store
 module Region = Nvmpi_nvregion.Region
 module Layout = Nvmpi_addr.Layout
 module Memsim = Nvmpi_memsim.Memsim
@@ -56,17 +54,6 @@ let arm_label = function
 
 let scaled scale n = max 120 (int_of_float (float_of_int n *. scale))
 
-let counter name counters =
-  Option.value ~default:0 (List.assoc_opt name counters)
-
-let boot ~seed repr =
-  let store = Store.create () in
-  let machine = Machine.create ~seed ~store () in
-  let rid = Machine.create_region machine ~size:(1 lsl 21) in
-  let region = Machine.open_region machine rid in
-  if repr = Repr.Based then Machine.set_based_region machine rid;
-  (machine, region)
-
 (* Emulated undo-log discipline for the structure rows: old-image
    records ([8-byte header | 64-byte line image]) appended through the
    observed access path so the log traffic costs real stores and real
@@ -119,7 +106,7 @@ let undo_logger machine region =
   (recording, op_boundary)
 
 let run_structure ~ops ~seed structure repr arm =
-  let machine, region = boot ~seed repr in
+  let machine, region = Runner.boot ~seed ~size:(1 lsl 21) repr in
   let node = Node.make machine ~mode:(Node.Plain [| region |]) ~payload:32 in
   let inst = Instance.create structure repr node ~name:"snapexp" in
   let per_op =
@@ -147,23 +134,21 @@ let run_structure ~ops ~seed structure repr arm =
       per_op (fun () -> ()));
   let rng = Random.State.make [| seed; 0x5A9E |] in
   let z = Zipf.v ~n:keys ~theta in
-  let metrics = Machine.metrics machine in
-  let before = Metrics.snapshot metrics in
-  let c0 = Machine.cycles machine in
-  for op = 1 to ops do
-    let key = 1 + Zipf.next z rng in
-    let r = Random.State.int rng 100 in
-    per_op (fun () ->
-        if r < 50 then ignore (inst.Instance.search key)
-        else if r mod 2 = 0 then inst.Instance.insert (keys + op)
-        else ignore (inst.Instance.remove key))
-  done;
-  let cycles = Machine.cycles machine - c0 in
-  let counters = Metrics.diff ~before ~after:(Metrics.snapshot metrics) in
+  let (), cycles, counters =
+    Runner.measure machine (fun () ->
+        for op = 1 to ops do
+          let key = 1 + Zipf.next z rng in
+          let r = Random.State.int rng 100 in
+          per_op (fun () ->
+              if r < 50 then ignore (inst.Instance.search key)
+              else if r mod 2 = 0 then inst.Instance.insert (keys + op)
+              else ignore (inst.Instance.remove key))
+        done)
+  in
   (cycles, counters)
 
 let run_kv ~ops ~seed repr arm =
-  let machine, region = boot ~seed repr in
+  let machine, region = Runner.boot ~seed ~size:(1 lsl 21) repr in
   let snap =
     match arm with
     | Undo -> None
@@ -183,19 +168,17 @@ let run_kv ~ops ~seed repr arm =
   Option.iter Snapshot.sync snap;
   let rng = Random.State.make [| seed; 0x5A9F |] in
   let z = Zipf.v ~n:keys ~theta in
-  let metrics = Machine.metrics machine in
-  let before = Metrics.snapshot metrics in
-  let c0 = Machine.cycles machine in
-  for op = 1 to ops do
-    let key = 1 + Zipf.next z rng in
-    let r = Random.State.int rng 100 in
-    if r < 30 then ignore (Kvstore.get kv ~key)
-    else if r mod 5 = 0 then ignore (Kvstore.delete kv ~key)
-    else Kvstore.put kv ~key (Printf.sprintf "v%d-%04d" op key);
-    Option.iter Snapshot.sync snap
-  done;
-  let cycles = Machine.cycles machine - c0 in
-  let counters = Metrics.diff ~before ~after:(Metrics.snapshot metrics) in
+  let (), cycles, counters =
+    Runner.measure machine (fun () ->
+        for op = 1 to ops do
+          let key = 1 + Zipf.next z rng in
+          let r = Random.State.int rng 100 in
+          if r < 30 then ignore (Kvstore.get kv ~key)
+          else if r mod 5 = 0 then ignore (Kvstore.delete kv ~key)
+          else Kvstore.put kv ~key (Printf.sprintf "v%d-%04d" op key);
+          Option.iter Snapshot.sync snap
+        done)
+  in
   (cycles, counters)
 
 let arms = [ Undo; Snap Snapshot.Line; Snap Snapshot.Page ]
@@ -205,15 +188,11 @@ let table ?(scale = 1.0) ?seed () =
   let ops = scaled scale 600 in
   let row name runner =
     let results = List.map (fun arm -> (arm, runner arm)) arms in
-    let bytes counters = counter "timing.flushes" counters * line_bytes in
+    let bytes counters = Table.count "timing.flushes" counters * line_bytes in
     let cell (arm, (cycles, counters)) =
-      Json.Obj
-        [
-          ("label", Json.String (arm_label arm));
-          ("cycles", Json.Int cycles);
-          ("bytes_written", Json.Int (bytes counters));
-          ("counters", Metrics.json_of_counters counters);
-        ]
+      Table.cell ~label:(arm_label arm) ~cycles
+        ~fields:[ ("bytes_written", Json.Int (bytes counters)) ]
+        counters
     in
     let get arm = List.assoc arm results in
     let line_b = bytes (snd (get (Snap Snapshot.Line))) in
@@ -229,11 +208,7 @@ let table ?(scale = 1.0) ?seed () =
         (if line_b = 0 then "-"
          else Printf.sprintf "%.1fx" (float_of_int page_b /. float_of_int line_b));
       ],
-      Json.Obj
-        [
-          ("row", Json.String name);
-          ("cells", Json.List (List.map cell results));
-        ] )
+      Table.record ~row:name (List.map cell results) )
   in
   let structure_rows =
     List.concat_map

@@ -8,8 +8,6 @@ let readable_versions = [ 1; 2 ]
 
 type params = { scale : float; seed : int option; wordcount_full : bool }
 
-let default = { scale = 1.0; seed = None; wordcount_full = false }
-
 let experiments =
   [
     ( "fig12",
@@ -53,14 +51,10 @@ let run p name =
 (* Experiments build private machines and metrics registries, so they can
    run on separate domains; results come back in request order either way.
    The one value they share, the trie vocabulary, is built before the
-   domains start. *)
+   domains start; a serial run builds it only if a trie runs. *)
 let run_all ?(jobs = 1) p names =
-  if jobs <= 1 then List.map (run p) names
-  else begin
-    Instance.force_trie_vocab ();
-    Nvmpi_parsweep.Pool.map ~jobs
-      (List.map (fun name () -> run p name) names)
-  end
+  if jobs > 1 then Instance.force_trie_vocab ();
+  Nvmpi_parsweep.Pool.map ~jobs (List.map (fun name () -> run p name) names)
 
 (* Snapshot (de)serialization -------------------------------------- *)
 

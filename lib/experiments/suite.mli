@@ -23,9 +23,6 @@ type params = { scale : float; seed : int option; wordcount_full : bool }
 (** What a snapshot captures about how it was produced. [seed = None]
     leaves each experiment's default seed in effect. *)
 
-val default : params
-(** scale 1.0, default seeds, scaled wordcount inputs. *)
-
 val names : string list
 (** Every experiment name: the paper's evaluation in paper order
     (fig12, payload, table1, fig13, fig14, regions, fig15, breakdown),

@@ -8,8 +8,15 @@ type t = {
   records : Json.t list;
 }
 
-let cell_f v = Printf.sprintf "%.2f" v
-let cell_opt = function None -> "-" | Some v -> cell_f v
+let cell ?(fields = []) ~label ~cycles counters =
+  Json.Obj
+    ((("label", Json.String label) :: ("cycles", Json.Int cycles) :: fields)
+    @ [ ("counters", Nvmpi_obs.Metrics.json_of_counters counters) ])
+
+let record ~row cells =
+  Json.Obj [ ("row", Json.String row); ("cells", Json.List cells) ]
+
+let count name counters = Option.value ~default:0 (List.assoc_opt name counters)
 
 let render ppf t =
   let all = t.header :: t.rows in

@@ -19,11 +19,21 @@ type t = {
       (** machine-readable records, one per measured row/run *)
 }
 
-val cell_f : float -> string
-(** Formats a ratio/overhead with two decimals ("1.24"). *)
+val cell :
+  ?fields:(string * Nvmpi_obs.Json.t) list ->
+  label:string ->
+  cycles:int ->
+  (string * int) list ->
+  Nvmpi_obs.Json.t
+(** One record cell: [{label; cycles; fields...; counters}], the
+    counters being a measured phase's metric deltas. *)
 
-val cell_opt : float option -> string
-(** "-" for [None]. *)
+val record : row:string -> Nvmpi_obs.Json.t list -> Nvmpi_obs.Json.t
+(** One table record: [{row; cells}]. *)
+
+val count : string -> (string * int) list -> int
+(** A counter's delta in a measured phase's counters; 0 when absent
+    (zero deltas are omitted). *)
 
 val render : Format.formatter -> t -> unit
 val print : t -> unit

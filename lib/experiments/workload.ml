@@ -28,8 +28,6 @@ let search_sample ~keys ~n ~seed =
   let st = Random.State.make [| seed; 0x9DB3 |] in
   Array.init n (fun _ -> keys.(Random.State.int st (Array.length keys)))
 
-let word_key = Nvmpi_apps.Wordcount.key_of_word
-
 (* Total injective mapping from positive keys to lowercase words: the
    key's base-26 digit string. (Distinct from the wordcount encoding,
    which is only defined on strings it produced.) *)
@@ -44,7 +42,3 @@ let key_word k =
   in
   go k;
   Buffer.contents b
-
-let trie_words ~n ~seed =
-  (* The vocabulary generator already produces distinct words. *)
-  Nvmpi_apps.Text_gen.vocabulary ~size:n ~seed

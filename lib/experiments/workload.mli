@@ -10,14 +10,6 @@ val search_sample : keys:int array -> n:int -> seed:int -> int array
 (** [n] keys drawn uniformly (with replacement) from [keys] — the
     random-search workload of Section 6.3. *)
 
-val trie_words : n:int -> seed:int -> string array
-(** [n] distinct lowercase words for populating tries. *)
-
-val word_key : string -> int
-(** Injective word-to-key encoding (re-exported from
-    {!Nvmpi_apps.Wordcount}). *)
-
 val key_word : int -> string
 (** Total injective mapping from positive keys to lowercase words (the
-    key's base-26 digit string); used to drive tries with integer
-    workloads. Not the inverse of {!word_key}. *)
+    key's base-26 digit string). *)

@@ -104,10 +104,6 @@ let close_region t (rid : Rid.t) =
     (Seg.to_int (K.seg_of_vaddr t.layout (Region.base r)));
   Log.debug (fun m -> m "closed region %d (image persisted)" (rid :> int))
 
-let close_all t =
-  List.iter (fun rid -> close_region t (Rid.v rid))
-    (Hashtbl.fold (fun k _ acc -> k :: acc) t.open_tbl [])
-
 let open_regions t =
   Hashtbl.fold (fun _ r acc -> r :: acc) t.open_tbl []
   |> List.sort (fun a b -> Rid.compare (Region.rid a) (Region.rid b))

@@ -47,8 +47,6 @@ val close_region : t -> Nvmpi_addr.Kinds.Rid.t -> unit
     holds every store; close zeroes the bytes of its last page past the
     region's size. *)
 
-val close_all : t -> unit
-
 val region : t -> Nvmpi_addr.Kinds.Rid.t -> Region.t option
 val region_exn : t -> Nvmpi_addr.Kinds.Rid.t -> Region.t
 val is_open : t -> Nvmpi_addr.Kinds.Rid.t -> bool

@@ -57,7 +57,6 @@ let alloc t ?(align = 8) n =
   set_heap_top t (start + n);
   Vaddr.add t.base start
 
-let free_bytes t = t.size - heap_top t
 
 let nroots t = Memsim.load64 t.mem (Vaddr.add t.base Header.off_nroots)
 let set_nroots t v = Memsim.store64 t.mem (Vaddr.add t.base Header.off_nroots) v

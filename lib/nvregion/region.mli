@@ -51,8 +51,6 @@ val alloc : t -> ?align:int -> int -> Nvmpi_addr.Kinds.Vaddr.t
     allocation state survives close/reopen.
     @raise Out_of_region_memory when the region is full. *)
 
-val free_bytes : t -> int
-
 (** {1 Named roots}
 
     Roots are stored as intra-region offsets, hence position

@@ -305,4 +305,3 @@ let as_float = function
 let as_string = function String s -> Some s | _ -> None
 let as_bool = function Bool b -> Some b | _ -> None
 let as_list = function List l -> Some l | _ -> None
-let as_obj = function Obj o -> Some o | _ -> None

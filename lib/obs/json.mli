@@ -55,4 +55,3 @@ val as_float : t -> float option
 val as_string : t -> string option
 val as_bool : t -> bool option
 val as_list : t -> t list option
-val as_obj : t -> (string * t) list option

@@ -4,6 +4,3 @@ let time f =
   let t0 = now_ns () in
   let r = f () in
   (r, now_ns () - t0)
-
-let ns_to_ms ns = float_of_int ns /. 1e6
-let ns_to_s ns = float_of_int ns /. 1e9

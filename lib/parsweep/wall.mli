@@ -15,6 +15,3 @@ val now_ns : unit -> int
 val time : (unit -> 'a) -> 'a * int
 (** [time f] runs [f] and returns its result with the elapsed
     nanoseconds. *)
-
-val ns_to_ms : int -> float
-val ns_to_s : int -> float

@@ -20,6 +20,7 @@ type t = {
   region : Region.t;
   meta : Vaddr.t; (* absolute address of the store's metadata block *)
   heap : heap;
+  rolled_back : int; (* undo records [attach] found and rolled back *)
 }
 
 let wrap_unit = 128
@@ -68,7 +69,7 @@ let create machine region ?(log_cap = 256 * 1024) ?(heap = `Palloc) () =
              ~metrics:(Machine.metrics machine) ~lo:(Vaddr.v heap_lo)
              ~hi:(Vaddr.v heap_hi))
   in
-  let t = { machine; region; meta; heap } in
+  let t = { machine; region; meta; heap; rolled_back = 0 } in
   Memsim.store64 mem (Vaddr.add meta m_magic) magic;
   meta_set t m_log_off (Vaddr.offset_in log ~base:(Region.base region));
   meta_set t m_log_cap log_cap;
@@ -102,7 +103,9 @@ let log_reset t =
   Timing.flush t.machine.Machine.timing ~addr:((t.meta :> int) + m_log_len);
   Timing.fence t.machine.Machine.timing
 
-let log_rollback t =
+(* Applies the undo records newest-first, truncates the log and returns
+   how many records there were. *)
+let rollback t =
   let base = Region.base t.region in
   let log = log_base t in
   let len = meta_get t m_log_len in
@@ -113,6 +116,7 @@ let log_rollback t =
       let elen = Memsim.load64 (mem t) (Vaddr.add log (pos + 8)) in
       collect (pos + 16 + Bitops.align_up elen 8) ((pos, elen) :: acc)
   in
+  let entries = collect 0 [] in
   List.iter
     (fun (pos, elen) ->
       let off = Memsim.load64 (mem t) (Vaddr.add log pos) in
@@ -120,8 +124,11 @@ let log_rollback t =
         Memsim.blit_to_bytes (mem t) ~addr:(Vaddr.add log (pos + 16)) ~len:elen
       in
       Memsim.blit_from_bytes (mem t) ~addr:(Vaddr.add base off) data)
-    (collect 0 []);
-  log_reset t
+    entries;
+  log_reset t;
+  List.length entries
+
+let log_rollback t = ignore (rollback t)
 
 let attach machine region =
   match Region.root region root_name with
@@ -143,11 +150,13 @@ let attach machine region =
                ~metrics:(Machine.metrics machine) ~lo:heap_lo ~hi:heap_hi)
         else Fl (Freelist.attach mem ~lo:heap_lo ~hi:heap_hi)
       in
-      let t = { machine; region; meta; heap } in
+      let t = { machine; region; meta; heap; rolled_back = 0 } in
       (* A non-empty persisted log means a transaction was interrupted:
          roll it back before anyone reads torn data. *)
-      if meta_get t m_log_len > 0 then log_rollback t;
-      t
+      if meta_get t m_log_len > 0 then { t with rolled_back = rollback t }
+      else t
+
+let rolled_back t = t.rolled_back
 
 let log_append t ~addr ~len =
   let log = log_base t in
@@ -170,8 +179,6 @@ let log_append t ~addr ~len =
 
 (* Objects: [header | payload], allocated from the freelist in
    multiples of [wrap_unit]. Header: tag, payload size, version, flags. *)
-
-let heap_kind t = match t.heap with Fl _ -> `Freelist | Pa _ -> `Palloc
 
 let heap_alloc t n =
   match t.heap with Fl h -> Freelist.alloc h n | Pa h -> Palloc.alloc h n

@@ -44,13 +44,16 @@ val attach : Core.Machine.t -> Nvmpi_nvregion.Region.t -> t
     recovery.
     @raise Failure if the region holds no object store. *)
 
+val rolled_back : t -> int
+(** The undo records the image held when {!attach} made [t], all rolled
+    back by it: 0 after a committed or aborted transaction, and for a
+    store {!create} made. *)
+
 val close : t -> unit
 (** Clean close before the region is closed: a palloc heap is closed
     with {!Nvmpi_palloc.Palloc.close}, so the next {!attach} skips its
     sweep; a freelist heap needs nothing. The handle must not allocate
     or free afterwards. *)
-
-val heap_kind : t -> [ `Palloc | `Freelist ]
 
 val heap_block_count : t -> int * int
 (** [(allocated, free)] wrapped-block counts straight from the heap

@@ -498,6 +498,35 @@ let test_pinned_mapping_mnemosyne_style () =
        false
      with Invalid_argument _ -> true)
 
+(* A second open of an open region returns it and registers nothing:
+   one close then removes the region from every table, and a region
+   later placed at its segment resolves to its own ID. *)
+let test_open_region_twice () =
+  let _, m = machine ~seed:304 () in
+  let rid = Machine.create_region m ~size:65536 in
+  let other = Machine.create_region m ~size:65536 in
+  let r = Machine.open_region m rid in
+  let base = Region.base r in
+  let metrics = Machine.metrics m in
+  let before = Core.Metrics.snapshot metrics in
+  let cycles = Machine.cycles m in
+  check_bool "the open region" true (Machine.open_region m rid == r);
+  check "no cycle" cycles (Machine.cycles m);
+  check "no counter" 0
+    (List.length
+       (Core.Metrics.diff ~before ~after:(Core.Metrics.snapshot metrics)));
+  Machine.close_region m rid;
+  check_bool "closed base has no region" true
+    (try
+       ignore (Fat_table.rid_of_addr m.Machine.fat base);
+       false
+     with Fat_table.No_region_for_addr _ -> true);
+  let seg = Kinds.seg_of_vaddr m.Machine.layout base in
+  let r2 = Machine.open_region ~at_nvbase:seg m other in
+  check "same segment" (ia base) (ia (Region.base r2));
+  check "resolves to the new region" (ir other)
+    (ir (Fat_table.rid_of_addr m.Machine.fat base))
+
 (* Section 5 / Figure 11: the based-pointer usability pitfall. A based
    pointer is meaningless without its base variable; decode it against
    the wrong base and it silently resolves to the wrong object. The
@@ -857,6 +886,8 @@ let () =
           Alcotest.test_case "deterministic placement" `Quick
             test_deterministic_placement_with_seed;
           Alcotest.test_case "create allocation" `Quick test_create_allocation;
+          Alcotest.test_case "second open of an open region" `Quick
+            test_open_region_twice;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_random_pointer_graph ]);
     ]

@@ -102,21 +102,26 @@ let test_multi_region_runs () =
   let m = Runner.run cfg in
   check "nodes" 300 m.Runner.nodes
 
+(* The slowdown of [cfg] under [repr] against its normal-pointer
+   baseline; [Figures.slowdowns] fails on a checksum mismatch. *)
+let slowdown cfg repr =
+  match Figures.slowdowns cfg [ repr ] with
+  | _, [ (_, Some (m, b)) ] ->
+      float_of_int m.Runner.measured_cycles
+      /. float_of_int b.Runner.measured_cycles
+  | _ -> Alcotest.failf "%s inapplicable" (Repr.to_string repr)
+
 let test_slowdown_sane () =
-  let _, s =
-    Runner.slowdown (small { Runner.default with Runner.repr = Repr.Fat })
-  in
-  check_bool "fat slower than normal" true (s > 1.0);
-  let _, s =
-    Runner.slowdown (small { Runner.default with Runner.repr = Repr.Based })
-  in
-  check_bool "based close to normal" true (s < 1.3)
+  check_bool "fat slower than normal" true
+    (slowdown (small Runner.default) Repr.Fat > 1.0);
+  check_bool "based close to normal" true
+    (slowdown (small Runner.default) Repr.Based < 1.3)
 
 let test_slowdown_ordering_all_structures () =
   List.iter
     (fun structure ->
       let cfg = small { Runner.default with Runner.structure } in
-      let s repr = snd (Runner.slowdown { cfg with Runner.repr = repr }) in
+      let s = slowdown cfg in
       let offh = s Repr.Off_holder and riv = s Repr.Riv and fat = s Repr.Fat in
       check_bool
         (Instance.structure_name structure ^ ": off-holder <= riv")

@@ -137,6 +137,40 @@ let test_crash_recovery () =
   let a' = Option.get (Region.root r2 "x") in
   check "recovered pre-tx value" 100 (Memsim.load64 m2.Machine.mem a')
 
+(* A store file saved mid-transaction holds the undo record; attach
+   reports it and rolls the cell back. [nvmpi inspect] prints this
+   count, so it must be the image's, not the log's after rollback. *)
+let test_store_file_pending_undo () =
+  let store = Store.create () in
+  let m1 = Machine.create ~seed:33 ~store () in
+  let rid = Machine.create_region m1 ~size:(1 lsl 20) in
+  let r1 = Machine.open_region m1 rid in
+  let os1 = Objstore.create m1 r1 () in
+  check "a created store rolled nothing back" 0 (Objstore.rolled_back os1);
+  let a = Objstore.alloc os1 ~size:16 () in
+  Memsim.store64 m1.Machine.mem a 7;
+  Region.set_root r1 "x" a;
+  let tx = Tx.create os1 in
+  Tx.begin_tx tx;
+  Tx.store64 tx a 8;
+  Tx.simulate_crash tx;
+  Machine.close_region m1 rid;
+  let file = Filename.temp_file "pending_undo" ".nvm" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      Store.save_file store file;
+      let store = Store.load_file file in
+      let m2 = Machine.create ~seed:34 ~store () in
+      let r2 = Machine.open_region m2 rid in
+      let os2 = Objstore.attach m2 r2 in
+      check "pending undo records" 1 (Objstore.rolled_back os2);
+      check "log drained" 0 (Objstore.log_entries os2);
+      let a' = Option.get (Region.root r2 "x") in
+      check "old value back" 7 (Memsim.load64 m2.Machine.mem a');
+      check "a clean attach rolls nothing back" 0
+        (Objstore.rolled_back (Objstore.attach m2 r2)))
+
 let test_crash_after_commit_durable () =
   let store = Store.create () in
   let m1 = Machine.create ~seed:32 ~store () in
@@ -340,6 +374,8 @@ let () =
             test_abort_restores_values;
           Alcotest.test_case "exception aborts" `Quick test_exception_aborts;
           Alcotest.test_case "crash recovery" `Quick test_crash_recovery;
+          Alcotest.test_case "store file keeps pending undo records" `Quick
+            test_store_file_pending_undo;
           Alcotest.test_case "commit durable across crash" `Quick
             test_crash_after_commit_durable;
           Alcotest.test_case "add_range" `Quick test_add_range;
