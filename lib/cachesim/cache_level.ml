@@ -125,6 +125,8 @@ let[@inline] access t ~addr ~write =
   end
   else probe t line ~write
 
+(* Like [probe], reads each entry of the set once, unchecked: every
+   index below lies in [base, stop), inside [chunk]. *)
 let flush_line t ~addr =
   let line = addr lsr t.line_bits in
   if line = t.last_line then t.last_line <- -1;
@@ -134,19 +136,22 @@ let flush_line t ~addr =
   else begin
     let base = base t s in
     let stop = base + t.ways in
+    (* The scan stops at the match, the first invalid entry or the end
+       of the set; [invalid asr 1] never equals a line. *)
     let i = ref base in
-    while !i < stop && chunk.(!i) <> invalid && chunk.(!i) asr 1 <> line do
-      incr i
+    let e = ref (Array.unsafe_get chunk base) in
+    while !e <> invalid && !e asr 1 <> line && !i < stop - 1 do
+      incr i;
+      e := Array.unsafe_get chunk !i
     done;
-    if !i = stop || chunk.(!i) = invalid then false
+    if !e asr 1 <> line then false
     else begin
       (* Close the gap; the set's last entry becomes invalid. *)
-      let dirty = chunk.(!i) land 1 = 1 in
       for j = !i to stop - 2 do
-        chunk.(j) <- chunk.(j + 1)
+        Array.unsafe_set chunk j (Array.unsafe_get chunk (j + 1))
       done;
-      chunk.(stop - 1) <- invalid;
-      dirty
+      Array.unsafe_set chunk (stop - 1) invalid;
+      !e land 1 = 1
     end
   end
 

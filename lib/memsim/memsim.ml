@@ -166,10 +166,10 @@ type t = {
   mutable obs : observer array;
   mutable n_obs : int;
   (* Direct-mapped TLB of [tlb_size] entries in front of the ranges:
-     slot [p land tlb_mask] holds page [p] in [tlb_pages] when
-     [tlb_tags] holds [p], and -1 when empty. Only present pages enter
-     it, never [zero_page]; evict and drop_zero_page, the operations
-     that drop pages, clear their slots. *)
+     slot [tlb_slot p] holds page [p] in [tlb_pages] when [tlb_tags]
+     holds [p], and -1 when empty. Only present pages enter it, never
+     [zero_page]; evict and drop_zero_page, the operations that drop
+     pages, clear the slots of the pages they drop. *)
   tlb_tags : int array;
   tlb_pages : Bytes.t array;
   (* What a load from an absent mapped page reads. Never written. *)
@@ -184,6 +184,11 @@ type t = {
    each needs an entry of its own. *)
 let tlb_size = 64
 let tlb_mask = tlb_size - 1
+
+(* Regions sit at segment-aligned bases, 2^20 pages apart in the
+   default layout, so with [p land tlb_mask] page [k] of every region
+   would share one slot. Folding the segment bits in spreads them. *)
+let[@inline] tlb_slot p = (p lxor (p lsr 20)) land tlb_mask
 
 let create ?metrics ~timing () =
   let metrics =
@@ -304,8 +309,14 @@ let evict t ~addr =
   Array.blit t.images (i + 1) t.images i (n - i);
   t.images.(n) <- anonymous;
   t.n_ranges <- n;
-  Array.fill t.tlb_tags 0 tlb_size (-1);
-  Array.fill t.tlb_pages 0 tlb_size no_page
+  let last = first + Array.length img.Page_image.pages - 1 in
+  for s = 0 to tlb_size - 1 do
+    let p = t.tlb_tags.(s) in
+    if p >= first && p <= last then begin
+      t.tlb_tags.(s) <- -1;
+      t.tlb_pages.(s) <- no_page
+    end
+  done
 
 (* Only an anonymous range's pages are in [pages]: an image's page is
    never released. The page released is all zero, so it is a spare as
@@ -316,7 +327,7 @@ let drop_zero_page t a =
   | Some page when is_zero page 0 page_size ->
       Hashtbl.remove t.pages p;
       t.spares <- page :: t.spares;
-      let s = p land tlb_mask in
+      let s = tlb_slot p in
       if t.tlb_tags.(s) = p then begin
         t.tlb_tags.(s) <- -1;
         t.tlb_pages.(s) <- no_page
@@ -390,7 +401,7 @@ let[@inline never] walk t ~write p s addr size =
 (* [s] is below [tlb_size], the length of both TLB arrays. *)
 let[@inline] get_page t ~write addr size =
   let p = addr lsr page_bits in
-  let s = p land tlb_mask in
+  let s = tlb_slot p in
   if Array.unsafe_get t.tlb_tags s = p then Array.unsafe_get t.tlb_pages s
   else walk t ~write p s addr size
 

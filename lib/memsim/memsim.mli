@@ -202,7 +202,8 @@ val install : t -> addr:Nvmpi_addr.Kinds.Vaddr.t -> Page_image.t -> unit
 val evict : t -> addr:Nvmpi_addr.Kinds.Vaddr.t -> unit
 (** [evict t ~addr] closes the image mapping installed at [addr]: it
     zeroes the bytes of the image's last page past its size, removes the
-    mapping and clears the TLB. The image keeps every page. Nothing is
+    mapping and clears the TLB entries of the mapping's pages; every
+    other entry stays. The image keeps every page. Nothing is
     charged and no observer fires; it counts one [mem.loads] per page
     the image spans. Raises [Invalid_argument] if no mapping starts at
     [addr] or the one that does is anonymous. Like {!install}, it

@@ -73,11 +73,24 @@ let read_name t i =
    with Exit -> ());
   Buffer.contents b
 
+(* Does root [i] hold [name]? Compares as it loads: the same loads as
+   [read_name], up to the terminator, with nothing allocated. *)
+let name_is t i name =
+  let entry = Vaddr.add t.base (Header.root_entry_off i) in
+  let len = String.length name in
+  let rec go j same =
+    if j = Header.root_name_bytes then same && j = len
+    else
+      let c = Memsim.load8 t.mem (Vaddr.add entry j) in
+      if c = 0 then same && j = len
+      else go (j + 1) (same && j < len && Char.code name.[j] = c)
+  in
+  go 0 true
+
 let find_index t name =
   let n = nroots t in
-  let rec go i = if i >= n then None
-    else if String.equal (read_name t i) name then Some i
-    else go (i + 1)
+  let rec go i =
+    if i >= n then None else if name_is t i name then Some i else go (i + 1)
   in
   go 0
 

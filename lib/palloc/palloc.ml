@@ -734,15 +734,21 @@ let recover ~mem ~timing ~metrics ~lo:(lo : Vaddr.t) ~hi:(hi : Vaddr.t) =
 let close t =
   check_open t "close";
   let line0 = t.lo land lnot (t.line - 1) in
-  Bytes.iteri
-    (fun i byte ->
-      let byte = Char.code byte in
-      if byte <> 0 then
-        for j = 0 to 7 do
-          if byte land (1 lsl j) <> 0 then
-            Timing.flush t.timing ~addr:(line0 + ((8 * i) + j) * t.line)
-        done)
-    t.dirty;
+  (* In bit order, a word at a time past the zero words. *)
+  let n = Bytes.length t.dirty in
+  let i = ref 0 in
+  while !i < n do
+    if !i + 8 <= n && Int64.equal (Bytes.get_int64_ne t.dirty !i) 0L then
+      i := !i + 8
+    else begin
+      let byte = Char.code (Bytes.get t.dirty !i) in
+      for j = 0 to 7 do
+        if byte land (1 lsl j) <> 0 then
+          Timing.flush t.timing ~addr:(line0 + ((8 * !i) + j) * t.line)
+      done;
+      incr i
+    end
+  done;
   fence t;
   set64 t o_log_aux t.frag;
   flush_range t o_log_aux 8;

@@ -9,8 +9,13 @@ module K = Nvmpi_addr.Kinds
 
 type entry = {
   rid : K.Rid.t;
+  id : int;  (* its index in [t.entries] *)
   mutable kv : Kvstore.t option;  (* Some iff resident (mapped) *)
-  mutable last : int;  (* LRU stamp; strictly increasing, so unique *)
+  (* The ids of its neighbours in the recency list, stale while it is
+     not resident: ints, so relinking an entry stores no pointer and
+     pays no write barrier. *)
+  mutable newer : int;
+  mutable older : int;
 }
 
 type t = {
@@ -22,8 +27,13 @@ type t = {
   log_cap : int;
   pinned : bool;
   tenants : (int, entry) Hashtbl.t;
+  (* Every entry by id, below [n_entries]. Entry 0 is the recency
+     list's sentinel: the resident entries run from its [older], the
+     most recently used, through [older] links to its [newer], the
+     least recently used, and back to 0. *)
+  mutable entries : entry array;
+  mutable n_entries : int;
   mutable resident : int;
-  mutable clock : int;
   (* hot counters, resolved once *)
   c_maps : int ref;
   c_unmaps : int ref;
@@ -46,8 +56,11 @@ let create ~machine ~repr ~cap ~region_size ~buckets ~log_cap () =
     log_cap;
     pinned = not (Repr.position_independent repr);
     tenants = Hashtbl.create 64;
+    entries =
+      Array.make 64
+        { rid = K.Rid.none; id = 0; kv = None; newer = 0; older = 0 };
+    n_entries = 1;
     resident = 0;
-    clock = 0;
     c_maps = Metrics.counter m "server.maps";
     c_unmaps = Metrics.counter m "server.unmaps";
     c_evictions = Metrics.counter m "server.evictions";
@@ -60,9 +73,29 @@ let create ~machine ~repr ~cap ~region_size ~buckets ~log_cap () =
 let repr t = t.repr
 let resident_count t = t.resident
 
-let touch t e =
-  t.clock <- t.clock + 1;
-  e.last <- t.clock
+let add_entry t rid kv =
+  let id = t.n_entries in
+  if id = Array.length t.entries then begin
+    let grown = Array.make (2 * id) t.entries.(0) in
+    Array.blit t.entries 0 grown 0 id;
+    t.entries <- grown
+  end;
+  let e = { rid; id; kv; newer = id; older = id } in
+  t.entries.(id) <- e;
+  t.n_entries <- id + 1;
+  e
+
+(* Links resident [e] in as the most recently used entry. *)
+let push t e =
+  let s = t.entries.(0) in
+  e.older <- s.older;
+  e.newer <- 0;
+  t.entries.(s.older).newer <- e.id;
+  s.older <- e.id
+
+let unlink t e =
+  t.entries.(e.newer).older <- e.older;
+  t.entries.(e.older).newer <- e.newer
 
 (* Pinned tenants always map at the same segment, derived from the
    tenant ID: segment numbers are unique per tenant, so a reopen can
@@ -76,27 +109,16 @@ let close_tenant t e =
   Option.iter Kvstore.close e.kv;
   Machine.close_region t.machine e.rid;
   e.kv <- None;
+  unlink t e;
   t.resident <- t.resident - 1;
   incr t.c_unmaps
 
-(* The LRU victim: the resident entry with the smallest stamp. Stamps
-   are unique (the clock is strictly increasing), so the minimum is
-   unique and the fold is deterministic whatever the hashtable's
-   iteration order. *)
+(* The LRU victim: the tail of the recency list. *)
 let evict_lru t =
-  let victim =
-    Hashtbl.fold
-      (fun _ e acc ->
-        match (e.kv, acc) with
-        | None, _ -> acc
-        | Some _, Some v when v.last <= e.last -> acc
-        | Some _, _ -> Some e)
-      t.tenants None
-  in
-  match victim with
-  | None -> failwith "Residency.evict_lru: no resident tenant"
-  | Some e ->
-      close_tenant t e;
+  match t.entries.(0).newer with
+  | 0 -> failwith "Residency.evict_lru: no resident tenant"
+  | id ->
+      close_tenant t t.entries.(id);
       incr t.c_evictions
 
 let make_room t = if t.resident >= t.cap then evict_lru t
@@ -111,6 +133,7 @@ let open_tenant t ~tenant e =
   let kv = Kvstore.attach os ~repr:t.repr ~name:"kv" in
   e.kv <- Some kv;
   t.resident <- t.resident + 1;
+  push t e;
   kv
 
 let provision t ~tenant =
@@ -133,10 +156,10 @@ let provision t ~tenant =
   in
   let os = Objstore.create t.machine region ~log_cap:t.log_cap ~heap () in
   let kv = Kvstore.create os ~repr:t.repr ~name:"kv" ~buckets:t.buckets () in
-  let e = { rid; kv = Some kv; last = 0 } in
+  let e = add_entry t rid (Some kv) in
   Hashtbl.replace t.tenants tenant e;
   t.resident <- t.resident + 1;
-  touch t e;
+  push t e;
   kv
 
 let kv t ~tenant =
@@ -145,10 +168,13 @@ let kv t ~tenant =
       incr t.c_misses;
       (provision t ~tenant, true)
   | Some e -> (
-      touch t e;
       match e.kv with
       | Some kv ->
           incr t.c_hits;
+          if t.entries.(0).older <> e.id then begin
+            unlink t e;
+            push t e
+          end;
           (* The based base register is machine-global: another resident
              tenant may have claimed it since this tenant's last op. *)
           if t.repr = Repr.Based then Machine.set_based_region t.machine e.rid;

@@ -30,8 +30,9 @@ val active : t -> bool
 
 val begin_tx : t -> unit
 val commit : t -> unit
-(** Flushes every line dirtied by the transaction, fences, and truncates
-    the undo log. *)
+(** Flushes every line dirtied by the transaction once, in the order
+    the transaction first dirtied them, fences, and truncates the undo
+    log. *)
 
 val abort : t -> unit
 (** Rolls the undo log back (restoring all pre-transaction contents) and

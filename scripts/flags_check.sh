@@ -6,10 +6,11 @@
 # lib/cachesim Timing and Cache_level it inlines — compiles with
 # -opaque, which stops every cross-module [@inline] on the access path,
 # or lacks -strict-sequence or the pinned warning set. Also fails if a
-# per-access function of those modules calls the write barrier
-# caml_modify (docs/PERF.md, "Cache-level storage"): a set helper typed
-# ['a array] or an allocation moved into Cache_level's probe would add
-# one to every access, and no simulated cycle would show it.
+# per-access function of those modules, or Cache_level's flush_line,
+# calls the write barrier caml_modify (docs/PERF.md, "Cache-level
+# storage"): a set helper typed ['a array] or an allocation moved into
+# Cache_level's probe would add one to every access, and no simulated
+# cycle would show it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -34,7 +35,7 @@ done
 objs=_build/default/lib
 barrier_free=(
   "$objs/cachesim/.nvmpi_cachesim.objs/native/nvmpi_cachesim__Cache_level.o"
-  '[.$](access|probe)_[0-9]+>:$'
+  '[.$](access|probe|flush_line)_[0-9]+>:$'
   "$objs/cachesim/.nvmpi_cachesim.objs/native/nvmpi_cachesim__Timing.o"
   '[.$]access_l[123]_[0-9]+>:$'
   "$objs/memsim/.nvmpi_memsim.objs/native/nvmpi_memsim__Memsim.o"

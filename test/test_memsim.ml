@@ -221,11 +221,16 @@ let prop_blit_arbitrary_bytes =
 (* The TLB'd fast path must be observationally identical to a reference
    slow path (a byte map plus a mapped-slot table) over arbitrary
    interleavings of install / evict / store / load — evict in particular
-   must invalidate the TLB. Each install maps a fresh image. Four
-   disjoint page-aligned slots keep overlap decidable per slot; they lie
-   64 pages apart, so their pages contend for the same TLB entries. *)
+   must invalidate the TLB entries of its range. Each install maps a
+   fresh image. Four disjoint page-aligned slots keep overlap decidable
+   per slot. Slots 0 to 2 lie 64 pages apart in one 4 GiB segment, slot
+   3 in the next segment at page 0x41 of it, where the segment bits the
+   TLB index folds in send it to the entry of page 0x40: the first
+   pages of all four contend for that entry. *)
 let prop_tlb_matches_reference =
-  let slot_base s = 0x40000 * (s + 1) in
+  let slot_base s =
+    if s < 3 then 0x40000 * (s + 1) else (1 lsl 32) + 0x41000
+  in
   let slot_size = 0x2000 in
   let op_gen =
     QCheck2.Gen.(
@@ -416,7 +421,7 @@ let test_drop_zero_page () =
   ignore (Memsim.load64 m (Vaddr.add base page));
   check "store after the drop survives" 7 (Memsim.load64 m base)
 
-(* Pages [p] and [p + 64] share a TLB entry. *)
+(* Pages [p] and [p + 64] of one segment share a TLB entry. *)
 let tlb_span = 64 * page
 
 let test_tlb_aliased_pages () =

@@ -354,6 +354,53 @@ let test_lru_order () =
   check_bool "tenant 0 survived" true (Residency.is_resident res ~tenant:0);
   check_bool "tenant 2 resident" true (Residency.is_resident res ~tenant:2)
 
+(* Every eviction takes the resident tenant touched longest ago. The
+   reference is the stamp fold residency made before it kept a recency
+   list: each touch stamps its tenant from a strictly rising clock, and
+   the victim is the resident entry with the smallest stamp. *)
+let prop_lru_victim =
+  QCheck2.Test.make ~name:"lru victim is the oldest resident" ~count:60
+    ~print:QCheck2.Print.(pair int (list int))
+    QCheck2.Gen.(
+      pair (int_range 1 3) (list_size (int_range 1 30) (int_range 0 5)))
+    (fun (cap, touches) ->
+      let machine = Machine.create ~seed:9 ~store:(Core.Store.create ()) () in
+      let res =
+        Residency.create ~machine ~repr:Repr.Riv ~cap ~region_size:(64 * 1024)
+          ~buckets:8 ~log_cap:2048 ()
+      in
+      let stamps = Hashtbl.create 8 and clock = ref 0 in
+      let resident () =
+        Hashtbl.fold
+          (fun tenant _ acc ->
+            if Residency.is_resident res ~tenant then tenant :: acc else acc)
+          stamps []
+      in
+      List.for_all
+        (fun tenant ->
+          let before = resident () in
+          let expected =
+            if List.mem tenant before || List.length before < cap then None
+            else
+              Option.map fst
+                (Hashtbl.fold
+                   (fun e last acc ->
+                     match acc with
+                     | _ when not (List.mem e before) -> acc
+                     | Some (_, l) when l <= last -> acc
+                     | _ -> Some (e, last))
+                   stamps None)
+          in
+          ignore (Residency.kv res ~tenant);
+          incr clock;
+          Hashtbl.replace stamps tenant !clock;
+          let after = resident () in
+          let victims = List.filter (fun e -> not (List.mem e after)) before in
+          victims = Option.to_list expected
+          && List.mem tenant after
+          && Residency.resident_count res = List.length after)
+        touches)
+
 (* Churn across evictions: each reopen finds a heap its eviction
    closed cleanly, so no heap is ever swept, and every value survives. *)
 let test_evictions_close_cleanly () =
@@ -444,6 +491,7 @@ let () =
           Alcotest.test_case "evict then reaccess" `Quick
             test_evict_then_reaccess;
           Alcotest.test_case "lru order" `Quick test_lru_order;
+          QCheck_alcotest.to_alcotest prop_lru_victim;
           Alcotest.test_case "evictions close cleanly" `Quick
             test_evictions_close_cleanly;
         ] );

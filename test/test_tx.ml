@@ -329,6 +329,63 @@ let test_log_full_detected () =
      with Failure _ -> true);
   Tx.abort tx
 
+(* A commit flushes each dirtied line once, in the order the
+   transaction first dirtied it: the flushes before the commit's first
+   fence are lines A, B, C for stores to A, B, A, C. *)
+let test_commit_flush_order () =
+  let _, m, _, os = with_store () in
+  let x = Objstore.alloc os ~size:256 () in
+  let line a = ia a land lnot 63 in
+  (* Neither ascending nor descending. *)
+  let a = Vaddr.add x 192 and b = Vaddr.add x 64 and c = Vaddr.add x 128 in
+  check_bool "three lines" true
+    (line a <> line b && line b <> line c && line a <> line c);
+  let tx = Tx.create os in
+  Tx.begin_tx tx;
+  Tx.store64 tx a 1;
+  Tx.store64 tx b 2;
+  Tx.store64 tx (Vaddr.add a 8) 3;
+  Tx.store64 tx c 4;
+  let flushed = ref [] and fenced = ref false in
+  Core.Timing.set_persist_hook m.Machine.timing
+    (Some
+       (function
+       | Core.Timing.Flushed addr ->
+           if not !fenced then flushed := addr :: !flushed
+       | Fenced -> fenced := true));
+  Tx.commit tx;
+  Core.Timing.set_persist_hook m.Machine.timing None;
+  Alcotest.(check (list int))
+    "first-dirtied order" [ line a; line b; line c ] (List.rev !flushed)
+
+(* A word inside a range that add_range or add_fresh registered, or
+   that store64 logged, gets no undo record of its own. *)
+let test_store_logs_word_once () =
+  let _, _, _, os = with_store () in
+  let x = Objstore.alloc os ~size:64 () and y = Objstore.alloc os ~size:64 () in
+  let tx = Tx.create os in
+  let records () = Objstore.log_entries os in
+  Tx.begin_tx tx;
+  (* [x + 36, x + 40) covers the word at [x + 32] and ends before the
+     one at [x + 40]. *)
+  Tx.add_range tx ~addr:(Vaddr.add x 36) ~len:4;
+  check "add_range appends one record" 1 (records ());
+  Tx.store64 tx (Vaddr.add x 32) 1;
+  check "a word in the range appends none" 1 (records ());
+  Tx.add_fresh tx ~addr:y ~len:64;
+  check "add_fresh appends none" 1 (records ());
+  Tx.store64 tx (Vaddr.add y 56) 2;
+  check "a word in the fresh range appends none" 1 (records ());
+  Tx.store64 tx (Vaddr.add x 40) 3;
+  check "a word outside appends one" 2 (records ());
+  Tx.store64 tx (Vaddr.add x 40) 4;
+  check "a second store to it appends none" 2 (records ());
+  Tx.commit tx;
+  Tx.begin_tx tx;
+  Tx.store64 tx (Vaddr.add x 40) 5;
+  check "a new transaction logs it again" 1 (records ());
+  Tx.commit tx
+
 (* Property: random interleavings of committed and aborted transactions
    leave exactly the committed effects. *)
 let prop_tx_semantics =
@@ -388,6 +445,10 @@ let () =
             test_empty_undo_log_recovery;
           Alcotest.test_case "persist costs charged" `Quick
             test_persist_costs_charged;
+          Alcotest.test_case "commit flushes in first-dirtied order" `Quick
+            test_commit_flush_order;
+          Alcotest.test_case "store64 logs a word once" `Quick
+            test_store_logs_word_once;
           Alcotest.test_case "log overflow detected" `Quick
             test_log_full_detected;
         ] );
