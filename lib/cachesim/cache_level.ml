@@ -58,12 +58,6 @@ let sets t = t.set_mask + 1
 (* First entry of set [s] in its chunk. *)
 let base t s = (s land ((1 lsl t.chunk_bits) - 1)) * t.ways
 
-(* Shifts entries [base, i) of a set one place back, over entry [i]. *)
-let[@inline] shift_back (chunk : int array) base i =
-  for j = i downto base + 1 do
-    Array.unsafe_set chunk j (Array.unsafe_get chunk (j - 1))
-  done
-
 (* Kept out of [probe], which then stores only ints. *)
 let[@inline never] install t c =
   let chunk = Array.make (t.ways lsl t.chunk_bits) invalid in
@@ -84,28 +78,42 @@ let probe t line ~write =
   t.last_chunk <- c;
   t.last_base <- base;
   (* Every entry touched below lies in [base, last], inside [chunk], so
-     this per-access path skips the bounds checks. The scan stops at the
-     match, the first invalid entry or the last entry: the hit, the free
-     entry or the victim. [invalid asr 1] never equals a line. *)
-  let i = ref base in
-  while
-    !i < last
-    &&
-    let e = Array.unsafe_get chunk !i in
-    e <> invalid && e asr 1 <> line
-  do
-    incr i
-  done;
-  let old = Array.unsafe_get chunk !i in
-  shift_back chunk base !i;
-  if old asr 1 = line then begin
-    Array.unsafe_set chunk base (old lor Bool.to_int write);
+     this per-access path skips the bounds checks. A hit on the front
+     entry moves nothing and writes only its dirty bit. *)
+  let front = Array.unsafe_get chunk base in
+  if front asr 1 = line then begin
+    Array.unsafe_set chunk base (front lor Bool.to_int write);
     hit
   end
   else begin
-    Array.unsafe_set chunk base ((line lsl 1) lor Bool.to_int write);
-    if old <> invalid && old land 1 = 1 then (old asr 1) lsl t.line_bits
-    else miss_clean
+    (* One pass, each entry read once and written once: [old] holds the
+       entry the scan last read, which moves up one place over the next
+       entry as the scan reads it. The scan stops at the match, the
+       first invalid entry or the last entry: the hit, the free entry or
+       the victim, whose place the entry before it has now taken.
+       [invalid asr 1] never equals a line. *)
+    let i = ref base and old = ref front in
+    while
+      !i < last
+      &&
+      let e = !old in
+      e <> invalid && e asr 1 <> line
+    do
+      incr i;
+      let e = Array.unsafe_get chunk !i in
+      Array.unsafe_set chunk !i !old;
+      old := e
+    done;
+    let old = !old in
+    if old asr 1 = line then begin
+      Array.unsafe_set chunk base (old lor Bool.to_int write);
+      hit
+    end
+    else begin
+      Array.unsafe_set chunk base ((line lsl 1) lor Bool.to_int write);
+      if old <> invalid && old land 1 = 1 then (old asr 1) lsl t.line_bits
+      else miss_clean
+    end
   end
 
 (* A probe of the last line is a hit on the remembered set's front
@@ -124,6 +132,16 @@ let[@inline] access t ~addr ~write =
     hit
   end
   else probe t line ~write
+
+(* Closes the gap at entry [j - 1] of a set that ends before [stop]:
+   entry [j] and each valid entry after it move up one place, and the
+   place the last of them leaves becomes invalid. It stops at the first
+   invalid entry, so the invalid entries after it are neither read nor
+   written; each entry it passes is read once and written once. *)
+let rec close_gap (chunk : int array) j stop =
+  let e = if j < stop then Array.unsafe_get chunk j else invalid in
+  Array.unsafe_set chunk (j - 1) e;
+  if e <> invalid then close_gap chunk (j + 1) stop
 
 (* Like [probe], reads each entry of the set once, unchecked: every
    index below lies in [base, stop), inside [chunk]. *)
@@ -146,11 +164,7 @@ let flush_line t ~addr =
     done;
     if !e asr 1 <> line then false
     else begin
-      (* Close the gap; the set's last entry becomes invalid. *)
-      for j = !i to stop - 2 do
-        Array.unsafe_set chunk j (Array.unsafe_get chunk (j + 1))
-      done;
-      Array.unsafe_set chunk (stop - 1) invalid;
+      close_gap chunk (!i + 1) stop;
       !e land 1 = 1
     end
   end

@@ -159,7 +159,9 @@ let access t ~addr ~size ~write =
     done
   end
 
-let alu t n =
+(* Inlined into the representations' pointer arithmetic, which charges
+   it on almost every pointer load. *)
+let[@inline] alu t n =
   t.c.c_alu := !(t.c.c_alu) + n;
   Clock.tick t.clock n
 

@@ -8,8 +8,7 @@ type observer = write:bool -> addr:int -> size:int -> unit
 let no_observer : observer = fun ~write:_ ~addr:_ ~size:_ -> ()
 let no_page = Bytes.create 0
 
-(* [is_zero b off len]: do [len] bytes of [b] from [off] all read 0?
-   Word-wise: whole pages are scanned on every region close. *)
+(* [is_zero b off len]: do [len] bytes of [b] from [off] all read 0? *)
 let is_zero b off len =
   let i = ref 0 in
   while !i + 8 <= len && Int64.equal (Bytes.get_int64_ne b (off + !i)) 0L do
@@ -320,11 +319,13 @@ let evict t ~addr =
 
 (* Only an anonymous range's pages are in [pages]: an image's page is
    never released. The page released is all zero, so it is a spare as
-   it stands. *)
+   it stands. [Bytes.equal] with [zero_page], the runtime's word
+   compare, tests a page in less than half the time of [is_zero]'s
+   loop (docs/PERF.md, "Residency misses"). *)
 let drop_zero_page t a =
   let p = a lsr page_bits in
   match Hashtbl.find_opt t.pages p with
-  | Some page when is_zero page 0 page_size ->
+  | Some page when Bytes.equal page t.zero_page ->
       Hashtbl.remove t.pages p;
       t.spares <- page :: t.spares;
       let s = tlb_slot p in
@@ -405,8 +406,12 @@ let[@inline] get_page t ~write addr size =
   if Array.unsafe_get t.tlb_tags s = p then Array.unsafe_get t.tlb_pages s
   else walk t ~write p s addr size
 
-let check_align addr size =
-  if addr land (size - 1) <> 0 then fault addr size "misaligned"
+(* Out of line, so that the [check_align] every typed access inlines
+   is a compare and a branch. *)
+let[@inline never] misaligned addr size = fault addr size "misaligned"
+
+let[@inline] check_align addr size =
+  if addr land (size - 1) <> 0 then misaligned addr size
 
 let load8 t a =
   if a < 0 then fault a 1 "negative address";

@@ -347,6 +347,32 @@ let prop_same_line_matches_reference =
     ~name:"repeated lines match a reference LRU model"
     ~count:300 ~print:print_stream gen matches_reference
 
+(* kv-churn's pattern: most writes are followed by a flush of the same
+   line, so 16-way sets hold a few valid lines and a flush mostly
+   removes the front entry, leaving invalid entries behind the rest.
+   Five candidate lines per set keep every set below a third full; the
+   flushes of another line close a gap behind the front. *)
+let prop_flushed_writes_match_reference =
+  let gen =
+    QCheck2.Gen.(
+      oneofl [ (1, 16); (2, 16); (8, 16); (32, 16) ] >>= fun (sets, ways) ->
+      let line = int_range 0 ((5 * sets) - 1) in
+      let op =
+        frequency
+          [
+            (6, map (fun l -> [ Access (l, true); Flush l ]) line);
+            (4, map (fun l -> [ Access (l, false) ]) line);
+            (1, map (fun l -> [ Access (l, true) ]) line);
+            (2, map (fun l -> [ Flush l ]) line);
+          ]
+      in
+      map
+        (fun ops -> ((sets, ways), List.concat ops))
+        (list_size (int_range 20 400) op))
+  in
+  QCheck2.Test.make ~name:"flushed writes match a reference LRU model"
+    ~count:300 ~print:print_stream gen matches_reference
+
 (* Property: [Timing] composes its three levels by the write-back rule
    that METRICS.md's cycle identity rests on. The reference hierarchy
    is three reference levels: a miss at L1 or L2 writes a dirty victim
@@ -497,6 +523,7 @@ let () =
           Alcotest.test_case "invalidate" `Quick test_cache_invalidate;
           QCheck_alcotest.to_alcotest prop_cache_matches_reference;
           QCheck_alcotest.to_alcotest prop_same_line_matches_reference;
+          QCheck_alcotest.to_alcotest prop_flushed_writes_match_reference;
         ] );
       ( "timing",
         [

@@ -60,18 +60,27 @@ let test_unmapped_faults () =
        false
      with Memsim.Fault _ -> true)
 
+(* Every misaligned typed access raises a [Fault] that names its
+   address, its size and the reason, and writes nothing. *)
 let test_misaligned_faults () =
   let m, base = fresh () in
-  check_bool "misaligned 64" true
-    (try
-       ignore (Memsim.load64 m (Vaddr.add base 4));
-       false
-     with Memsim.Fault _ -> true);
-  check_bool "misaligned 16" true
-    (try
-       Memsim.store16 m (Vaddr.add base 1) 3;
-       false
-     with Memsim.Fault _ -> true)
+  let fault name size f =
+    let a = Vaddr.add base (size / 2) in
+    match f a with
+    | () -> Alcotest.failf "%s at offset %d did not fault" name (size / 2)
+    | exception Memsim.Fault { addr; size = s; reason } ->
+        check (name ^ " addr") (a :> int) addr;
+        check (name ^ " size") size s;
+        Alcotest.(check string) (name ^ " reason") "misaligned" reason
+  in
+  fault "load16" 2 (fun a -> ignore (Memsim.load16 m a));
+  fault "load32" 4 (fun a -> ignore (Memsim.load32 m a));
+  fault "load64" 8 (fun a -> ignore (Memsim.load64 m a));
+  fault "store16" 2 (fun a -> Memsim.store16 m a (-1));
+  fault "store32" 4 (fun a -> Memsim.store32 m a (-1));
+  fault "store64" 8 (fun a -> Memsim.store64 m a (-1));
+  check "no store wrote" 0 (Memsim.load64 m base);
+  check "no page materialized" 0 (Memsim.pages m)
 
 let test_map_overlap_rejected () =
   let m, base = fresh () in
@@ -420,6 +429,23 @@ let test_drop_zero_page () =
   Memsim.store64 m base 7;
   ignore (Memsim.load64 m (Vaddr.add base page));
   check "store after the drop survives" 7 (Memsim.load64 m base)
+
+(* A page whose only non-zero byte is its first, or its last, holds
+   data: the zero test covers every byte of the page. *)
+let test_drop_zero_page_edges () =
+  let m, base = fresh () in
+  List.iter
+    (fun off ->
+      let a = Vaddr.add base off in
+      Memsim.store8 m a 1;
+      Memsim.drop_zero_page m base;
+      check (Printf.sprintf "a page with byte %d set stays" off) 1
+        (Memsim.pages m);
+      check "its byte survives" 1 (Memsim.load8 m a);
+      Memsim.store8 m a 0;
+      Memsim.drop_zero_page m base;
+      check "then all zero, it goes" 0 (Memsim.pages m))
+    [ 0; page - 1 ]
 
 (* Pages [p] and [p + 64] of one segment share a TLB entry. *)
 let tlb_span = 64 * page
@@ -922,6 +948,8 @@ let () =
             test_image_counts;
           Alcotest.test_case "rejects" `Quick test_image_rejects;
           Alcotest.test_case "drop_zero_page" `Quick test_drop_zero_page;
+          Alcotest.test_case "drop_zero_page keeps a page's first and last byte"
+            `Quick test_drop_zero_page_edges;
           Alcotest.test_case "drop_zero_page on an aliased page" `Quick
             test_drop_aliased_zero_page;
           Alcotest.test_case "install over a page only loaded" `Quick
